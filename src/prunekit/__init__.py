@@ -16,7 +16,7 @@ from .planner import (PruneConfig, PruningPlan, identity_plan, make_plan,
                       select_channels, threshold)
 from .rewriter import RewriteOptions, apply, summarize
 from .scoring import ScoreRecord, collect_scores
-from .trainer import TrainConfig, evaluate, loss, retrain_scratch, sgd_step, train
+from .trainer import TrainConfig, evaluate, loss, retrain_scratch, train
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,5 @@ __all__ = [
     "TrainConfig", "apply", "build", "collect_scores", "count_flops",
     "count_params", "evaluate", "identity_plan", "load_bundle", "load_dataset",
     "loss", "make_plan", "report", "retrain_scratch", "save_bundle",
-    "select_channels", "sgd_step", "strip_gates", "summarize", "threshold",
-    "train",
+    "select_channels", "strip_gates", "summarize", "threshold", "train",
 ]

@@ -17,113 +17,52 @@ convention; ``mac`` is the default everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .graph import ArchitectureGraph
+from .layers import kind_of
 
 CONVENTIONS = ("mac", "opcount")
 
 
 def node_param_count(node) -> int:
     """Parameters a node contributes; running statistics are excluded."""
-    k = node.kind
-    a = node.attrs
-    if k == "conv":
-        n = a["kernel"][0] * a["kernel"][1] * a["in_channels"] * a["out_channels"]
-        if a.get("bias"):
-            n += a["out_channels"]
-        return n
-    if k == "batchnorm":
-        return 2 * a["channels"]
-    if k == "fullyconnected":
-        n = a["in_features"] * a["out_features"]
-        if a.get("bias", True):
-            n += a["out_features"]
-        return n
-    if k == "gate":
-        return 2 * a["hidden"] * a["channels"]
-    return 0
+    return kind_of(node).params(node.attrs)
 
 
 def count_params(graph: ArchitectureGraph, include_gates: bool = True) -> int:
-    total = 0
-    for node in graph.nodes:
-        if node.kind == "gate" and not include_gates:
-            continue
-        total += node_param_count(node)
-    return total
+    return sum(node_param_count(node) for node in graph.nodes
+               if include_gates or node.kind != "gate")
 
 
 def node_flop_count(node, in_shape, out_shape, convention: str) -> int:
     """Per-sample FLOPs for one node given its inferred input/output shapes."""
-    k = node.kind
-    a = node.attrs
-    cin, hin, win = in_shape
-    cout, hout, wout = out_shape
-    out_elems = cout * hout * wout
-    in_elems = cin * hin * win
-
-    if k == "conv":
-        macs = out_elems * a["kernel"][0] * a["kernel"][1] * a["in_channels"]
-        if convention == "mac":
-            return macs
-        return 2 * macs + (out_elems if a.get("bias") else 0)
-    if k == "fullyconnected":
-        macs = a["in_features"] * a["out_features"]
-        if convention == "mac":
-            return macs
-        return 2 * macs + (a["out_features"] if a.get("bias", True) else 0)
-    if convention == "mac":
-        return 0
-    # opcount extras: scale+shift for BN, compares for pooling, etc.
-    if k == "batchnorm":
-        return 2 * out_elems
-    if k == "relu":
-        return out_elems
-    if k == "add":
-        return out_elems
-    if k == "maxpool":
-        return out_elems * (a["kernel"] * a["kernel"] - 1)
-    if k == "globalavgpool":
-        return in_elems + cout
-    if k == "softmax":
-        return 3 * out_elems
-    if k == "gate":
-        hid = a["hidden"]
-        return 2 * in_elems + 2 * 2 * a["channels"] * hid + a["channels"]
-    return 0
+    rules = kind_of(node)
+    count = rules.macs if convention == "mac" else rules.opcount
+    return count(node.attrs, in_shape, out_shape)
 
 
 def count_flops(graph: ArchitectureGraph, input_shape=None,
                 convention: str = "mac") -> int:
     """Per-sample FLOPs for a whole graph under the given convention."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown FLOP convention '{convention}'")
-    shapes = graph.infer_shapes(input_shape)
-    in_shape = tuple(input_shape or graph.input_shape)
-    total = 0
-    for node in graph.nodes:
-        prods = graph.producers(node.id)
-        src = shapes[prods[0]] if prods else in_shape
-        total += node_flop_count(node, src, shapes[node.id], convention)
-    return total
+    return sum(r["flops"] for r in breakdown(graph, input_shape, convention))
 
 
 def breakdown(graph: ArchitectureGraph, input_shape=None,
               convention: str = "mac") -> list[dict]:
     """Per-node params/FLOPs rows; the totals equal the sums exactly."""
-    shapes = graph.infer_shapes(input_shape)
-    in_shape = tuple(input_shape or graph.input_shape)
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown FLOP convention '{convention}'")
+    io = graph.io_shapes(input_shape)
     rows = []
     for node in graph.nodes:
-        prods = graph.producers(node.id)
-        src = shapes[prods[0]] if prods else in_shape
+        ins, out = io[node.id]
         rows.append({
             "id": node.id,
             "kind": node.kind,
-            "out_shape": shapes[node.id],
+            "out_shape": out,
             "params": node_param_count(node),
-            "flops": node_flop_count(node, src, shapes[node.id], convention),
+            "flops": node_flop_count(node, ins[0], out, convention),
         })
     return rows
 
@@ -177,6 +116,14 @@ class CompressionReport:
             "convention": self.convention,
             "per_layer": self.per_layer,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CompressionReport":
+        """Inverse of :meth:`to_dict`; the derived percentages and epochs are recomputed."""
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in d:
+                raise ValueError(f"compression report: missing required field '{f.name}'")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def to_text(self) -> str:
         lines = [

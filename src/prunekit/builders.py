@@ -25,6 +25,7 @@ import numpy as np
 from .errors import GraphValidationError
 from .gate import hidden_width
 from .graph import ArchitectureGraph, BlockInfo, LayerNode, StageInfo
+from .layers import kind_of
 
 VGG_PLANS = {
     "vgg16": [64, 64, "M", 128, 128, "M", 256, 256, 256, "M",
@@ -313,30 +314,7 @@ def initialize_parameters(graph: ArchitectureGraph, seed: int,
     """Fan-in-scaled Gaussian init, deterministic in node declaration order."""
     rng = np.random.default_rng(seed)
     for node in graph.nodes:
-        if node.kind == "conv":
-            a = node.attrs
-            fan_in = a["in_channels"] * a["kernel"][0] * a["kernel"][1]
-            shape = (a["out_channels"], a["in_channels"], *a["kernel"])
-            node.params["weight"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).astype(dtype)
-            if a["bias"]:
-                node.params["bias"] = np.zeros(a["out_channels"], dtype=dtype)
-        elif node.kind == "batchnorm":
-            c = node.attrs["channels"]
-            node.params["gamma"] = np.ones(c, dtype=dtype)
-            node.params["beta"] = np.zeros(c, dtype=dtype)
-            node.params["running_mean"] = np.zeros(c, dtype=dtype)
-            node.params["running_var"] = np.ones(c, dtype=dtype)
-        elif node.kind == "fullyconnected":
-            a = node.attrs
-            node.params["weight"] = rng.normal(
-                0.0, np.sqrt(2.0 / a["in_features"]),
-                (a["out_features"], a["in_features"])).astype(dtype)
-            if a.get("bias", True):
-                node.params["bias"] = np.zeros(a["out_features"], dtype=dtype)
-        elif node.kind == "gate":
-            c, hid = node.attrs["channels"], node.attrs["hidden"]
-            node.params["w1"] = rng.normal(0.0, np.sqrt(2.0 / c), (hid, c)).astype(dtype)
-            node.params["w2"] = rng.normal(0.0, np.sqrt(2.0 / hid), (c, hid)).astype(dtype)
+        kind_of(node).init(node, rng, dtype)
 
 
 def strip_gates(graph: ArchitectureGraph) -> ArchitectureGraph:

@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .accounting import count_flops, count_params, report as make_report
+from .accounting import (CompressionReport, count_flops, count_params,
+                         report as make_report)
 from .builders import ARCHITECTURES, build
 from .bundle import ModelBundle, load_bundle, save_bundle
 from .data import DatasetSpec, load_dataset
@@ -21,7 +22,7 @@ from .errors import (BundleIntegrityError, DataError, GraphValidationError,
 from .planner import PruneConfig, PruningPlan, make_plan
 from .rewriter import RewriteOptions, apply as apply_plan
 from .scoring import ScoreRecord, collect_scores
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, evaluate, retrain_scratch, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -130,18 +131,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_retrain(args) -> int:
-    from .accounting import CompressionReport
+    rep = CompressionReport.from_dict(_load_json(args.report))
     bundle = load_bundle(args.model)
-    rep_d = _load_json(args.report)
-    rep = CompressionReport(rep_d["params_before"], rep_d["params_after"],
-                            rep_d["flops_before"], rep_d["flops_after"],
-                            base_epochs=rep_d["base_epochs"],
-                            epoch_mode=rep_d.get("epoch_mode", "flop-matched"))
     cfg = _train_config(args.config)
     train_data = load_dataset(_dataset_from_arg(args.data))
     eval_data = load_dataset(DatasetSpec.from_dict(
         {**_dataset_from_arg(args.data).to_dict(), "split": "eval"}))
-    from .trainer import retrain_scratch
     retrained, history = retrain_scratch(bundle, train_data, eval_data, cfg, rep)
     save_bundle(retrained, args.out)
     acc = evaluate(retrained, eval_data)

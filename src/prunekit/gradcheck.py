@@ -16,7 +16,7 @@ import numpy as np
 
 from .bundle import ModelBundle
 from .network import GradTape, Network
-from .trainer import data_loss_and_grad, penalty_value, _onehot
+from .trainer import _onehot, add_penalty_grad, data_loss_and_grad, penalty_value
 
 
 @dataclass
@@ -35,15 +35,9 @@ class GradCheckReport:
 
 
 def _loss_fn(net: Network, x, onehot, variant, weight_decay, training):
-    probs = net.forward(x, training=training)
-    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
-    n = probs.shape[0]
-    if variant == "softmax-ce":
-        data = -(onehot * np.log(p)).sum() / n
-    else:
-        data = -(onehot * np.log(p) + (1 - onehot) * np.log(1 - p)).sum() / n
+    data, _ = data_loss_and_grad(net.forward(x, training=training), onehot, variant)
     pen, _ = penalty_value([w for _, _, w in net.weight_parameters()], weight_decay)
-    return float(data) + pen
+    return data + pen
 
 
 def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
@@ -90,11 +84,8 @@ def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
         report.failures.append(("<loss>", "non-finite loss"))
         return report
     net.backward(dprobs, tape)
-    if weight_decay > 0.0:
-        _, n_weights = penalty_value([w for _, _, w in net.weight_parameters()],
-                                     weight_decay)
-        for node_id, pname, w in net.weight_parameters():
-            tape.accumulate(node_id, pname, (weight_decay / n_weights) * w)
+    _, n_weights = penalty_value([w for _, _, w in net.weight_parameters()], weight_decay)
+    add_penalty_grad(net, tape, weight_decay, n_weights)
     restore_bn()
 
     for node_id, pname, w in net.trainable_parameters():

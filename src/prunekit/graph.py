@@ -14,16 +14,9 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from .errors import GraphValidationError
-from .gate import hidden_width
-from .ops import conv_output_size
+from .layers import LAYERS, kind_of
 
-KINDS = (
-    "conv", "batchnorm", "relu", "maxpool", "globalavgpool",
-    "fullyconnected", "gate", "add", "softmax",
-)
-
-# kinds whose output channel set is exactly their input channel set
-PASSTHROUGH_KINDS = ("batchnorm", "relu", "maxpool", "globalavgpool", "gate", "softmax")
+KINDS = tuple(LAYERS)
 
 
 @dataclass
@@ -91,6 +84,13 @@ class ArchitectureGraph:
     def producers(self, node_id: str) -> list[str]:
         return [s for s, d in self.edges if d == node_id]
 
+    def producer_map(self) -> dict[str, list[str]]:
+        """Producers of every node in edge order; rebuilt per call, as edges may change."""
+        prods: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        for s, d in self.edges:
+            prods.setdefault(d, []).append(s)
+        return prods
+
     def consumers(self, node_id: str) -> list[str]:
         return [d for s, d in self.edges if s == node_id]
 
@@ -107,16 +107,29 @@ class ArchitectureGraph:
                 return b
         raise KeyError(block_id)
 
+    def upstream_conv(self, node_id: str) -> Optional[str]:
+        """Nearest convolution strictly upstream along first producers; None at the entry."""
+        nid = node_id
+        while True:
+            prods = self.producers(nid)
+            if not prods:
+                return None
+            nid = prods[0]
+            if self.node(nid).kind == "conv":
+                return nid
+
     def topo_order(self) -> list[str]:
         """Kahn's algorithm, stable w.r.t. node declaration order."""
         indeg = {n.id: 0 for n in self.nodes}
-        for _, d in self.edges:
+        consumers: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        for s, d in self.edges:
             indeg[d] += 1
+            consumers.setdefault(s, []).append(d)
         order, ready = [], [n.id for n in self.nodes if indeg[n.id] == 0]
         while ready:
             nid = ready.pop(0)
             order.append(nid)
-            for c in self.consumers(nid):
+            for c in consumers[nid]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     ready.append(c)
@@ -131,37 +144,23 @@ class ArchitectureGraph:
 
     # -- shape inference ----------------------------------------------------
 
-    def infer_shapes(self, input_shape=None) -> dict[str, tuple[int, int, int]]:
-        """Per-node output (channels, height, width) for a single sample."""
-        shape_in = tuple(input_shape or self.input_shape)
-        shapes: dict[str, tuple[int, int, int]] = {}
+    def io_shapes(self, input_shape=None) -> dict[str, tuple[list, tuple]]:
+        """Per node in topological order: (producers' output shapes, own output shape).
+
+        Shapes are per-sample (channels, height, width); the entry node reads the input.
+        """
+        entry = [tuple(input_shape or self.input_shape)]
+        prods = self.producer_map()
+        io: dict[str, tuple[list, tuple]] = {}
         for nid in self.topo_order():
             node = self.node(nid)
-            prods = self.producers(nid)
-            if not prods:
-                src = shape_in
-            else:
-                src = shapes[prods[0]]
-            c, h, w = src
-            k = node.kind
-            if k == "conv":
-                kh, kw = node.attrs["kernel"]
-                s, p = node.attrs["stride"], node.attrs["padding"]
-                shapes[nid] = (node.attrs["out_channels"],
-                               conv_output_size(h, kh, s, p),
-                               conv_output_size(w, kw, s, p))
-            elif k == "maxpool":
-                kk, s = node.attrs["kernel"], node.attrs["stride"]
-                shapes[nid] = (c, conv_output_size(h, kk, s, 0), conv_output_size(w, kk, s, 0))
-            elif k == "globalavgpool":
-                shapes[nid] = (c, 1, 1)
-            elif k == "fullyconnected":
-                shapes[nid] = (node.attrs["out_features"], 1, 1)
-            elif k == "add":
-                shapes[nid] = src
-            else:
-                shapes[nid] = (c, h, w)
-        return shapes
+            ins = [io[p][1] for p in prods[nid]] or entry
+            io[nid] = (ins, kind_of(node).out_shape(node, ins))
+        return io
+
+    def infer_shapes(self, input_shape=None) -> dict[str, tuple[int, int, int]]:
+        """Per-node output (channels, height, width) for a single sample."""
+        return {nid: out for nid, (_, out) in self.io_shapes(input_shape).items()}
 
     # -- validation ----------------------------------------------------------
 
@@ -194,75 +193,28 @@ class ArchitectureGraph:
         elif self.consumers(sinks[0].id):
             v.append(f"softmax node '{sinks[0].id}' is not a sink")
 
+        prods = self.producer_map()
         for n in self.nodes:
-            if n.kind not in KINDS:
+            if n.kind not in LAYERS:
                 v.append(f"node '{n.id}': unknown kind '{n.kind}'")
-            np_in = len(self.producers(n.id))
-            if n.kind == "add" and np_in != 2:
-                v.append(f"add node '{n.id}' has {np_in} inputs, needs exactly 2")
-            if n.kind != "add" and np_in > 1:
+                continue
+            arity, np_in = LAYERS[n.kind].arity, len(prods[n.id])
+            if arity > 1 and np_in != arity:
+                v.append(f"{n.kind} node '{n.id}' has {np_in} inputs, needs exactly {arity}")
+            if arity == 1 and np_in > 1:
                 v.append(f"node '{n.id}' has {np_in} inputs, at most 1 allowed")
 
         try:
-            shapes = self.infer_shapes()
+            io = self.io_shapes()
         except Exception as exc:  # shape arithmetic failure is itself a violation
             v.append(f"shape inference failed: {exc}")
             return v
-
-        def in_shape(nid):
-            prods = self.producers(nid)
-            return shapes[prods[0]] if prods else self.input_shape
-
         for n in self.nodes:
-            c, h, w = in_shape(n.id)
-            if n.kind == "conv":
-                if n.attrs["in_channels"] != c:
-                    v.append(f"conv '{n.id}': declares {n.attrs['in_channels']} input "
-                             f"channels but receives {c}")
-                if n.attrs["out_channels"] < 1 or n.attrs["in_channels"] < 1:
-                    v.append(f"conv '{n.id}': channel widths must be positive")
-                wt = n.params.get("weight")
-                if wt is not None:
-                    expect = (n.attrs["out_channels"], n.attrs["in_channels"],
-                              *n.attrs["kernel"])
-                    if wt.shape != expect:
-                        v.append(f"conv '{n.id}': weight shape {wt.shape} != {expect}")
-            elif n.kind == "batchnorm":
-                if n.attrs["channels"] != c:
-                    v.append(f"batchnorm '{n.id}': declares {n.attrs['channels']} "
-                             f"channels but receives {c}")
-                for pname in ("gamma", "beta", "running_mean", "running_var"):
-                    p = n.params.get(pname)
-                    if p is not None and p.shape != (n.attrs["channels"],):
-                        v.append(f"batchnorm '{n.id}': {pname} shape {p.shape} != "
-                                 f"({n.attrs['channels']},)")
-            elif n.kind == "gate":
-                if n.attrs["channels"] != c:
-                    v.append(f"gate '{n.id}': declares {n.attrs['channels']} channels "
-                             f"but receives {c}")
-                hid = hidden_width(n.attrs["channels"], n.attrs["reduction"])
-                if n.attrs.get("hidden", hid) != hid:
-                    v.append(f"gate '{n.id}': hidden width {n.attrs.get('hidden')} != "
-                             f"max(1, C // r) = {hid}")
-                w1, w2 = n.params.get("w1"), n.params.get("w2")
-                if w1 is not None and w1.shape != (hid, n.attrs["channels"]):
-                    v.append(f"gate '{n.id}': w1 shape {w1.shape} != ({hid}, {n.attrs['channels']})")
-                if w2 is not None and w2.shape != (n.attrs["channels"], hid):
-                    v.append(f"gate '{n.id}': w2 shape {w2.shape} != ({n.attrs['channels']}, {hid})")
-            elif n.kind == "fullyconnected":
-                if (c, h, w) != (n.attrs["in_features"], 1, 1):
-                    v.append(f"fullyconnected '{n.id}': expects ({n.attrs['in_features']},1,1) "
-                             f"input, receives ({c},{h},{w})")
-            elif n.kind == "add":
-                prods = self.producers(n.id)
-                if len(prods) == 2 and shapes[prods[0]] != shapes[prods[1]]:
-                    v.append(f"add '{n.id}': input shapes differ "
-                             f"{shapes[prods[0]]} vs {shapes[prods[1]]}")
-
-        v.extend(self._validate_annotations(shapes))
+            v.extend(LAYERS[n.kind].check(n, io[n.id][0]))
+        v.extend(self._validate_annotations(io))
         return v
 
-    def _validate_annotations(self, shapes) -> list[str]:
+    def _validate_annotations(self, io) -> list[str]:
         v = []
         block_ids = {b.id for b in self.blocks}
         for b in self.blocks:
@@ -279,7 +231,7 @@ class ArchitectureGraph:
         for st in sorted(self.stages, key=lambda s: s.index):
             for i, bid in enumerate(st.block_ids):
                 b = self.block(bid)
-                out_w = shapes[b.last_conv][0]
+                out_w = io[b.last_conv][1][0]
                 if out_w != st.width:
                     v.append(f"stage {st.index}: block '{bid}' output width {out_w} "
                              f"!= stage width {st.width}")

@@ -1,0 +1,296 @@
+"""Layer kinds: every rule that depends on a node's kind, in one table.
+
+An entry of :data:`LAYERS` says, for one kind, how a node runs forward and
+backward, what shape it outputs, which widths and parameter shapes it must
+agree with, what it costs, how pruning narrows it, and how its parameters
+are initialized.  The executor, graph, accounting, rewriter and builders
+look rules up here rather than branching on the kind themselves, so a new
+kind touches this file only.
+
+Rules call ``ops`` and ``gate`` through the module attribute at call time,
+so a wrapper installed on those functions (a profiler, say) sees every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import gate, ops
+from .errors import PlanError, StructuralError
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """The rules of one layer kind; a field left out takes the default shown.
+
+    ``in_shapes`` and ``in_keeps`` hold one entry per producer, in edge
+    order; an entry node receives the graph input and keeps every channel.
+    A keep set is an index array of surviving channels, or None for all;
+    ``narrow`` runs only on nodes with at least one keep set.
+    """
+    forward: Callable    # (node, inputs, training) -> (y, cache)
+    backward: Callable   # (dy, cache) -> (input grads, {param: grad or None})
+    opcount: Callable    # (attrs, in_shape, out_shape) -> FLOPs, convention "opcount"
+    macs: Callable = lambda attrs, in_shape, out_shape: 0
+    params: Callable = lambda attrs: 0      # running statistics excluded
+    out_shape: Callable = lambda node, in_shapes: in_shapes[0]
+    check: Callable = lambda node, in_shapes: ()           # yields violation messages
+    out_keep: Callable = lambda node, in_keeps, planned: in_keeps[0]
+    narrow: Callable = lambda node, in_keep, out_keep: None  # slices in place
+    init: Callable = lambda node, rng, dtype: None           # seeded draws
+    trainable: tuple[str, ...] = ()
+    weights: tuple[str, ...] = ()           # operands of the L2 penalty
+    arity: int = 1
+
+
+def _elems(shape) -> int:
+    c, h, w = shape
+    return c * h * w
+
+
+def _with_param_grads(names, dx, *grads):
+    return (dx,), dict(zip(names, grads))
+
+
+def _declared_channels(node, in_shapes):
+    c, declared = in_shapes[0][0], node.attrs["channels"]
+    if declared != c:
+        yield f"{node.kind} '{node.id}': declares {declared} channels but receives {c}"
+
+
+def _param_shapes(node, expected: dict):
+    for name, shape in expected.items():
+        if name in node.params and node.params[name].shape != shape:
+            yield f"{node.kind} '{node.id}': {name} shape {node.params[name].shape} != {shape}"
+
+
+def _gaussian(rng, fan_in, shape, dtype):
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).astype(dtype)
+
+
+def _conv_shape(node, in_shapes):
+    a = node.attrs
+    _, h, w = in_shapes[0]
+    (kh, kw), s, p = a["kernel"], a["stride"], a["padding"]
+    return (a["out_channels"], ops.conv_output_size(h, kh, s, p),
+            ops.conv_output_size(w, kw, s, p))
+
+
+def _conv_check(node, in_shapes):
+    a, c = node.attrs, in_shapes[0][0]
+    if a["in_channels"] != c:
+        yield (f"conv '{node.id}': declares {a['in_channels']} input "
+               f"channels but receives {c}")
+    if a["out_channels"] < 1 or a["in_channels"] < 1:
+        yield f"conv '{node.id}': channel widths must be positive"
+    yield from _param_shapes(
+        node, {"weight": (a["out_channels"], a["in_channels"], *a["kernel"])})
+
+
+def _conv_macs(a, in_shape, out_shape):
+    return _elems(out_shape) * a["kernel"][0] * a["kernel"][1] * a["in_channels"]
+
+
+def _conv_narrow(node, in_keep, out_keep):
+    p = node.params
+    w = p["weight"]
+    if out_keep is not None:
+        w = w[out_keep]
+        node.attrs["out_channels"] = len(out_keep)
+        if "bias" in p:
+            p["bias"] = p["bias"][out_keep].copy()
+    if in_keep is not None:
+        w = w[:, in_keep]
+        node.attrs["in_channels"] = len(in_keep)
+    p["weight"] = np.ascontiguousarray(w)
+
+
+def _conv_init(node, rng, dtype):
+    a = node.attrs
+    fan_in = a["in_channels"] * a["kernel"][0] * a["kernel"][1]
+    shape = (a["out_channels"], a["in_channels"], *a["kernel"])
+    node.params["weight"] = _gaussian(rng, fan_in, shape, dtype)
+    if a["bias"]:
+        node.params["bias"] = np.zeros(a["out_channels"], dtype=dtype)
+
+
+def _pool_shape(node, in_shapes):
+    c, h, w = in_shapes[0]
+    k, s = node.attrs["kernel"], node.attrs["stride"]
+    return (c, ops.conv_output_size(h, k, s, 0), ops.conv_output_size(w, k, s, 0))
+
+
+BN_PARAMS = ("gamma", "beta", "running_mean", "running_var")
+
+
+def _bn_forward(node, inputs, training):
+    p = node.params
+    y, cache, new_mean, new_var = ops.batchnorm_forward(
+        inputs[0], p["gamma"], p["beta"], p["running_mean"], p["running_var"],
+        node.attrs["eps"], node.attrs["momentum"], training)
+    if training:
+        p["running_mean"] = new_mean.astype(p["running_mean"].dtype, copy=False)
+        p["running_var"] = new_var.astype(p["running_var"].dtype, copy=False)
+    return y, cache
+
+
+def _bn_check(node, in_shapes):
+    yield from _declared_channels(node, in_shapes)
+    yield from _param_shapes(node, {name: (node.attrs["channels"],) for name in BN_PARAMS})
+
+
+def _bn_narrow(node, in_keep, out_keep):
+    node.attrs["channels"] = len(in_keep)
+    for name in BN_PARAMS:
+        node.params[name] = node.params[name][in_keep].copy()
+
+
+def _bn_init(node, rng, dtype):
+    c = node.attrs["channels"]
+    node.params["gamma"] = np.ones(c, dtype=dtype)
+    node.params["beta"] = np.zeros(c, dtype=dtype)
+    node.params["running_mean"] = np.zeros(c, dtype=dtype)
+    node.params["running_var"] = np.ones(c, dtype=dtype)
+
+
+def _gate_check(node, in_shapes):
+    a = node.attrs
+    c = a["channels"]
+    hid = gate.hidden_width(c, a["reduction"])
+    yield from _declared_channels(node, in_shapes)
+    if a.get("hidden", hid) != hid:
+        yield f"gate '{node.id}': hidden width {a.get('hidden')} != max(1, C // r) = {hid}"
+    yield from _param_shapes(node, {"w1": (hid, c), "w2": (c, hid)})
+
+
+def _gate_narrow(node, in_keep, out_keep):
+    hid = gate.hidden_width(len(in_keep), node.attrs["reduction"])
+    node.attrs["channels"] = len(in_keep)
+    node.attrs["hidden"] = hid
+    node.params["w1"] = np.ascontiguousarray(node.params["w1"][:hid, in_keep])
+    node.params["w2"] = np.ascontiguousarray(node.params["w2"][in_keep, :hid])
+
+
+def _gate_init(node, rng, dtype):
+    c, hid = node.attrs["channels"], node.attrs["hidden"]
+    node.params["w1"] = _gaussian(rng, c, (hid, c), dtype)
+    node.params["w2"] = _gaussian(rng, hid, (c, hid), dtype)
+
+
+def _fc_check(node, in_shapes):
+    c, h, w = in_shapes[0]
+    f = node.attrs["in_features"]
+    if (c, h, w) != (f, 1, 1):
+        yield f"fullyconnected '{node.id}': expects ({f},1,1) input, receives ({c},{h},{w})"
+
+
+def _fc_narrow(node, in_keep, out_keep):
+    node.attrs["in_features"] = len(in_keep)
+    node.params["weight"] = np.ascontiguousarray(node.params["weight"][:, in_keep])
+
+
+def _fc_init(node, rng, dtype):
+    a = node.attrs
+    node.params["weight"] = _gaussian(rng, a["in_features"],
+                                      (a["out_features"], a["in_features"]), dtype)
+    if a.get("bias", True):
+        node.params["bias"] = np.zeros(a["out_features"], dtype=dtype)
+
+
+def _add_forward(node, inputs, training):
+    a, b = inputs
+    if a.shape != b.shape:
+        raise StructuralError(f"shapes {a.shape} vs {b.shape}")
+    return a + b, None
+
+
+def _add_check(node, in_shapes):
+    if len(in_shapes) == 2 and in_shapes[0] != in_shapes[1]:
+        yield f"add '{node.id}': input shapes differ {in_shapes[0]} vs {in_shapes[1]}"
+
+
+def _add_keep(node, in_keeps, planned):
+    a, b = in_keeps
+    if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
+        raise PlanError(f"add node '{node.id}': branches arrive with different kept sets")
+    return a
+
+
+LAYERS: dict[str, LayerKind] = {
+    "conv": LayerKind(
+        forward=lambda node, xs, training: ops.conv2d_forward(
+            xs[0], node.params["weight"], node.params.get("bias"),
+            node.attrs["stride"], node.attrs["padding"]),
+        backward=lambda dy, cache: _with_param_grads(
+            ("weight", "bias"), *ops.conv2d_backward(dy, cache)),
+        macs=_conv_macs,
+        opcount=lambda a, i, o: 2 * _conv_macs(a, i, o) + (_elems(o) if a.get("bias") else 0),
+        params=lambda a: (a["kernel"][0] * a["kernel"][1] * a["in_channels"] * a["out_channels"]
+                          + (a["out_channels"] if a.get("bias") else 0)),
+        out_shape=_conv_shape, check=_conv_check, narrow=_conv_narrow, init=_conv_init,
+        out_keep=lambda node, in_keeps, planned: planned,
+        trainable=("weight", "bias"), weights=("weight",)),
+    "batchnorm": LayerKind(
+        forward=_bn_forward,
+        backward=lambda dy, cache: _with_param_grads(
+            ("gamma", "beta"), *ops.batchnorm_backward(dy, cache)),
+        opcount=lambda a, i, o: 2 * _elems(o), params=lambda a: 2 * a["channels"],
+        check=_bn_check, narrow=_bn_narrow, init=_bn_init, trainable=("gamma", "beta")),
+    "relu": LayerKind(
+        forward=lambda node, xs, training: ops.relu_forward(xs[0]),
+        backward=lambda dy, cache: ((ops.relu_backward(dy, cache),), {}),
+        opcount=lambda a, i, o: _elems(o)),
+    "maxpool": LayerKind(
+        forward=lambda node, xs, training: ops.maxpool_forward(
+            xs[0], node.attrs["kernel"], node.attrs["stride"]),
+        backward=lambda dy, cache: ((ops.maxpool_backward(dy, cache),), {}),
+        opcount=lambda a, i, o: _elems(o) * (a["kernel"] * a["kernel"] - 1),
+        out_shape=_pool_shape),
+    "globalavgpool": LayerKind(
+        forward=lambda node, xs, training: ops.global_avg_pool_forward(xs[0]),
+        backward=lambda dy, cache: ((ops.global_avg_pool_backward(dy, cache),), {}),
+        opcount=lambda a, i, o: _elems(i) + o[0],
+        out_shape=lambda node, in_shapes: (in_shapes[0][0], 1, 1)),
+    "fullyconnected": LayerKind(
+        forward=lambda node, xs, training: ops.linear_forward(
+            xs[0], node.params["weight"], node.params.get("bias")),
+        backward=lambda dy, cache: _with_param_grads(
+            ("weight", "bias"), *ops.linear_backward(dy, cache)),
+        macs=lambda a, i, o: a["in_features"] * a["out_features"],
+        opcount=lambda a, i, o: (2 * a["in_features"] * a["out_features"]
+                                 + (a["out_features"] if a.get("bias", True) else 0)),
+        params=lambda a: (a["in_features"] * a["out_features"]
+                          + (a["out_features"] if a.get("bias", True) else 0)),
+        out_shape=lambda node, in_shapes: (node.attrs["out_features"], 1, 1),
+        check=_fc_check, narrow=_fc_narrow, init=_fc_init,
+        out_keep=lambda node, in_keeps, planned: None,
+        trainable=("weight", "bias"), weights=("weight",)),
+    "gate": LayerKind(
+        forward=lambda node, xs, training: gate.gate_forward(
+            xs[0], node.params["w1"], node.params["w2"]),
+        backward=lambda dy, cache: _with_param_grads(
+            ("w1", "w2"), *gate.gate_backward(dy, cache)),
+        opcount=lambda a, i, o: (2 * _elems(i) + 2 * 2 * a["channels"] * a["hidden"]
+                                 + a["channels"]),
+        params=lambda a: 2 * a["hidden"] * a["channels"],
+        check=_gate_check, narrow=_gate_narrow, init=_gate_init,
+        trainable=("w1", "w2"), weights=("w1", "w2")),
+    "add": LayerKind(
+        forward=_add_forward, backward=lambda dy, cache: ((dy, dy), {}),
+        opcount=lambda a, i, o: _elems(o), check=_add_check, out_keep=_add_keep, arity=2),
+    "softmax": LayerKind(
+        forward=lambda node, xs, training: ops.softmax_forward(xs[0]),
+        backward=lambda dy, cache: ((ops.softmax_backward(dy, cache),), {}),
+        opcount=lambda a, i, o: 3 * _elems(o)),
+}
+
+
+def kind_of(node) -> LayerKind:
+    """The rules for a node's kind; an unknown kind is an error naming the layer."""
+    try:
+        return LAYERS[node.kind]
+    except KeyError:
+        raise StructuralError(f"layer '{node.id}': unknown kind '{node.kind}'") from None

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import gate as gate_ops
 from . import ops
 from .errors import StructuralError
 from .graph import ArchitectureGraph
+from .layers import kind_of
 
 
 class GradTape:
@@ -41,8 +41,7 @@ class Network:
     def __init__(self, graph: ArchitectureGraph):
         self.graph = graph
         self._topo = graph.topo_order()
-        self._producers = {nid: graph.producers(nid) for nid in self._topo}
-        self._entry = graph.entry_nodes()[0]
+        self._producers = graph.producer_map()
         self._sink = graph.nodes_of_kind("softmax")[0].id
 
     # -- forward --------------------------------------------------------------
@@ -64,53 +63,17 @@ class Network:
             node = self.graph.node(nid)
             prods = self._producers[nid]
             src = [outputs[p] for p in prods] if prods else [x]
-            y, cache = self._forward_node(node, src, training)
+            forward = kind_of(node).forward
+            try:
+                y, cache = forward(node, src, training)
+            except StructuralError as exc:
+                raise StructuralError(f"layer '{node.id}': {exc}") from None
             outputs[nid] = y
             if tape is not None:
                 tape.order.append(nid)
                 tape.caches[nid] = cache
                 tape.outputs[nid] = y
         return outputs[self._sink][:, :, 0, 0]
-
-    def _forward_node(self, node, inputs, training):
-        kind = node.kind
-        x = inputs[0]
-        try:
-            if kind == "conv":
-                return ops.conv2d_forward(
-                    x, node.params["weight"], node.params.get("bias"),
-                    node.attrs["stride"], node.attrs["padding"])
-            if kind == "batchnorm":
-                y, cache, new_mean, new_var = ops.batchnorm_forward(
-                    x, node.params["gamma"], node.params["beta"],
-                    node.params["running_mean"], node.params["running_var"],
-                    node.attrs["eps"], node.attrs["momentum"], training)
-                if training:
-                    node.params["running_mean"] = new_mean.astype(
-                        node.params["running_mean"].dtype, copy=False)
-                    node.params["running_var"] = new_var.astype(
-                        node.params["running_var"].dtype, copy=False)
-                return y, cache
-            if kind == "relu":
-                return ops.relu_forward(x)
-            if kind == "maxpool":
-                return ops.maxpool_forward(x, node.attrs["kernel"], node.attrs["stride"])
-            if kind == "globalavgpool":
-                return ops.global_avg_pool_forward(x)
-            if kind == "fullyconnected":
-                return ops.linear_forward(x, node.params["weight"], node.params.get("bias"))
-            if kind == "gate":
-                return gate_ops.gate_forward(x, node.params["w1"], node.params["w2"])
-            if kind == "add":
-                if inputs[0].shape != inputs[1].shape:
-                    raise StructuralError(
-                        f"shapes {inputs[0].shape} vs {inputs[1].shape}")
-                return inputs[0] + inputs[1], None
-            if kind == "softmax":
-                return ops.softmax_forward(x)
-        except StructuralError as exc:
-            raise StructuralError(f"layer '{node.id}': {exc}") from None
-        raise StructuralError(f"layer '{node.id}': unknown kind '{kind}'")
 
     # -- backward ---------------------------------------------------------------
 
@@ -131,7 +94,14 @@ class Network:
             if dy is None:
                 continue
             node = self.graph.node(nid)
-            dxs = self._backward_node(node, dy, tape)
+            if dy.shape != tape.outputs[nid].shape:
+                raise StructuralError(
+                    f"layer '{nid}': upstream gradient shape {dy.shape} != "
+                    f"forward output {tape.outputs[nid].shape}")
+            dxs, grads = kind_of(node).backward(dy, tape.caches[nid])
+            for pname, grad in grads.items():
+                if grad is not None:
+                    tape.accumulate(nid, pname, grad)
             prods = self._producers[nid]
             if not prods:
                 dinput = dxs[0] if dinput is None else dinput + dxs[0]
@@ -143,77 +113,21 @@ class Network:
                     pending[p] = dx
         return dinput
 
-    def _backward_node(self, node, dy, tape):
-        kind = node.kind
-        cache = tape.caches[node.id]
-        if dy.shape != tape.outputs[node.id].shape:
-            raise StructuralError(
-                f"layer '{node.id}': upstream gradient shape {dy.shape} != "
-                f"forward output {tape.outputs[node.id].shape}")
-        if kind == "conv":
-            dx, dw, db = ops.conv2d_backward(dy, cache)
-            tape.accumulate(node.id, "weight", dw)
-            if db is not None:
-                tape.accumulate(node.id, "bias", db)
-            return (dx,)
-        if kind == "batchnorm":
-            dx, dgamma, dbeta = ops.batchnorm_backward(dy, cache)
-            tape.accumulate(node.id, "gamma", dgamma)
-            tape.accumulate(node.id, "beta", dbeta)
-            return (dx,)
-        if kind == "relu":
-            return (ops.relu_backward(dy, cache),)
-        if kind == "maxpool":
-            return (ops.maxpool_backward(dy, cache),)
-        if kind == "globalavgpool":
-            return (ops.global_avg_pool_backward(dy, cache),)
-        if kind == "fullyconnected":
-            dx, dw, db = ops.linear_backward(dy, cache)
-            tape.accumulate(node.id, "weight", dw)
-            if db is not None:
-                tape.accumulate(node.id, "bias", db)
-            return (dx,)
-        if kind == "gate":
-            dx, dw1, dw2 = gate_ops.gate_backward(dy, cache)
-            tape.accumulate(node.id, "w1", dw1)
-            tape.accumulate(node.id, "w2", dw2)
-            return (dx,)
-        if kind == "add":
-            return (dy, dy)
-        if kind == "softmax":
-            return (ops.softmax_backward(dy, cache),)
-        raise StructuralError(f"layer '{node.id}': unknown kind '{kind}'")
-
     # -- parameters ----------------------------------------------------------------
-
-    TRAINABLE = {
-        "conv": ("weight", "bias"),
-        "batchnorm": ("gamma", "beta"),
-        "fullyconnected": ("weight", "bias"),
-        "gate": ("w1", "w2"),
-    }
-    WEIGHT_PARAMS = {
-        "conv": ("weight",),
-        "fullyconnected": ("weight",),
-        "gate": ("w1", "w2"),
-    }
 
     def trainable_parameters(self):
         """(node_id, param_name, array) for every updatable parameter."""
         for node in self.graph.nodes:
-            for pname in self.TRAINABLE.get(node.kind, ()):
+            for pname in kind_of(node).trainable:
                 if pname in node.params:
                     yield node.id, pname, node.params[pname]
 
     def weight_parameters(self):
         """Weight matrices only (penalty term operands); excludes biases and BN."""
         for node in self.graph.nodes:
-            for pname in self.WEIGHT_PARAMS.get(node.kind, ()):
+            for pname in kind_of(node).weights:
                 if pname in node.params:
                     yield node.id, pname, node.params[pname]
-
-    def set_param(self, node_id: str, pname: str, value: np.ndarray) -> None:
-        self.graph.node(node_id).params[pname] = value
 
     def astype(self, dtype) -> "Network":
         """Copy of the network with every parameter cast to dtype."""

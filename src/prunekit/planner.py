@@ -257,7 +257,7 @@ def plan_stage_uniform(record: ScoreRecord, graph: ArchitectureGraph,
     # share its kept set; with a projection shortcut it may keep full width
     first = min(graph.stages, key=lambda s: s.index)
     first_block = graph.block(first.block_ids[0])
-    stem_conv = _upstream_conv(graph, first_block.first_conv)
+    stem_conv = graph.upstream_conv(first_block.first_conv)
     if stem_conv is not None and first_block.shortcut_conv is None:
         stage_plan = plan.stages[0]
         stem_width = graph.node(stem_conv).attrs["out_channels"]
@@ -266,17 +266,6 @@ def plan_stage_uniform(record: ScoreRecord, graph: ArchitectureGraph,
         plan.layers.append(LayerPlan(stem_conv, stem_width, stage_plan.kept))
     plan.validate()
     return plan
-
-
-def _upstream_conv(graph: ArchitectureGraph, node_id: str):
-    nid = node_id
-    while True:
-        prods = graph.producers(nid)
-        if not prods:
-            return None
-        nid = prods[0]
-        if graph.node(nid).kind == "conv":
-            return nid
 
 
 def plan_bottleneck(record: ScoreRecord, graph: ArchitectureGraph,

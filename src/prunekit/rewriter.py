@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import node_param_count
+from .accounting import breakdown
 from .builders import initialize_parameters, strip_gates
 from .bundle import ModelBundle, bundle_fingerprint
 from .errors import PlanError
-from .gate import hidden_width
-from .graph import ArchitectureGraph
+from .layers import kind_of
 from .planner import PruningPlan
 
 
@@ -40,37 +39,6 @@ class RewriteOptions:
             raise ValueError("architecture-only mode requires a seed")
 
 
-def _keep_sets(graph: ArchitectureGraph, plan: PruningPlan):
-    """out_keep per node id; None means all channels survive."""
-    planned = plan.layer_map()
-    out_keep: dict[str, np.ndarray | None] = {}
-    for nid in graph.topo_order():
-        node = graph.node(nid)
-        prods = graph.producers(nid)
-        if node.kind == "conv":
-            lp = planned.get(nid)
-            if lp is None:
-                out_keep[nid] = None
-            else:
-                if lp.original != node.attrs["out_channels"]:
-                    raise PlanError(
-                        f"plan says layer '{nid}' has {lp.original} channels, "
-                        f"model has {node.attrs['out_channels']}")
-                out_keep[nid] = np.asarray(lp.kept, dtype=np.intp)
-        elif node.kind == "fullyconnected":
-            out_keep[nid] = None
-        elif node.kind == "add":
-            a, b = (out_keep[p] for p in prods)
-            if (a is None) != (b is None) or (
-                    a is not None and not np.array_equal(a, b)):
-                raise PlanError(
-                    f"add node '{nid}': branches arrive with different kept sets")
-            out_keep[nid] = a
-        else:
-            out_keep[nid] = out_keep[prods[0]] if prods else None
-    return out_keep
-
-
 def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelBundle:
     """Rewrite a model per the plan; the result passes graph validation."""
     plan.validate()
@@ -78,43 +46,26 @@ def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelB
     for lp in plan.layers:
         if not graph.has_node(lp.layer_id):
             raise PlanError(f"plan references unknown layer '{lp.layer_id}'")
-        if graph.node(lp.layer_id).kind != "conv":
+        node = graph.node(lp.layer_id)
+        if node.kind != "conv":
             raise PlanError(f"plan entry '{lp.layer_id}' is not a convolution")
+        if lp.original != node.attrs["out_channels"]:
+            raise PlanError(
+                f"plan says layer '{lp.layer_id}' has {lp.original} channels, "
+                f"model has {node.attrs['out_channels']}")
 
-    out_keep = _keep_sets(graph, plan)
-    in_keep = {}
-    for nid in graph.topo_order():
-        prods = graph.producers(nid)
-        in_keep[nid] = out_keep[prods[0]] if prods else None
-
+    # kept channel sets flow in dataflow order; None means every channel survives
+    planned, prods = plan.layer_map(), graph.producer_map()
     new_graph = graph.copy()
-    for node in new_graph.nodes:
-        ok, ik = out_keep[node.id], in_keep[node.id]
-        if node.kind == "conv":
-            w = node.params["weight"]
-            if ok is not None:
-                w = w[ok]
-                node.attrs["out_channels"] = len(ok)
-                if "bias" in node.params:
-                    node.params["bias"] = node.params["bias"][ok].copy()
-            if ik is not None:
-                w = w[:, ik]
-                node.attrs["in_channels"] = len(ik)
-            node.params["weight"] = np.ascontiguousarray(w)
-        elif node.kind == "batchnorm" and ik is not None:
-            node.attrs["channels"] = len(ik)
-            for pname in ("gamma", "beta", "running_mean", "running_var"):
-                node.params[pname] = node.params[pname][ik].copy()
-        elif node.kind == "gate" and ik is not None:
-            c_new = len(ik)
-            hid = hidden_width(c_new, node.attrs["reduction"])
-            node.attrs["channels"] = c_new
-            node.attrs["hidden"] = hid
-            node.params["w1"] = np.ascontiguousarray(node.params["w1"][:hid, ik])
-            node.params["w2"] = np.ascontiguousarray(node.params["w2"][ik, :hid])
-        elif node.kind == "fullyconnected" and ik is not None:
-            node.attrs["in_features"] = len(ik)
-            node.params["weight"] = np.ascontiguousarray(node.params["weight"][:, ik])
+    out_keep: dict[str, np.ndarray | None] = {}
+    for nid in graph.topo_order():
+        node, lp = new_graph.node(nid), planned.get(nid)
+        rules = kind_of(node)
+        ins = [out_keep[p] for p in prods[nid]] or [None]
+        out_keep[nid] = rules.out_keep(
+            node, ins, None if lp is None else np.asarray(lp.kept, dtype=np.intp))
+        if ins[0] is not None or out_keep[nid] is not None:
+            rules.narrow(node, ins[0], out_keep[nid])
 
     # stage annotations follow the rewritten block output widths
     for st in new_graph.stages:
@@ -141,25 +92,16 @@ def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelB
 
 
 def summarize(before: ModelBundle, after: ModelBundle) -> list[dict]:
-    """Per-layer width/parameter diff; totals match the accounting counts."""
+    """Per-layer output-width/parameter diff; totals match the accounting counts."""
+    after_rows = {r["id"]: r for r in breakdown(after.graph)}
     rows = []
-    after_ids = {n.id for n in after.graph.nodes}
-    for node in before.graph.nodes:
-        b_params = node_param_count(node)
-        if node.id in after_ids:
-            a_node = after.graph.node(node.id)
-            a_params = node_param_count(a_node)
-            w_before = node.attrs.get("out_channels", node.attrs.get("channels"))
-            w_after = a_node.attrs.get("out_channels", a_node.attrs.get("channels"))
-        else:
-            a_params = 0
-            w_before = node.attrs.get("out_channels", node.attrs.get("channels"))
-            w_after = 0
-        if b_params or a_params:
+    for b in breakdown(before.graph):
+        a = after_rows.get(b["id"], {"out_shape": (0,), "params": 0})  # removed layer
+        if b["params"] or a["params"]:
             rows.append({
-                "id": node.id, "kind": node.kind,
-                "width_before": w_before, "width_after": w_after,
-                "params_before": b_params, "params_after": a_params,
-                "delta": a_params - b_params,
+                "id": b["id"], "kind": b["kind"],
+                "width_before": b["out_shape"][0], "width_after": a["out_shape"][0],
+                "params_before": b["params"], "params_after": a["params"],
+                "delta": a["params"] - b["params"],
             })
     return rows

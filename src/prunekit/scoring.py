@@ -85,14 +85,10 @@ class ScoreRecord:
 
 def scored_conv_for_gate(graph: ArchitectureGraph, gate_id: str) -> str:
     """Nearest convolution upstream of a gate: the layer whose channels it scores."""
-    nid = gate_id
-    while True:
-        prods = graph.producers(nid)
-        if not prods:
-            raise PrunekitError(f"gate '{gate_id}' has no convolution upstream")
-        nid = prods[0]
-        if graph.node(nid).kind == "conv":
-            return nid
+    conv = graph.upstream_conv(gate_id)
+    if conv is None:
+        raise PrunekitError(f"gate '{gate_id}' has no convolution upstream")
+    return conv
 
 
 def collect_scores(bundle: ModelBundle, batches, max_batches: int | None = None,

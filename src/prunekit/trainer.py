@@ -104,6 +104,15 @@ def penalty_value(weights, weight_decay: float):
     return weight_decay / (2.0 * n) * sq, n
 
 
+def add_penalty_grad(net: Network, tape: GradTape, weight_decay: float,
+                     n_weights: int) -> None:
+    """Accumulate the penalty's gradient, (weight_decay / n) * w, on every weight."""
+    if weight_decay > 0.0:
+        scale = weight_decay / n_weights
+        for node_id, pname, w in net.weight_parameters():
+            tape.accumulate(node_id, pname, scale * w)
+
+
 def loss(predictions: np.ndarray, labels_onehot: np.ndarray, weights=(),
          weight_decay: float = 0.0, variant: str = "softmax-ce") -> float:
     """Penalized loss on probability vectors, as a single scalar."""
@@ -135,13 +144,6 @@ class OptimizerState:
             v = momentum * v - lr * g.astype(w.dtype, copy=False)
             self.velocity[key] = v
             w += v
-
-
-def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-             lr: float, momentum: float):
-    """One update on a single tensor; returns (new_param, new_velocity)."""
-    v = momentum * velocity - lr * grad
-    return param + v, v
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +206,7 @@ def train(bundle: ModelBundle, train_data, eval_data, config: TrainConfig):
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(epoch, bi)
             net.backward(dprobs, tape)
-            if config.weight_decay > 0.0:
-                scale = config.weight_decay / n_weights
-                for node_id, pname, w in net.weight_parameters():
-                    tape.accumulate(node_id, pname, scale * w)
+            add_penalty_grad(net, tape, config.weight_decay, n_weights)
             opt.step(net.trainable_parameters(), tape.grads, lr, config.momentum)
 
             epoch_loss += batch_loss * x.shape[0]

@@ -150,6 +150,9 @@ class TestReport:
         d = rep.to_dict()
         assert d["epoch_recommendation"] == 10
         assert d["params_before"] == d["params_after"]
+        assert CompressionReport.from_dict(d) == rep
+        opcount = report(g, g, convention="opcount").to_dict()
+        assert CompressionReport.from_dict(opcount).convention == "opcount"
 
 
 def test_unknown_convention_rejected():

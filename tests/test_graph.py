@@ -138,6 +138,11 @@ class TestValidate:
         g.edges = [e for e in g.edges if e[1] != "softmax"]
         assert any("softmax" in v for v in g.validate())
 
+    def test_unknown_kind_reported_without_raising(self):
+        g = build("tiny-vgg", 4, init=False)
+        g.node("relu1").kind = "mystery"
+        assert "node 'relu1': unknown kind 'mystery'" in g.validate()
+
     def test_stage_annotation_mismatch_detected(self):
         g = build("tiny-resnet", 4, init=False)
         g.stages[0].width = 99

@@ -20,6 +20,13 @@ def test_structural_error_names_offending_layer(rng):
         Network(g).forward(rng.normal(size=(1, 8, 16, 16)).astype(np.float32))
 
 
+def test_unknown_kind_names_the_layer(rng):
+    g = build("tiny-vgg", 4, seed=0)
+    g.node("relu2").kind = "mystery"
+    with pytest.raises(StructuralError, match="layer 'relu2': unknown kind 'mystery'"):
+        Network(g).forward(rng.normal(size=(1, 8, 16, 16)).astype(np.float32))
+
+
 def test_upstream_gradient_shape_checked(rng):
     net = Network(build("tiny-vgg", 4, seed=0))
     x = rng.normal(size=(2, 8, 16, 16)).astype(np.float32)

@@ -124,6 +124,18 @@ class TestCli:
         assert main(["build", "--arch", "tiny-vgg", "--classes", "1",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_retrain_report_missing_field_exits_2(self, tmp_path, capsys):
+        model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
+        assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0
+        json.dump(DatasetSpec(source="synthetic-planted", classes=4, samples=32).to_dict(),
+                  open(data_json, "w"))
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"params_before": 2, "params_after": 1,
+                                      "flops_before": 2, "base_epochs": 1}))
+        assert main(["retrain", "--model", model, "--data", data_json,
+                     "--report", str(report), "--out", str(tmp_path / "out")]) == 2
+        assert "missing required field 'flops_after'" in capsys.readouterr().err
+
     def test_full_cli_cycle(self, tmp_path, capsys):
         d = tmp_path
         model = str(d / "model")

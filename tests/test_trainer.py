@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from prunekit import (DatasetSpec, ModelBundle, TrainConfig, build, evaluate,
-                      load_dataset, loss, sgd_step, train)
+                      load_dataset, loss, train)
 from prunekit.bundle import bundle_fingerprint
 from prunekit.errors import TrainingDiverged
-from prunekit.trainer import data_loss_and_grad, lr_at, retrain_scratch
+from prunekit.trainer import OptimizerState, data_loss_and_grad, lr_at, retrain_scratch
 
 from oracles import penalized_loss_loops, sgd_recurrence
 
@@ -55,34 +55,38 @@ class TestLoss:
             loss(np.array([[0.9, 0.3]]), np.array([[1.0, 0.0]]))
 
 
+def sgd_steps(w0, grads, lr, momentum):
+    """Feed scalar gradients to the optimizer ``train`` uses; returns the
+    weight after each step and the final velocity."""
+    opt, w = OptimizerState(), np.array(w0)
+    track = []
+    for g in grads:
+        opt.step([("n", "w", w)], {("n", "w"): np.array(g)}, lr, momentum)
+        track.append(float(w))
+    return track, opt.velocity[("n", "w")]
+
+
 class TestSgdStep:
     def test_zero_momentum_is_plain_descent(self):
-        w, v = sgd_step(np.array(1.0), np.array(0.5), np.array(0.0),
-                        lr=0.1, momentum=0.0)
+        (w,), v = sgd_steps(1.0, [0.5], lr=0.1, momentum=0.0)
         assert w == pytest.approx(0.95)
         assert v == pytest.approx(-0.05)
 
     def test_two_step_worked_example(self):
-        w, v = np.array(1.0), np.array(0.0)
-        w, v = sgd_step(w, np.array(0.5), v, lr=0.1, momentum=0.9)
-        assert w == pytest.approx(0.95)
-        w, v = sgd_step(w, np.array(0.5), v, lr=0.1, momentum=0.9)
-        assert w == pytest.approx(0.855)
+        track, _ = sgd_steps(1.0, [0.5, 0.5], lr=0.1, momentum=0.9)
+        assert track[0] == pytest.approx(0.95)
+        assert track[1] == pytest.approx(0.855)
 
     def test_matches_scalar_recurrence_oracle(self, rng):
         grads = rng.normal(size=10)
-        w, v = np.array(2.0), np.array(0.0)
-        track = []
-        for g in grads:
-            w, v = sgd_step(w, np.array(g), v, lr=0.05, momentum=0.9)
-            track.append(float(w))
+        track, _ = sgd_steps(2.0, grads, lr=0.05, momentum=0.9)
         np.testing.assert_allclose(track, sgd_recurrence(2.0, grads, 0.05, 0.9),
                                    rtol=1e-12)
 
     def test_one_step_descends_a_quadratic(self):
         # f(w) = 0.5 * w^2, gradient w; small lr strictly decreases f
-        w = np.array(3.0)
-        w2, _ = sgd_step(w, w.copy(), np.array(0.0), lr=0.1, momentum=0.0)
+        w = 3.0
+        (w2,), _ = sgd_steps(w, [w], lr=0.1, momentum=0.0)
         assert 0.5 * w2 ** 2 < 0.5 * w ** 2
 
 
