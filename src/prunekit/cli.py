@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .accounting import (CompressionReport, count_flops, count_params,
                          report as make_report)
@@ -54,10 +55,8 @@ def cmd_build(args) -> int:
 def cmd_train(args) -> int:
     bundle = load_bundle(args.model)
     cfg = _train_config(args.config)
-    train_data = load_dataset(_dataset_from_arg(args.data))
-    eval_spec = _dataset_from_arg(args.data)
-    eval_data = load_dataset(DatasetSpec.from_dict(
-        {**eval_spec.to_dict(), "split": "eval"}))
+    spec = _dataset_from_arg(args.data)
+    train_data, eval_data = load_dataset(spec), load_dataset(replace(spec, split="eval"))
     trained, history = train(bundle, train_data, eval_data, cfg)
     save_bundle(trained, args.out)
     if args.history:
@@ -134,9 +133,8 @@ def cmd_retrain(args) -> int:
     rep = CompressionReport.from_dict(_load_json(args.report))
     bundle = load_bundle(args.model)
     cfg = _train_config(args.config)
-    train_data = load_dataset(_dataset_from_arg(args.data))
-    eval_data = load_dataset(DatasetSpec.from_dict(
-        {**_dataset_from_arg(args.data).to_dict(), "split": "eval"}))
+    spec = _dataset_from_arg(args.data)
+    train_data, eval_data = load_dataset(spec), load_dataset(replace(spec, split="eval"))
     retrained, history = retrain_scratch(bundle, train_data, eval_data, cfg, rep)
     save_bundle(retrained, args.out)
     acc = evaluate(retrained, eval_data)
@@ -161,10 +159,8 @@ def cmd_sweep(args) -> int:
     cfg = PipelineConfig.from_dict(_load_json(args.config))
     if args.out:
         cfg.out = args.out
-    variants = []
-    for item in args.variants.split(","):
-        sign, beta = item.split(":")
-        variants.append((sign, int(beta)))
+    variants = [(sign, int(beta)) for sign, beta in
+                (item.split(":") for item in args.variants.split(","))]
     rows = run_sweep(cfg, variants)
     for r in rows:
         print(f"({r['sign']},{r['beta']}): {r['pruned_channels']} channels, "

@@ -11,6 +11,8 @@ double as the channel-importance scores consumed by the pruning planner.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import StructuralError
@@ -61,22 +63,28 @@ def scale(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     return u * s[:, :, None, None]
 
 
+class GateCache(NamedTuple):
+    """What ``gate_backward`` needs; ``s`` doubles as the per-sample scores."""
+    u: np.ndarray
+    z: np.ndarray
+    s: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+
+
 def gate_forward(u, w1, w2):
-    """Full gate pass; cache retains everything the backward pass needs."""
+    """Full gate pass: squeeze -> excite -> scale."""
     z = squeeze(u)
-    a1 = z @ w1.T
-    h = np.maximum(a1, 0)
-    a2 = h @ w2.T
-    s = sigmoid(a2)
-    y = u * s[:, :, None, None]
-    cache = (u, z, a1, h, s, w1, w2)
-    return y, cache
+    s = excite(z, w1, w2)
+    return scale(u, s), GateCache(u, z, s, w1, w2)
 
 
 def gate_backward(dy, cache):
     """Gradients through scale, excitation, and the absolute-value squeeze."""
-    u, z, a1, h, s, w1, w2 = cache
+    u, z, s, w1, w2 = cache
     hw = u.shape[2] * u.shape[3]
+    # the bottleneck is recomputed rather than kept on the tape
+    h = np.maximum(z @ w1.T, 0)
 
     ds = (dy * u).sum(axis=(2, 3))
     du = dy * s[:, :, None, None]
@@ -84,7 +92,7 @@ def gate_backward(dy, cache):
     da2 = ds * s * (1.0 - s)
     dw2 = da2.T @ h
     dh = da2 @ w2
-    da1 = dh * (a1 > 0)
+    da1 = dh * (h > 0)
     dw1 = da1.T @ z
     dz = da1 @ w1
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .accounting import report as make_report
 from .builders import build, strip_gates
@@ -21,11 +21,14 @@ from .bundle import ModelBundle, bundle_fingerprint, load_bundle, save_bundle
 from .data import DatasetSpec, load_dataset
 from .errors import StageFailure
 from .planner import PruneConfig, make_plan
-from .rewriter import RewriteOptions, apply
+from .rewriter import REWRITE_MODES, RewriteOptions, apply
 from .scoring import collect_scores
 from .trainer import TrainConfig, evaluate, train
 
 PIPELINE_STAGES = ("build", "train", "score", "plan", "apply", "report", "retrain")
+# stages whose artifact is a model bundle, and the directory it is saved in
+STAGE_DIRS = {"build": "model-gated", "train": "model-trained",
+              "apply": "model-compact", "retrain": "model-retrained"}
 
 
 @dataclass
@@ -35,7 +38,7 @@ class PipelineConfig:
     data: DatasetSpec = None
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20, lr=0.05))
     prune: PruneConfig = field(default_factory=lambda: PruneConfig(beta=1, sign="minus"))
-    rewrite_mode: str = "architecture-only"   # scratch; "inherit-weights" fine-tunes
+    rewrite_mode: str = "architecture-only"   # retrain from scratch; "inherit-weights" fine-tunes
     gate_placement: str | None = None
     reduction: int = 4      # desk-scale default; wide nets conventionally use 16
     score_batches: int | None = None
@@ -46,6 +49,9 @@ class PipelineConfig:
         if self.data is None:
             self.data = DatasetSpec(source="synthetic-planted", classes=self.num_classes,
                                     seed=self.seed)
+        if self.rewrite_mode not in REWRITE_MODES:
+            raise ValueError(f"rewrite_mode must be one of {REWRITE_MODES}, "
+                             f"got '{self.rewrite_mode}'")
 
     def to_dict(self) -> dict:
         return {
@@ -101,12 +107,19 @@ class ExperimentManifest:
             json.dump(self.to_dict(), f, indent=1)
 
 
-def run_pipeline(config: PipelineConfig) -> ExperimentManifest:
-    """Execute the full prune-and-retrain cycle, persisting every artifact."""
+def _run_stages(config: PipelineConfig, names, state: dict):
+    """Run the named stages in order, persisting artifacts under ``config.out``.
+
+    ``state`` maps each stage name to its in-memory artifact (plus the loaded
+    datasets); passing the state one call returns into another continues the
+    run from there.  Returns the manifest of the stages run here and the state.
+    """
     os.makedirs(config.out, exist_ok=True)
     manifest = ExperimentManifest(config)
     manifest_path = os.path.join(config.out, "manifest.json")
-    state: dict = {}
+
+    def out(name):
+        return os.path.join(config.out, name)
 
     def run_stage(name, fn):
         start = time.monotonic()
@@ -119,6 +132,13 @@ def run_pipeline(config: PipelineConfig) -> ExperimentManifest:
         manifest.record(name, input_hash, output_hash, path, time.monotonic() - start)
         manifest.save(manifest_path)
 
+    def save_stage_bundle(stage, bundle, input_hash):
+        """Keep and persist a stage's model; returns the stage's manifest fields."""
+        state[stage] = bundle
+        path = out(STAGE_DIRS[stage])
+        save_bundle(bundle, path)
+        return input_hash, bundle_fingerprint(bundle), path
+
     def stage_build():
         graph = build(config.arch, config.num_classes, with_gates=True,
                       gate_placement=config.gate_placement, reduction=config.reduction,
@@ -126,134 +146,108 @@ def run_pipeline(config: PipelineConfig) -> ExperimentManifest:
                                    config.data.image_size)
                       if config.data.source.startswith("synthetic") else None,
                       seed=config.seed)
-        state["gated"] = ModelBundle(graph, {"arch": config.arch, "seed": config.seed})
-        path = os.path.join(config.out, "model-gated")
-        save_bundle(state["gated"], path)
         cfg_hash = hashlib.sha256(
             json.dumps(config.to_dict(), sort_keys=True).encode()).hexdigest()
-        return cfg_hash, bundle_fingerprint(state["gated"]), path
+        return save_stage_bundle(
+            "build", ModelBundle(graph, {"arch": config.arch, "seed": config.seed}), cfg_hash)
 
     def stage_train():
-        ih = bundle_fingerprint(state["gated"])
+        ih = bundle_fingerprint(state["build"])
         train_data = load_dataset(config.data)
-        eval_spec = DatasetSpec.from_dict({**config.data.to_dict(), "split": "eval"})
-        eval_data = load_dataset(eval_spec)
+        eval_data = load_dataset(replace(config.data, split="eval"))
         state["train_data"], state["eval_data"] = train_data, eval_data
-        with open(os.path.join(config.out, "data.json"), "w") as f:
+        with open(out("data.json"), "w") as f:
             json.dump({"spec": config.data.to_dict(),
                        "normalization": train_data.normalization,
                        "train_samples": train_data.size,
                        "eval_samples": eval_data.size}, f, indent=1)
-        trained, history = train(state["gated"], train_data, eval_data, config.train)
-        state["trained"] = trained
-        path = os.path.join(config.out, "model-trained")
-        save_bundle(trained, path)
-        with open(os.path.join(config.out, "history.json"), "w") as f:
+        trained, history = train(state["build"], train_data, eval_data, config.train)
+        fields = save_stage_bundle("train", trained, ih)
+        with open(out("history.json"), "w") as f:
             json.dump(history, f, indent=1)
-        return ih, bundle_fingerprint(trained), path
+        return fields
 
     def stage_score():
-        ih = bundle_fingerprint(state["trained"])
-        record = collect_scores(state["trained"],
+        ih = bundle_fingerprint(state["train"])
+        record = collect_scores(state["train"],
                                 state["train_data"].batches(config.train.batch_size),
                                 max_batches=config.score_batches)
-        state["scores"] = record
-        path = os.path.join(config.out, "scores.json")
-        record.save(path)
-        return ih, record.fingerprint(), path
+        state["score"] = record
+        record.save(out("scores.json"))
+        return ih, record.fingerprint(), out("scores.json")
 
     def stage_plan():
-        plan = make_plan(state["scores"], state["trained"].graph, config.prune)
+        plan = make_plan(state["score"], state["train"].graph, config.prune)
         state["plan"] = plan
-        path = os.path.join(config.out, "plan.json")
-        plan.save(path)
-        return state["scores"].fingerprint(), plan.fingerprint(), path
+        plan.save(out("plan.json"))
+        return state["score"].fingerprint(), plan.fingerprint(), out("plan.json")
 
     def stage_apply():
         opts = RewriteOptions(mode=config.rewrite_mode, strip_gates=True,
                               seed=config.seed + 1
                               if config.rewrite_mode == "architecture-only" else None)
-        compact = apply(state["trained"], state["plan"], opts)
-        state["compact"] = compact
-        path = os.path.join(config.out, "model-compact")
-        save_bundle(compact, path)
-        return state["plan"].fingerprint(), bundle_fingerprint(compact), path
+        compact = apply(state["train"], state["plan"], opts)
+        return save_stage_bundle("apply", compact, state["plan"].fingerprint())
 
     def stage_report():
-        ih = bundle_fingerprint(state["compact"])
-        baseline = strip_gates(state["trained"].graph)
-        rep = make_report(baseline, state["compact"].graph,
+        baseline = strip_gates(state["train"].graph)
+        rep = make_report(baseline, state["apply"].graph,
                           base_epochs=config.train.epochs)
         state["report"] = rep
-        path = os.path.join(config.out, "report.json")
-        with open(path, "w") as f:
+        with open(out("report.json"), "w") as f:
             json.dump(rep.to_dict(), f, indent=1)
-        state["report_hash"] = file_hash(path)
-        return ih, state["report_hash"], path
+        state["report_hash"] = file_hash(out("report.json"))
+        return bundle_fingerprint(state["apply"]), state["report_hash"], out("report.json")
 
     def stage_retrain():
-        ih = state["report_hash"]
         epochs = state["report"].epoch_recommendation
         cfg = TrainConfig.from_dict({**config.train.to_dict(), "epochs": epochs})
-        retrained, history = train(state["compact"], state["train_data"],
+        retrained, history = train(state["apply"], state["train_data"],
                                    state["eval_data"], cfg)
-        state["retrained"] = retrained
-        path = os.path.join(config.out, "model-retrained")
-        save_bundle(retrained, path)
-        with open(os.path.join(config.out, "retrain-history.json"), "w") as f:
+        fields = save_stage_bundle("retrain", retrained, state["report_hash"])
+        with open(out("retrain-history.json"), "w") as f:
             json.dump(history, f, indent=1)
         final_acc = evaluate(retrained, state["eval_data"])
-        with open(os.path.join(config.out, "final.json"), "w") as f:
+        with open(out("final.json"), "w") as f:
             json.dump({"eval_acc": final_acc, "epochs": epochs}, f, indent=1)
-        return ih, bundle_fingerprint(retrained), path
+        return fields
 
     stage_fns = {
         "build": stage_build, "train": stage_train, "score": stage_score,
         "plan": stage_plan, "apply": stage_apply, "report": stage_report,
         "retrain": stage_retrain,
     }
-    for name in PIPELINE_STAGES:
+    for name in names:
         run_stage(name, stage_fns[name])
-    return manifest
+    return manifest, state
+
+
+def run_pipeline(config: PipelineConfig) -> ExperimentManifest:
+    """Execute the full prune-and-retrain cycle, persisting every artifact."""
+    return _run_stages(config, PIPELINE_STAGES, {})[0]
 
 
 def run_sweep(config: PipelineConfig, variants: list[tuple[str, int]]) -> list[dict]:
     """Plan + rewrite + report once per (sign, beta), sharing the trained model.
 
-    Returns one row per variant with its compression/acceleration rates;
-    rows come back in the order given.
+    Build, train and score run once under ``<out>/sweep-base``; each variant's
+    plan, apply and report stages run under ``<out>/<sign>-<beta>``, each
+    directory with its own manifest.  Returns one row per variant with its
+    compression rates; rows come back in the order given.
     """
-    base = os.path.join(config.out, "sweep-base")
-    base_cfg = PipelineConfig.from_dict({**config.to_dict(), "out": base})
-    os.makedirs(base, exist_ok=True)
-
-    graph = build(base_cfg.arch, base_cfg.num_classes, with_gates=True,
-                  gate_placement=base_cfg.gate_placement, reduction=base_cfg.reduction,
-                  input_shape=(base_cfg.data.channels, base_cfg.data.image_size,
-                               base_cfg.data.image_size)
-                  if base_cfg.data.source.startswith("synthetic") else None,
-                  seed=base_cfg.seed)
-    gated = ModelBundle(graph, {"arch": base_cfg.arch})
-    train_data = load_dataset(base_cfg.data)
-    eval_data = load_dataset(DatasetSpec.from_dict(
-        {**base_cfg.data.to_dict(), "split": "eval"}))
-    trained, _ = train(gated, train_data, eval_data, base_cfg.train)
-    record = collect_scores(trained, train_data.batches(base_cfg.train.batch_size),
-                            max_batches=base_cfg.score_batches)
-
-    baseline = strip_gates(trained.graph)
+    variant_cfgs = [
+        replace(config, out=os.path.join(config.out, f"{sign}-{beta}"),
+                prune=replace(config.prune, sign=sign, beta=beta))
+        for sign, beta in variants]
+    base_cfg = replace(config, out=os.path.join(config.out, "sweep-base"))
+    _, base = _run_stages(base_cfg, ("build", "train", "score"), {})
     rows = []
-    for sign, beta in variants:
-        cfg = PruneConfig.from_dict({**base_cfg.prune.to_dict(),
-                                     "sign": sign, "beta": beta})
-        plan = make_plan(record, trained.graph, cfg)
-        compact = apply(trained, plan,
-                        RewriteOptions(mode="architecture-only", seed=base_cfg.seed))
-        rep = make_report(baseline, compact.graph, base_epochs=base_cfg.train.epochs)
-        pruned_channels = sum(lp.original - len(lp.kept) for lp in plan.layers)
+    for cfg in variant_cfgs:
+        _, state = _run_stages(cfg, ("plan", "apply", "report"), dict(base))
+        plan, rep = state["plan"], state["report"]
         rows.append({
-            "sign": sign, "beta": beta,
-            "pruned_channels": pruned_channels,
+            "sign": cfg.prune.sign, "beta": cfg.prune.beta,
+            "pruned_channels": sum(lp.original - len(lp.kept) for lp in plan.layers),
             "pruned_params_pct": rep.pruned_params_pct,
             "pruned_flops_pct": rep.pruned_flops_pct,
         })
@@ -263,6 +257,4 @@ def run_sweep(config: PipelineConfig, variants: list[tuple[str, int]]) -> list[d
 
 
 def load_stage_bundle(out_dir: str, stage: str) -> ModelBundle:
-    names = {"build": "model-gated", "train": "model-trained",
-             "apply": "model-compact", "retrain": "model-retrained"}
-    return load_bundle(os.path.join(out_dir, names[stage]))
+    return load_bundle(os.path.join(out_dir, STAGE_DIRS[stage]))

@@ -25,6 +25,8 @@ from .errors import PlanError
 from .layers import kind_of
 from .planner import PruningPlan
 
+REWRITE_MODES = ("inherit-weights", "architecture-only")
+
 
 @dataclass
 class RewriteOptions:
@@ -33,7 +35,7 @@ class RewriteOptions:
     seed: int | None = None            # required in architecture-only mode
 
     def __post_init__(self):
-        if self.mode not in ("inherit-weights", "architecture-only"):
+        if self.mode not in REWRITE_MODES:
             raise ValueError(f"unknown rewrite mode '{self.mode}'")
         if self.mode == "architecture-only" and self.seed is None:
             raise ValueError("architecture-only mode requires a seed")

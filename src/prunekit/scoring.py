@@ -117,7 +117,7 @@ def collect_scores(bundle: ModelBundle, batches, max_batches: int | None = None,
         tape = GradTape()
         net.forward(x, training=training, tape=tape)
         for g in gates:
-            s = tape.caches[g.id][4].astype(np.float64)   # per-sample gate vectors
+            s = tape.caches[g.id].s.astype(np.float64)   # per-sample gate vectors
             acc[g.id]["sum"] += s.sum(axis=0)
             acc[g.id]["sumsq"] += (s * s).sum(axis=0)
             acc[g.id]["n"] += s.shape[0]

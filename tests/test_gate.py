@@ -118,3 +118,4 @@ def test_gate_forward_composition(rng):
     s = excite(z, w1, w2)
     np.testing.assert_allclose(y, scale(u, s), rtol=1e-12)
     assert y.shape == u.shape
+    np.testing.assert_array_equal(cache.s, s)   # scoring reads the scores by name

@@ -95,14 +95,38 @@ class TestPipeline:
         assert retrained.metadata["epochs_seen"] >= 1
 
 
+def saved_manifest(out_dir):
+    saved = json.load(open(os.path.join(out_dir, "manifest.json")))
+    manifest = ExperimentManifest(PipelineConfig.from_dict(saved["config"]))
+    manifest.rows = saved["stages"]
+    return manifest
+
+
+def check_sweep_manifests(out, variant_dirs):
+    """Base and variant manifests each chain, and every plan reads the base scores."""
+    base = saved_manifest(os.path.join(out, "sweep-base"))
+    assert [r["stage"] for r in base.rows] == ["build", "train", "score"]
+    assert base.verify_chain()
+    assert os.path.exists(os.path.join(out, "sweep-base", "model-trained", "manifest.json"))
+    for name in variant_dirs:
+        variant = saved_manifest(os.path.join(out, name))
+        assert [r["stage"] for r in variant.rows] == ["plan", "apply", "report"]
+        assert variant.verify_chain()
+        assert variant.rows[0]["input"] == base.rows[-1]["output"]
+
+
 class TestSweep:
     def test_compression_monotone_along_variant_order(self, tmp_path):
-        cfg = small_config(str(tmp_path / "sweep"), epochs=3)
+        out = str(tmp_path / "sweep")
+        cfg = small_config(out, epochs=3)
         rows = run_sweep(cfg, [("minus", 2), ("minus", 8), ("plus", 8), ("plus", 2)])
         pruned = [r["pruned_channels"] for r in rows]
         assert pruned == sorted(pruned)
         pcts = [r["pruned_params_pct"] for r in rows]
         assert all(a <= b + 1e-9 for a, b in zip(pcts, pcts[1:]))
+        check_sweep_manifests(out, ["minus-2", "minus-8", "plus-8", "plus-2"])
+        variant_cfg = saved_manifest(os.path.join(out, "plus-8")).config
+        assert (variant_cfg.prune.sign, variant_cfg.prune.beta) == ("plus", 8)
 
 
 class TestCli:
@@ -182,6 +206,24 @@ class TestCli:
                      "--variants", "minus:2,plus:2"]) == 0
         rows = json.load(open(os.path.join(str(tmp_path / "sweep"), "sweep.json")))
         assert len(rows) == 2
+        check_sweep_manifests(str(tmp_path / "sweep"), ["minus-2", "plus-2"])
+
+    @pytest.mark.parametrize("variants", ["minus:2,bogus:3", "minus:0"])
+    def test_bad_sweep_variant_exits_2_before_training(self, tmp_path, capsys, variants):
+        cfg_path, out = str(tmp_path / "cfg.json"), str(tmp_path / "sweep")
+        json.dump(small_config(out, epochs=1).to_dict(), open(cfg_path, "w"))
+        assert main(["sweep", "--config", cfg_path, "--variants", variants]) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "sweep-base", "model-trained"))
+        assert not os.path.exists(os.path.join(out, "sweep-base"))   # no stage started
+
+    def test_unknown_rewrite_mode_exits_2_at_config_load(self, tmp_path, capsys):
+        cfg_path, out = str(tmp_path / "cfg.json"), str(tmp_path / "exp")
+        json.dump({**small_config(out, epochs=1).to_dict(), "rewrite_mode": "scratch"},
+                  open(cfg_path, "w"))
+        assert main(["pipeline", "--config", cfg_path]) == 2
+        assert "rewrite_mode must be one of" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_manifest_chain_detects_tampering():
