@@ -17,12 +17,16 @@ convention; ``mac`` is the default everywhere.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .graph import ArchitectureGraph
 from .layers import kind_of
+from .records import Record
 
 CONVENTIONS = ("mac", "opcount")
+# derived report values, each written after the field it follows in report.json
+DERIVED_AFTER = {"flops_after": ("pruned_params_pct", "pruned_flops_pct"),
+                 "epoch_mode": ("epoch_recommendation",)}
 
 
 def node_param_count(node) -> int:
@@ -68,7 +72,7 @@ def breakdown(graph: ArchitectureGraph, input_shape=None,
 
 
 @dataclass
-class CompressionReport:
+class CompressionReport(Record):
     params_before: int
     params_after: int
     flops_before: int
@@ -103,27 +107,20 @@ class CompressionReport:
         return max(1, round(self.base_epochs * self.flops_before / self.flops_after))
 
     def to_dict(self) -> dict:
-        return {
-            "params_before": self.params_before,
-            "params_after": self.params_after,
-            "flops_before": self.flops_before,
-            "flops_after": self.flops_after,
-            "pruned_params_pct": self.pruned_params_pct,
-            "pruned_flops_pct": self.pruned_flops_pct,
-            "base_epochs": self.base_epochs,
-            "epoch_mode": self.epoch_mode,
-            "epoch_recommendation": self.epoch_recommendation,
-            "convention": self.convention,
-            "per_layer": self.per_layer,
-        }
+        d = {}
+        for name, value in super().to_dict().items():
+            d[name] = value
+            for derived in DERIVED_AFTER.get(name, ()):
+                d[derived] = getattr(self, derived)
+        return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CompressionReport":
+    def from_dict(cls, d) -> "CompressionReport":
         """Inverse of :meth:`to_dict`; the derived percentages and epochs are recomputed."""
-        for f in fields(cls):
-            if f.default is MISSING and f.default_factory is MISSING and f.name not in d:
-                raise ValueError(f"compression report: missing required field '{f.name}'")
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        if isinstance(d, dict):
+            derived = {name for names in DERIVED_AFTER.values() for name in names}
+            d = {k: v for k, v in d.items() if k not in derived}
+        return super().from_dict(d)
 
     def to_text(self) -> str:
         lines = [

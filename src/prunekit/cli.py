@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 validation failure, 3 stage failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -21,6 +20,7 @@ from .data import DatasetSpec, load_dataset
 from .errors import (BundleIntegrityError, DataError, GraphValidationError,
                      PlanError, PrunekitError, StageFailure)
 from .planner import PruneConfig, PruningPlan, make_plan
+from .records import write_json
 from .rewriter import RewriteOptions, apply as apply_plan
 from .scoring import ScoreRecord, collect_scores
 from .trainer import TrainConfig, evaluate, retrain_scratch, train
@@ -30,17 +30,11 @@ EXIT_VALIDATION = 2
 EXIT_STAGE = 3
 
 
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
-
-
-def _dataset_from_arg(path_or_json: str) -> DatasetSpec:
-    return DatasetSpec.from_dict(_load_json(path_or_json))
-
-
-def _train_config(path: str | None) -> TrainConfig:
-    return TrainConfig.from_dict(_load_json(path)) if path else TrainConfig()
+def _training_inputs(args):
+    """The train config of ``--config`` and the train and eval sets of ``--data``."""
+    cfg = TrainConfig.load(args.config) if args.config else TrainConfig()
+    spec = DatasetSpec.load(args.data)
+    return cfg, load_dataset(spec), load_dataset(replace(spec, split="eval"))
 
 
 def cmd_build(args) -> int:
@@ -54,14 +48,11 @@ def cmd_build(args) -> int:
 
 def cmd_train(args) -> int:
     bundle = load_bundle(args.model)
-    cfg = _train_config(args.config)
-    spec = _dataset_from_arg(args.data)
-    train_data, eval_data = load_dataset(spec), load_dataset(replace(spec, split="eval"))
+    cfg, train_data, eval_data = _training_inputs(args)
     trained, history = train(bundle, train_data, eval_data, cfg)
     save_bundle(trained, args.out)
     if args.history:
-        with open(args.history, "w") as f:
-            json.dump(history, f, indent=1)
+        write_json(history, args.history)
     print(f"trained {cfg.epochs} epochs; best eval acc "
           f"{max(h.get('eval_acc', 0) for h in history):.4f} -> {args.out}")
     return EXIT_OK
@@ -69,7 +60,7 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     bundle = load_bundle(args.model)
-    data = load_dataset(_dataset_from_arg(args.data))
+    data = load_dataset(DatasetSpec.load(args.data))
     record = collect_scores(bundle, data.batches(args.batch_size),
                             max_batches=args.max_batches)
     record.save(args.out)
@@ -124,17 +115,14 @@ def cmd_report(args) -> int:
                       epoch_mode=args.epoch_mode, convention=args.convention)
     print(rep.to_text())
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(rep.to_dict(), f, indent=1)
+        rep.save(args.out)
     return EXIT_OK
 
 
 def cmd_retrain(args) -> int:
-    rep = CompressionReport.from_dict(_load_json(args.report))
+    rep = CompressionReport.load(args.report)
     bundle = load_bundle(args.model)
-    cfg = _train_config(args.config)
-    spec = _dataset_from_arg(args.data)
-    train_data, eval_data = load_dataset(spec), load_dataset(replace(spec, split="eval"))
+    cfg, train_data, eval_data = _training_inputs(args)
     retrained, history = retrain_scratch(bundle, train_data, eval_data, cfg, rep)
     save_bundle(retrained, args.out)
     acc = evaluate(retrained, eval_data)
@@ -145,7 +133,7 @@ def cmd_retrain(args) -> int:
 
 def cmd_pipeline(args) -> int:
     from .pipeline import PipelineConfig, run_pipeline
-    cfg = PipelineConfig.from_dict(_load_json(args.config))
+    cfg = PipelineConfig.load(args.config)
     if args.out:
         cfg.out = args.out
     manifest = run_pipeline(cfg)
@@ -156,7 +144,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .pipeline import PipelineConfig, run_sweep
-    cfg = PipelineConfig.from_dict(_load_json(args.config))
+    cfg = PipelineConfig.load(args.config)
     if args.out:
         cfg.out = args.out
     variants = [(sign, int(beta)) for sign, beta in

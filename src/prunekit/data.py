@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import DataError
+from .records import Record
 
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2470, 0.2435, 0.2616)
@@ -32,9 +32,9 @@ SOURCES = ("cifar10-binary", "cifar100-binary", "synthetic-planted", "synthetic-
 
 
 @dataclass
-class DatasetSpec:
+class DatasetSpec(Record):
     source: str
-    root: Optional[str] = None
+    root: str | None = None
     split: str = "train"
     subset: float = 1.0
     # synthetic generator parameters
@@ -56,13 +56,6 @@ class DatasetSpec:
             raise DataError(f"split must be train or eval, got '{self.split}'")
         if self.source == "synthetic-planted" and self.signal_channels < 1:
             raise DataError("synthetic-planted needs at least one signal channel")
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSpec":
-        return cls(**d)
 
 
 @dataclass

@@ -8,13 +8,14 @@ are treated as immutable after construction; transformations copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
 import numpy as np
 
 from .errors import GraphValidationError
 from .layers import LAYERS, kind_of
+from .records import Record, decode, encode
 
 KINDS = tuple(LAYERS)
 
@@ -32,7 +33,7 @@ class LayerNode:
 
 
 @dataclass
-class BlockInfo:
+class BlockInfo(Record):
     """A residual block: member nodes plus the handles pruning needs."""
     id: str
     kind: str                     # basic | bottleneck | preact-bottleneck
@@ -45,20 +46,18 @@ class BlockInfo:
     gate_id: Optional[str] = None
 
     def copy(self) -> "BlockInfo":
-        return BlockInfo(self.id, self.kind, self.stage, list(self.node_ids),
-                         self.first_conv, self.middle_conv, self.last_conv,
-                         self.shortcut_conv, self.gate_id)
+        return replace(self, node_ids=list(self.node_ids))
 
 
 @dataclass
-class StageInfo:
+class StageInfo(Record):
     """Blocks sharing one input/output width."""
     index: int
     width: int
     block_ids: list[str]
 
     def copy(self) -> "StageInfo":
-        return StageInfo(self.index, self.width, list(self.block_ids))
+        return replace(self, block_ids=list(self.block_ids))
 
 
 class ArchitectureGraph:
@@ -256,14 +255,8 @@ class ArchitectureGraph:
             "input_shape": list(self.input_shape),
             "nodes": [{"id": n.id, "kind": n.kind, "attrs": n.attrs} for n in self.nodes],
             "edges": [list(e) for e in self.edges],
-            "blocks": [{
-                "id": b.id, "kind": b.kind, "stage": b.stage, "node_ids": b.node_ids,
-                "first_conv": b.first_conv, "middle_conv": b.middle_conv,
-                "last_conv": b.last_conv, "shortcut_conv": b.shortcut_conv,
-                "gate_id": b.gate_id,
-            } for b in self.blocks],
-            "stages": [{"index": s.index, "width": s.width, "block_ids": s.block_ids}
-                       for s in self.stages],
+            "blocks": encode(self.blocks),
+            "stages": encode(self.stages),
         }
 
     @classmethod
@@ -274,11 +267,7 @@ class ArchitectureGraph:
             if "kernel" in attrs and isinstance(attrs["kernel"], list):
                 attrs["kernel"] = tuple(attrs["kernel"])
             nodes.append(LayerNode(d["id"], d["kind"], attrs))
-        blocks = [BlockInfo(d["id"], d["kind"], d["stage"], list(d["node_ids"]),
-                            d["first_conv"], d["middle_conv"], d["last_conv"],
-                            d["shortcut_conv"], d.get("gate_id"))
-                  for d in m.get("blocks", [])]
-        stages = [StageInfo(d["index"], d["width"], list(d["block_ids"]))
-                  for d in m.get("stages", [])]
+        blocks = decode(list[BlockInfo], m.get("blocks", []), "graph.blocks")
+        stages = decode(list[StageInfo], m.get("stages", []), "graph.stages")
         return cls(nodes, [tuple(e) for e in m["edges"]], tuple(m["input_shape"]),
                    blocks, stages, m.get("arch", "custom"))

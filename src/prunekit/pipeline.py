@@ -10,7 +10,6 @@ failure propagates.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -21,6 +20,7 @@ from .bundle import ModelBundle, bundle_fingerprint, load_bundle, save_bundle
 from .data import DatasetSpec, load_dataset
 from .errors import StageFailure
 from .planner import PruneConfig, make_plan
+from .records import Record, content_hash, write_json
 from .rewriter import REWRITE_MODES, RewriteOptions, apply
 from .scoring import collect_scores
 from .trainer import TrainConfig, evaluate, train
@@ -32,10 +32,10 @@ STAGE_DIRS = {"build": "model-gated", "train": "model-trained",
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(Record):
     arch: str = "tiny-vgg"
     num_classes: int = 4
-    data: DatasetSpec = None
+    data: DatasetSpec | None = None
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20, lr=0.05))
     prune: PruneConfig = field(default_factory=lambda: PruneConfig(beta=1, sign="minus"))
     rewrite_mode: str = "architecture-only"   # retrain from scratch; "inherit-weights" fine-tunes
@@ -52,23 +52,6 @@ class PipelineConfig:
         if self.rewrite_mode not in REWRITE_MODES:
             raise ValueError(f"rewrite_mode must be one of {REWRITE_MODES}, "
                              f"got '{self.rewrite_mode}'")
-
-    def to_dict(self) -> dict:
-        return {
-            "arch": self.arch, "num_classes": self.num_classes,
-            "data": self.data.to_dict(), "train": self.train.to_dict(),
-            "prune": self.prune.to_dict(), "rewrite_mode": self.rewrite_mode,
-            "gate_placement": self.gate_placement, "reduction": self.reduction,
-            "score_batches": self.score_batches, "seed": self.seed, "out": self.out,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        d["data"] = DatasetSpec.from_dict(d["data"])
-        d["train"] = TrainConfig.from_dict(d["train"])
-        d["prune"] = PruneConfig.from_dict(d["prune"])
-        return cls(**d)
 
 
 def file_hash(path: str) -> str:
@@ -103,8 +86,7 @@ class ExperimentManifest:
         return {"config": self.config.to_dict(), "stages": self.rows}
 
     def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1)
+        write_json(self.to_dict(), path)
 
 
 def _run_stages(config: PipelineConfig, names, state: dict):
@@ -146,25 +128,21 @@ def _run_stages(config: PipelineConfig, names, state: dict):
                                    config.data.image_size)
                       if config.data.source.startswith("synthetic") else None,
                       seed=config.seed)
-        cfg_hash = hashlib.sha256(
-            json.dumps(config.to_dict(), sort_keys=True).encode()).hexdigest()
-        return save_stage_bundle(
-            "build", ModelBundle(graph, {"arch": config.arch, "seed": config.seed}), cfg_hash)
+        bundle = ModelBundle(graph, {"arch": config.arch, "seed": config.seed})
+        return save_stage_bundle("build", bundle, content_hash(config.to_dict()))
 
     def stage_train():
         ih = bundle_fingerprint(state["build"])
         train_data = load_dataset(config.data)
         eval_data = load_dataset(replace(config.data, split="eval"))
         state["train_data"], state["eval_data"] = train_data, eval_data
-        with open(out("data.json"), "w") as f:
-            json.dump({"spec": config.data.to_dict(),
-                       "normalization": train_data.normalization,
-                       "train_samples": train_data.size,
-                       "eval_samples": eval_data.size}, f, indent=1)
+        write_json({"spec": config.data.to_dict(),
+                    "normalization": train_data.normalization,
+                    "train_samples": train_data.size,
+                    "eval_samples": eval_data.size}, out("data.json"))
         trained, history = train(state["build"], train_data, eval_data, config.train)
         fields = save_stage_bundle("train", trained, ih)
-        with open(out("history.json"), "w") as f:
-            json.dump(history, f, indent=1)
+        write_json(history, out("history.json"))
         return fields
 
     def stage_score():
@@ -194,22 +172,18 @@ def _run_stages(config: PipelineConfig, names, state: dict):
         rep = make_report(baseline, state["apply"].graph,
                           base_epochs=config.train.epochs)
         state["report"] = rep
-        with open(out("report.json"), "w") as f:
-            json.dump(rep.to_dict(), f, indent=1)
+        rep.save(out("report.json"))
         state["report_hash"] = file_hash(out("report.json"))
         return bundle_fingerprint(state["apply"]), state["report_hash"], out("report.json")
 
     def stage_retrain():
         epochs = state["report"].epoch_recommendation
-        cfg = TrainConfig.from_dict({**config.train.to_dict(), "epochs": epochs})
         retrained, history = train(state["apply"], state["train_data"],
-                                   state["eval_data"], cfg)
+                                   state["eval_data"], replace(config.train, epochs=epochs))
         fields = save_stage_bundle("retrain", retrained, state["report_hash"])
-        with open(out("retrain-history.json"), "w") as f:
-            json.dump(history, f, indent=1)
+        write_json(history, out("retrain-history.json"))
         final_acc = evaluate(retrained, state["eval_data"])
-        with open(out("final.json"), "w") as f:
-            json.dump({"eval_acc": final_acc, "epochs": epochs}, f, indent=1)
+        write_json({"eval_acc": final_acc, "epochs": epochs}, out("final.json"))
         return fields
 
     stage_fns = {
@@ -251,8 +225,7 @@ def run_sweep(config: PipelineConfig, variants: list[tuple[str, int]]) -> list[d
             "pruned_params_pct": rep.pruned_params_pct,
             "pruned_flops_pct": rep.pruned_flops_pct,
         })
-    with open(os.path.join(config.out, "sweep.json"), "w") as f:
-        json.dump(rows, f, indent=1)
+    write_json(rows, os.path.join(config.out, "sweep.json"))
     return rows
 
 

@@ -20,15 +20,14 @@ each bottleneck, leaving block I/O widths intact.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PlanError
 from .graph import ArchitectureGraph
+from .records import Record
 from .scoring import ScoreRecord
 
 POLICIES = ("vgg-per-layer", "resnet-stage-uniform", "bottleneck-middle")
@@ -36,7 +35,7 @@ SIGNS = ("minus", "plus")
 
 
 @dataclass(frozen=True)
-class PruneConfig:
+class PruneConfig(Record):
     beta: int = 2
     sign: str = "minus"
     policy: str = "vgg-per-layer"
@@ -58,19 +57,6 @@ class PruneConfig:
     @property
     def stage_target_map(self) -> dict[int, int]:
         return dict(self.stage_targets or ())
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["stage_targets"] = ([list(t) for t in self.stage_targets]
-                              if self.stage_targets else None)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PruneConfig":
-        d = dict(d)
-        if d.get("stage_targets"):
-            d["stage_targets"] = tuple(tuple(t) for t in d["stage_targets"])
-        return cls(**d)
 
 
 def threshold_factor(config: PruneConfig) -> float:
@@ -113,14 +99,14 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass
-class LayerPlan:
+class LayerPlan(Record):
     layer_id: str
     original: int
     kept: tuple[int, ...]
 
 
 @dataclass
-class StagePlan:
+class StagePlan(Record):
     index: int
     target: int
     kept: tuple[int, ...]
@@ -128,17 +114,14 @@ class StagePlan:
 
 
 @dataclass
-class PruningPlan:
+class PruningPlan(Record):
     config: PruneConfig
     layers: list[LayerPlan] = field(default_factory=list)
     stages: list[StagePlan] = field(default_factory=list)
     score_fingerprint: str = ""
 
     def layer(self, layer_id: str) -> LayerPlan:
-        for lp in self.layers:
-            if lp.layer_id == layer_id:
-                return lp
-        raise KeyError(layer_id)
+        return self.layer_map()[layer_id]
 
     def layer_map(self) -> dict[str, LayerPlan]:
         return {lp.layer_id: lp for lp in self.layers}
@@ -157,40 +140,11 @@ class PruningPlan:
             if lp.kept[0] < 0 or lp.kept[-1] >= lp.original:
                 raise PlanError(f"layer '{lp.layer_id}': index out of range")
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "score_fingerprint": self.score_fingerprint,
-            "layers": [{"layer_id": lp.layer_id, "original": lp.original,
-                        "kept": list(lp.kept)} for lp in self.layers],
-            "stages": [{"index": sp.index, "target": sp.target,
-                        "kept": list(sp.kept), "block_ids": list(sp.block_ids)}
-                       for sp in self.stages],
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "PruningPlan":
-        plan = cls(PruneConfig.from_dict(d["config"]),
-                   [LayerPlan(e["layer_id"], e["original"], tuple(e["kept"]))
-                    for e in d["layers"]],
-                   [StagePlan(e["index"], e["target"], tuple(e["kept"]),
-                              tuple(e["block_ids"])) for e in d.get("stages", [])],
-                   d.get("score_fingerprint", ""))
+    def from_dict(cls, d) -> "PruningPlan":
+        plan = super().from_dict(d)
         plan.validate()
         return plan
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1)
-
-    @classmethod
-    def load(cls, path: str) -> "PruningPlan":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

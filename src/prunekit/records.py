@@ -1,0 +1,122 @@
+"""The one JSON codec for every config and artifact.
+
+A dataclass inheriting :class:`Record` derives to_dict/from_dict/save/load/
+fingerprint from its fields.  Decoding is strict, and an error names the
+field's path: ``PruningPlan.layers[0]: missing required field 'original'``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import hashlib
+import json
+import os
+import types
+import typing
+from dataclasses import MISSING
+
+import numpy as np
+
+_JSON_TYPES = {dict: "an object", list: "an array", tuple: "an array", str: "a string",
+               bool: "a boolean", int: "an integer", float: "a number", type(None): "null"}
+_ACCEPTED = {float: (int, float), list: (list, tuple)}   # what else passes for the type
+
+
+def content_hash(obj) -> str:
+    """sha256 of the ``sort_keys`` JSON text: the content hash of an artifact."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def write_json(obj, path: str) -> None:
+    """Write indented JSON by temp file and rename, so a failed write keeps the old file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as f:
+            json.dump(obj, f, indent=1)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def read_json(path: str):
+    with open(path) as f:
+        return json.load(f)
+
+
+def encode(value):
+    """JSON form of a tree of records, arrays, tuples and lists; other values pass as-is."""
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [encode(v) for v in value]
+    return value
+
+
+@functools.cache
+def _shape(hint):
+    """A hint's origin and args, and its field hints if it is a dataclass."""
+    hints = typing.get_type_hints(hint) if dataclasses.is_dataclass(hint) else None
+    return typing.get_origin(hint) or hint, typing.get_args(hint), hints
+
+
+def _expect(json_type, value, path: str) -> None:
+    """Raise unless ``value`` is of ``json_type``; an int is a float, a bool is no number."""
+    accepted = _ACCEPTED.get(json_type, json_type)
+    if not isinstance(value, accepted) or (isinstance(value, bool) and json_type is not bool):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{path}: expected {_JSON_TYPES[json_type]}, got {got}")
+
+
+def decode(hint, value, path: str):
+    """Build a value of type ``hint`` from its JSON form; errors name ``path``."""
+    origin, args, hints = _shape(hint)
+    if origin in (typing.Union, types.UnionType):     # ``X | None``
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else decode(inner, value, path)
+    if hints is not None:
+        _expect(dict, value, path)
+        for key in value:
+            if key not in hints:
+                raise ValueError(f"{path}: unknown field '{key}'")
+        for f in dataclasses.fields(hint):
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{path}: missing required field '{f.name}'")
+        return hint(**{k: decode(hints[k], v, f"{path}.{k}") for k, v in value.items()})
+    if origin is np.ndarray:     # array fields hold float vectors
+        return np.asarray(decode(list[float], value, path), dtype=np.float64)
+    if origin in (list, tuple):
+        _expect(list, value, path)
+        if origin is list or args[1:] == (Ellipsis,):
+            args = (args[:1] or (typing.Any,)) * len(value)
+        elif len(args) != len(value):
+            raise ValueError(f"{path}: expected {len(args)} items, got {len(value)}")
+        return origin(decode(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if origin in (dict, str, bool, int, float):
+        _expect(origin, value, path)
+    return dict(value) if origin is dict else value
+
+
+class Record:
+    """Mixin for dataclasses persisted as JSON; every method derives from the fields."""
+
+    def to_dict(self) -> dict:
+        return {f.name: encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        return decode(cls, d, cls.__name__)
+
+    def save(self, path: str) -> None:
+        write_json(self.to_dict(), path)
+
+    @classmethod
+    def load(cls, path: str):
+        return cls.from_dict(read_json(path))
+
+    def fingerprint(self) -> str:
+        return content_hash(self.to_dict())

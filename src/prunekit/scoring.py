@@ -9,8 +9,6 @@ third-party trainers can produce the same JSON.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +17,11 @@ from .bundle import ModelBundle, bundle_fingerprint
 from .errors import PrunekitError
 from .graph import ArchitectureGraph
 from .network import GradTape, Network
+from .records import Record
 
 
 @dataclass
-class LayerScore:
+class LayerScore(Record):
     layer_id: str          # the conv whose output channels are scored
     gate_id: str
     channels: int
@@ -32,7 +31,7 @@ class LayerScore:
 
 
 @dataclass
-class ScoreRecord:
+class ScoreRecord(Record):
     layers: list[LayerScore]
     blocks: list[dict] = field(default_factory=list)
     stages: list[dict] = field(default_factory=list)
@@ -46,41 +45,6 @@ class ScoreRecord:
 
     def has_layer(self, layer_id: str) -> bool:
         return any(ls.layer_id == layer_id for ls in self.layers)
-
-    def to_dict(self) -> dict:
-        return {
-            "layers": [{
-                "layer_id": ls.layer_id, "gate_id": ls.gate_id,
-                "channels": ls.channels, "mean": ls.mean.tolist(),
-                "std": ls.std.tolist(), "samples": ls.samples,
-            } for ls in self.layers],
-            "blocks": self.blocks,
-            "stages": self.stages,
-            "metadata": self.metadata,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoreRecord":
-        layers = [LayerScore(e["layer_id"], e["gate_id"], e["channels"],
-                             np.asarray(e["mean"], dtype=np.float64),
-                             np.asarray(e["std"], dtype=np.float64),
-                             e["samples"])
-                  for e in d["layers"]]
-        return cls(layers, list(d.get("blocks", [])), list(d.get("stages", [])),
-                   dict(d.get("metadata", {})))
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1)
-
-    @classmethod
-    def load(cls, path: str) -> "ScoreRecord":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 def scored_conv_for_gate(graph: ArchitectureGraph, gate_id: str) -> str:

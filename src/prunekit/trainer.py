@@ -16,20 +16,21 @@ reading is defensible, with softmax-ce the default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bundle import ModelBundle
 from .errors import TrainingDiverged
 from .network import GradTape, Network
+from .records import Record
 
 PROB_EPS = 1e-12   # probability clamp; keeps log() finite
 LOSS_VARIANTS = ("softmax-ce", "binary-ce")
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Record):
     epochs: int = 160
     batch_size: int = 64
     lr: float = 0.1
@@ -50,18 +51,6 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lr_milestones"] = list(self.lr_milestones)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "lr_milestones" in d:
-            d["lr_milestones"] = tuple(d["lr_milestones"])
-        return cls(**d)
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -252,5 +241,4 @@ def retrain_scratch(compact: ModelBundle, train_data, eval_data,
     epochs = compression_report.epoch_recommendation
     if epochs is None:
         raise ValueError("compression report carries no epoch budget")
-    cfg = TrainConfig.from_dict({**base_config.to_dict(), "epochs": epochs})
-    return train(compact, train_data, eval_data, cfg)
+    return train(compact, train_data, eval_data, replace(base_config, epochs=epochs))

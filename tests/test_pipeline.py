@@ -217,6 +217,35 @@ class TestCli:
         assert not os.path.exists(os.path.join(out, "sweep-base", "model-trained"))
         assert not os.path.exists(os.path.join(out, "sweep-base"))   # no stage started
 
+    SPEC = {"source": "synthetic-planted", "classes": 4, "samples": 32}
+    REPORT = {"params_before": 2, "params_after": 1, "flops_before": 2, "flops_after": 1}
+
+    @pytest.mark.parametrize("command, flag, content, named", [
+        ("pipeline", "--config", {"bogus": 1}, "PipelineConfig: unknown field 'bogus'"),
+        ("train", "--data", {**SPEC, "colour": 1}, "DatasetSpec: unknown field 'colour'"),
+        ("train", "--data", [SPEC], "DatasetSpec: expected an object, got an array"),
+        ("train", "--config", {"lr": "fast"}, "TrainConfig.lr: expected a number, got a string"),
+        ("plan", "--scores", {"layers": [{"layer_id": "conv1", "channels": 1, "mean": [0.5],
+                                          "std": [0.0], "samples": 1}]},
+         "ScoreRecord.layers[0]: missing required field 'gate_id'"),
+        ("apply", "--plan", {"config": {}, "layers": [{"layer_id": "conv1", "kept": [0]}]},
+         "PruningPlan.layers[0]: missing required field 'original'"),
+        ("retrain", "--report", {**REPORT, "bogus": 1}, "CompressionReport: unknown field 'bogus'"),
+    ], ids=["pipeline-unknown", "data-unknown", "data-list", "config-lr", "scores-gate_id",
+            "plan-original", "report-unknown"])
+    def test_malformed_json_input_exits_2(self, tmp_path, capsys, command, flag, content, named):
+        model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
+        assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0
+        json.dump(self.SPEC, open(data_json, "w"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        valid = {"pipeline": [], "plan": ["--model", model], "apply": ["--model", model],
+                 "train": ["--model", model, "--data", data_json],
+                 "retrain": ["--model", model, "--data", data_json]}[command]
+        # the bad file comes last, so it wins over a valid file given for the same flag
+        assert main([command, *valid, "--out", str(tmp_path / "out"), flag, str(bad)]) == 2
+        assert named in capsys.readouterr().err
+
     def test_unknown_rewrite_mode_exits_2_at_config_load(self, tmp_path, capsys):
         cfg_path, out = str(tmp_path / "cfg.json"), str(tmp_path / "exp")
         json.dump({**small_config(out, epochs=1).to_dict(), "rewrite_mode": "scratch"},
