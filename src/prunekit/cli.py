@@ -3,7 +3,8 @@
 Subcommands mirror the pipeline stages and can be chained by hand:
 ``build``, ``train``, ``score``, ``plan``, ``apply``, ``count``, ``report``,
 ``retrain``, ``pipeline``, ``sweep``.  Config-heavy commands read JSON files.
-Exit codes: 0 success, 2 validation failure, 3 stage failure.
+Exit codes: 0 success, 2 validation failure or a file that cannot be opened,
+3 stage failure.
 """
 
 from __future__ import annotations
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
     except PrunekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
+    except OSError as exc:   # e.g. a missing input path; the message names the file
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ dtype-generic: training runs in float32, gradient checking feeds float64
 through the same code paths.  Each forward returns ``(output, cache)`` and
 the matching backward consumes ``cache`` and the upstream gradient, so a
 network executor can replay layers in exact reverse order.
+
+Convolution is im2col + GEMM in both directions, on one channel-major patch
+layout (see the convolution section).
 """
 
 from __future__ import annotations
@@ -39,6 +42,21 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 # ---------------------------------------------------------------------------
 # convolution
+#
+# Both directions are im2col + GEMM (Chellapilla et al. 2006) on one
+# channel-major patch layout: a padded (c, n, hp, wp) copy of the input is
+# cut into a (c*kh*kw, n*ho*wo) matrix by kh*kw strided slice copies, one per
+# kernel offset.  Its row order (c, u, v) is that of weight.reshape(cout, -1).
+
+def _patches(xc, kh, kw, stride, ho, wo):
+    """(c*kh*kw, n*ho*wo) patch matrix of the channel-major array xc (c, n, hp, wp)."""
+    c, n = xc.shape[:2]
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=xc.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = xc[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+    return cols.reshape(c * kh * kw, n * ho * wo)
+
 
 def conv2d_forward(x, weight, bias, stride=1, padding=0):
     """Cross-correlation of x (n,cin,h,w) with weight (cout,cin,kh,kw)."""
@@ -50,45 +68,46 @@ def conv2d_forward(x, weight, bias, stride=1, padding=0):
     ho = conv_output_size(h, kh, stride, padding)
     wo = conv_output_size(w, kw, stride, padding)
 
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    win = win[:, :, :ho, :wo]
-    # (n, ho, wo, cin*kh*kw) patch matrix; reused by backward for the weight grad
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, cin * kh * kw)
-    out = cols @ weight.reshape(cout, -1).T
+    p = padding
+    xc = np.zeros((cin, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xc[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
+    cols = _patches(xc, kh, kw, stride, ho, wo)  # reused by backward for the weight grad
+    out = weight.reshape(cout, -1) @ cols
     if bias is not None:
-        out = out + bias
-    y = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+        out += bias[:, None]
+    y = out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
     cache = (x.shape, cols, weight, bias is not None, stride, padding)
     return np.ascontiguousarray(y), cache
 
 
 def conv2d_backward(dy, cache):
-    """Returns (dx, dweight, dbias); dbias is None when the conv has no bias."""
+    """Returns (dx, dweight, dbias); dbias is None when the conv has no bias.
+
+    The input gradient is a stride-1 correlation through ``_patches``: dy is
+    zero-dilated by the stride and padded by k-1 to cover the padded input,
+    and the kernel is flipped with its in/out channels swapped.  Only the
+    windows over the unpadded input are built, so the same slicing holds for
+    any padding, including padding > k-1.
+    """
     x_shape, cols, weight, has_bias, stride, padding = cache
     n, cin, h, w = x_shape
     cout, _, kh, kw = weight.shape
     _, _, ho, wo = dy.shape
 
-    dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
-    dw = (dy_mat.T @ cols).reshape(weight.shape)
-    db = dy_mat.sum(axis=0) if has_bias else None
+    dyc = dy.transpose(1, 0, 2, 3)
+    dy_mat = dyc.reshape(cout, n * ho * wo)
+    # this orientation ran ~1.8x faster than dy_mat @ cols.T on OpenBLAS
+    dw = np.ascontiguousarray((cols @ dy_mat.T).T).reshape(weight.shape)
+    db = dy_mat.sum(axis=1) if has_bias else None
 
-    dcols = dy_mat @ weight.reshape(cout, -1)
-    dwin = dcols.reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dxp = np.zeros((n, cin, hp, wp), dtype=dy.dtype)
-    # scatter per kernel offset: target slices are disjoint for fixed (u, v)
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += dwin[:, :, :, :, u, v]
-    if padding:
-        dx = dxp[:, :, padding:padding + h, padding:padding + w]
-    else:
-        dx = dxp
+    # dy dilated by the stride at offset k-1 in the padded input's extent plus
+    # k-1; the windows starting at offset p are those over the unpadded input
+    p = padding
+    dd = np.zeros((cout, n, h + 2 * p + kh - 1, w + 2 * p + kw - 1), dtype=dy.dtype)
+    dd[:, :, kh - 1:kh - 1 + stride * ho:stride, kw - 1:kw - 1 + stride * wo:stride] = dyc
+    dcols = _patches(dd[:, :, p:, p:], kh, kw, 1, h, w)
+    wt = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+    dx = (wt @ dcols).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(dx), dw, db
 
 

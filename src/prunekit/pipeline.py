@@ -66,7 +66,6 @@ class ExperimentManifest:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.rows: list[dict] = []
-        self.outputs: dict[str, str] = {}
 
     def record(self, stage: str, input_hash: str, output_hash: str,
                path: str, seconds: float) -> None:
@@ -74,7 +73,6 @@ class ExperimentManifest:
             "stage": stage, "input": input_hash, "output": output_hash,
             "path": path, "seconds": round(seconds, 3),
         })
-        self.outputs[stage] = output_hash
 
     def verify_chain(self) -> bool:
         for prev, cur in zip(self.rows, self.rows[1:]):

@@ -42,8 +42,12 @@ def write_json(obj, path: str) -> None:
 
 
 def read_json(path: str):
+    """Parse a JSON file; a file that is not JSON raises ValueError naming the path."""
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def encode(value):

@@ -35,6 +35,31 @@ def conv2d_loops(x, weight, bias=None, stride=1, padding=0):
     return y
 
 
+def conv2d_backward_loops(x, weight, dy, stride=1, padding=0):
+    """Gradients (dx, dweight, dbias) of conv2d_loops by direct accumulation."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    _, _, ho, wo = dy.shape
+    xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros((cout, cin, kh, kw), dtype=np.float64)
+    db = np.zeros(cout, dtype=np.float64)
+    for b in range(n):
+        for o in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    g = dy[b, o, i, j]
+                    db[o] += g
+                    for c in range(cin):
+                        for u in range(kh):
+                            for v in range(kw):
+                                r, s = i * stride + u, j * stride + v
+                                dw[o, c, u, v] += g * xp[b, c, r, s]
+                                dxp[b, c, r, s] += g * weight[o, c, u, v]
+    return dxp[:, :, padding:padding + h, padding:padding + w], dw, db
+
+
 def squeeze_loops(channel):
     """Mean of absolute values of one (h, w) channel, scalar accumulation."""
     h, w = channel.shape

@@ -7,7 +7,22 @@ from hypothesis import given, settings, strategies as st
 from prunekit import ops
 from prunekit.errors import StructuralError
 
-from oracles import conv2d_loops
+from oracles import conv2d_backward_loops, conv2d_loops
+
+
+def draw_conv_case(data):
+    """A random conv problem, float64: n, cin, cout, h, w, k <= 3, stride 1-2, padding 0-1."""
+    n = data.draw(st.integers(1, 2))
+    cin = data.draw(st.integers(1, 4))
+    cout = data.draw(st.integers(1, 4))
+    h = data.draw(st.integers(1, 8))
+    w = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, min(3, h, w)))
+    stride = data.draw(st.integers(1, 2))
+    padding = data.draw(st.integers(0, 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    return (rng.normal(size=(n, cin, h, w)), rng.normal(size=(cout, cin, k, k)),
+            rng.normal(size=cout), stride, padding)
 
 
 class TestConvForward:
@@ -29,20 +44,7 @@ class TestConvForward:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_oracle_property_over_random_shapes(self, data):
-        n = data.draw(st.integers(1, 2))
-        cin = data.draw(st.integers(1, 4))
-        cout = data.draw(st.integers(1, 4))
-        h = data.draw(st.integers(1, 8))
-        w = data.draw(st.integers(1, 8))
-        k = data.draw(st.integers(1, min(3, h, w)))
-        stride = data.draw(st.integers(1, 2))
-        padding = data.draw(st.integers(0, 1))
-        if (h + 2 * padding - k) < 0 or (w + 2 * padding - k) < 0:
-            return
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        x = rng.normal(size=(n, cin, h, w))
-        wt = rng.normal(size=(cout, cin, k, k))
-        b = rng.normal(size=cout)
+        x, wt, b, stride, padding = draw_conv_case(data)
         y, _ = ops.conv2d_forward(x, wt, b, stride=stride, padding=padding)
         ref = conv2d_loops(x, wt, b, stride=stride, padding=padding)
         np.testing.assert_allclose(y, ref, rtol=1e-9, atol=1e-9)
@@ -58,6 +60,43 @@ class TestConvForward:
         w = rng.normal(size=(1, 1, 5, 5))
         with pytest.raises(StructuralError, match="does not fit"):
             ops.conv2d_forward(x, w, None, 1, 0)
+
+
+def check_backward_against_oracle(x, wt, b, stride, padding):
+    y, cache = ops.conv2d_forward(x, wt, b, stride=stride, padding=padding)
+    dy = np.random.default_rng(0).normal(size=y.shape)
+    dx, dw, db = ops.conv2d_backward(dy, cache)
+    ref_dx, ref_dw, ref_db = conv2d_backward_loops(x, wt, dy, stride=stride, padding=padding)
+    for got, ref in ((dx, ref_dx), (dw, ref_dw), (db, ref_db)):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
+
+
+class TestConvBackward:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_oracle_property_over_random_shapes(self, data):
+        check_backward_against_oracle(*draw_conv_case(data))
+
+    # k=1 with padding 1 (padding > k-1), and strides that leave trailing
+    # rows and columns no window covers
+    @pytest.mark.parametrize("k, stride, padding, h, w",
+                             [(1, 1, 1, 4, 3), (1, 2, 1, 5, 4), (3, 2, 0, 6, 7), (2, 2, 1, 5, 6)])
+    def test_oracle_edge_cases(self, rng, k, stride, padding, h, w):
+        x = rng.normal(size=(2, 3, h, w))
+        check_backward_against_oracle(x, rng.normal(size=(2, 3, k, k)), rng.normal(size=2),
+                                      stride, padding)
+
+    def test_cache_layout(self, rng):
+        # perfbench's tracer reads the patch matrix size and the weight from the cache
+        x = rng.normal(size=(2, 3, 7, 6)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 2)).astype(np.float32)
+        y, cache = ops.conv2d_forward(x, w, None, stride=2, padding=1)
+        (n, cin, _, _), (_, _, kh, kw), (_, _, ho, wo) = x.shape, w.shape, y.shape
+        x_shape, cols, weight, has_bias, stride, padding = cache
+        assert cols.nbytes == cin * kh * kw * n * ho * wo * x.itemsize
+        assert weight is w
+        assert (x_shape, has_bias, stride, padding) == (x.shape, False, 2, 1)
 
 
 class TestBatchNorm:

@@ -246,6 +246,25 @@ class TestCli:
         assert main([command, *valid, "--out", str(tmp_path / "out"), flag, str(bad)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_missing_config_exits_2_naming_it(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["pipeline", "--config", missing]) == 2
+        assert missing in capsys.readouterr().err
+
+    def test_count_without_bundle_manifest_exits_2_naming_it(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["count", "--model", str(empty)]) == 2
+        assert str(empty / "manifest.json") in capsys.readouterr().err
+
+    def test_truncated_json_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        text = json.dumps(small_config(str(tmp_path / "exp"), epochs=1).to_dict())
+        cfg_path.write_text(text[:len(text) // 2])
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert f"{cfg_path}: not valid JSON" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "exp")
+
     def test_unknown_rewrite_mode_exits_2_at_config_load(self, tmp_path, capsys):
         cfg_path, out = str(tmp_path / "cfg.json"), str(tmp_path / "exp")
         json.dump({**small_config(out, epochs=1).to_dict(), "rewrite_mode": "scratch"},
