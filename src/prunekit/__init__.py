@@ -14,9 +14,9 @@ from .graph import ArchitectureGraph, LayerNode
 from .network import GradTape, Network
 from .planner import (PruneConfig, PruningPlan, identity_plan, make_plan,
                       select_channels, threshold)
-from .rewriter import RewriteOptions, apply, summarize
+from .rewriter import RewriteOptions, apply
 from .scoring import ScoreRecord, collect_scores
-from .trainer import TrainConfig, evaluate, loss, retrain_scratch, train
+from .trainer import TrainConfig, evaluate, loss, retrain, train
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,6 @@ __all__ = [
     "PruneConfig", "PruningPlan", "RewriteOptions", "ScoreRecord",
     "TrainConfig", "apply", "build", "collect_scores", "count_flops",
     "count_params", "evaluate", "identity_plan", "load_bundle", "load_dataset",
-    "loss", "make_plan", "report", "retrain_scratch", "save_bundle",
-    "select_channels", "strip_gates", "summarize", "threshold", "train",
+    "loss", "make_plan", "report", "retrain", "save_bundle",
+    "select_channels", "strip_gates", "threshold", "train",
 ]

@@ -139,21 +139,33 @@ class CompressionReport(Record):
 def report(before: ArchitectureGraph, after: ArchitectureGraph, input_shape=None,
            base_epochs: int | None = None, epoch_mode: str = "flop-matched",
            convention: str = "mac") -> CompressionReport:
-    """Compare two graphs structurally and budget the retraining epochs."""
-    rows_before = {r["id"]: r for r in breakdown(before, input_shape, convention)}
+    """Compare two graphs structurally and budget the retraining epochs.
+
+    Gates are left out of every count: they only score channels, and the
+    rewrite strips them, so a gated model against its identity rewrite reads
+    0% pruned.  ``per_layer`` has one row per parameterized layer of
+    ``before``, with its output width and parameters on both sides; a layer
+    missing from ``after`` reads 0.
+    """
+    def rows(graph):
+        return [r for r in breakdown(graph, input_shape, convention) if r["kind"] != "gate"]
+
+    rows_before, rows_after = rows(before), rows(after)
+    after_by_id = {r["id"]: r for r in rows_after}
     per_layer = []
-    for r in breakdown(after, input_shape, convention):
-        b = rows_before.get(r["id"])
-        if b is not None and (b["params"] or r["params"]):
+    for b in rows_before:
+        a = after_by_id.get(b["id"], {"out_shape": (0,), "params": 0})
+        if b["params"] or a["params"]:
             per_layer.append({
-                "id": r["id"], "kind": r["kind"],
-                "params_before": b["params"], "params_after": r["params"],
+                "id": b["id"], "kind": b["kind"],
+                "width_before": b["out_shape"][0], "width_after": a["out_shape"][0],
+                "params_before": b["params"], "params_after": a["params"],
             })
     return CompressionReport(
-        params_before=count_params(before),
-        params_after=count_params(after),
-        flops_before=count_flops(before, input_shape, convention),
-        flops_after=count_flops(after, input_shape, convention),
+        params_before=sum(r["params"] for r in rows_before),
+        params_after=sum(r["params"] for r in rows_after),
+        flops_before=sum(r["flops"] for r in rows_before),
+        flops_after=sum(r["flops"] for r in rows_after),
         base_epochs=base_epochs,
         epoch_mode=epoch_mode,
         convention=convention,

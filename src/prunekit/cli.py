@@ -24,7 +24,7 @@ from .planner import PruneConfig, PruningPlan, make_plan
 from .records import write_json
 from .rewriter import RewriteOptions, apply as apply_plan
 from .scoring import ScoreRecord, collect_scores
-from .trainer import TrainConfig, evaluate, retrain_scratch, train
+from .trainer import TrainConfig, evaluate, retrain, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -124,7 +124,7 @@ def cmd_retrain(args) -> int:
     rep = CompressionReport.load(args.report)
     bundle = load_bundle(args.model)
     cfg, train_data, eval_data = _training_inputs(args)
-    retrained, history = retrain_scratch(bundle, train_data, eval_data, cfg, rep)
+    retrained, _ = retrain(bundle, train_data, eval_data, cfg, rep)
     save_bundle(retrained, args.out)
     acc = evaluate(retrained, eval_data)
     print(f"retrained {rep.epoch_recommendation} epochs; eval acc {acc:.4f} "
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", default=None)
     r.set_defaults(fn=cmd_report)
 
-    rt = sub.add_parser("retrain", help="retrain a compact model from scratch")
+    rt = sub.add_parser("retrain", help="train a compact model for its report's epoch budget")
     rt.add_argument("--model", required=True)
     rt.add_argument("--data", required=True)
     rt.add_argument("--config", default=None)

@@ -15,8 +15,9 @@ import math
 import numpy as np
 
 from .bundle import ModelBundle
+from .layers import kind_of
 from .network import GradTape, Network
-from .trainer import _onehot, add_penalty_grad, data_loss_and_grad, penalty_value
+from .trainer import penalized_loss
 
 
 @dataclass
@@ -34,22 +35,17 @@ class GradCheckReport:
         return not self.failures and self.checked > 0
 
 
-def _loss_fn(net: Network, x, onehot, variant, weight_decay, training):
-    data, _ = data_loss_and_grad(net.forward(x, training=training), onehot, variant)
-    pen, _ = penalty_value([w for _, _, w in net.weight_parameters()], weight_decay)
-    return data + pen
-
-
 def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
                samples_per_tensor: int = 4, step: float = 1e-5,
                threshold: float = 1e-4, variant: str = "softmax-ce",
                weight_decay: float = 0.0, training: bool = True,
                seed: int = 0) -> GradCheckReport:
-    """Compare analytic and central-difference gradients on sampled entries.
+    """Compare the training step's gradients with central differences on sampled entries.
 
+    Both sides run :func:`trainer.penalized_loss`, the loss ``train`` runs.
     ``samples_per_tensor=None`` perturbs every entry (exhaustive mode, only
-    sensible for very small networks).  Batchnorm runs in the same mode for
-    both sides, and running statistics are restored between evaluations so
+    sensible for very small networks).  Parameters that are not trainable
+    (batchnorm's running statistics) are restored between evaluations, so
     each perturbation sees identical state.
 
     The default step suits whole-network checks, where loss curvature makes
@@ -58,35 +54,23 @@ def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
     """
     net = Network(bundle.graph).astype(np.float64)
     x = x.astype(np.float64)
-    classes = net.graph.nodes_of_kind("fullyconnected")[-1].attrs["out_features"]
-    onehot = _onehot(labels, classes, np.float64)
     rng = np.random.default_rng(seed)
     report = GradCheckReport(threshold=threshold, step=step)
+    state = {(n.id, p): a.copy() for n in net.graph.nodes for p, a in n.params.items()
+             if p not in kind_of(n).trainable}
 
-    # analytic pass
-    bn_state = {(n.id, p): n.params[p].copy() for n in net.graph.nodes
-                if n.kind == "batchnorm" for p in ("running_mean", "running_var")}
-
-    def restore_bn():
-        for (nid, p), v in bn_state.items():
+    def loss_at(tape=None):
+        for (nid, p), v in state.items():
             net.graph.node(nid).params[p] = v.copy()
+        return penalized_loss(net, x, labels, variant, weight_decay, training, tape)[0]
 
     tape = GradTape()
-    probs = net.forward(x, training=training, tape=tape)
-    if not np.isfinite(probs).all():
+    if not math.isfinite(loss_at(tape)):
         # name the first layer whose output went non-finite
-        for nid in tape.order:
-            if not np.isfinite(tape.outputs[nid]).all():
-                report.failures.append((nid, "non-finite output"))
-                return report
-    data_loss, dprobs = data_loss_and_grad(probs, onehot, variant)
-    if not math.isfinite(data_loss):
-        report.failures.append(("<loss>", "non-finite loss"))
+        bad = [nid for nid in tape.order if not np.isfinite(tape.outputs[nid]).all()]
+        report.failures.append((bad[0], "non-finite output") if bad else
+                               ("<loss>", "non-finite loss"))
         return report
-    net.backward(dprobs, tape)
-    _, n_weights = penalty_value([w for _, _, w in net.weight_parameters()], weight_decay)
-    add_penalty_grad(net, tape, weight_decay, n_weights)
-    restore_bn()
 
     for node_id, pname, w in net.trainable_parameters():
         analytic = tape.grads.get((node_id, pname))
@@ -102,11 +86,9 @@ def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
         for i in idx:
             orig = flat_w[i]
             flat_w[i] = orig + step
-            restore_bn()
-            lp = _loss_fn(net, x, onehot, variant, weight_decay, training)
+            lp = loss_at()
             flat_w[i] = orig - step
-            restore_bn()
-            lm = _loss_fn(net, x, onehot, variant, weight_decay, training)
+            lm = loss_at()
             flat_w[i] = orig
             numeric = (lp - lm) / (2.0 * step)
             a = float(analytic.reshape(-1)[i])
@@ -120,5 +102,4 @@ def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
             if rel > threshold:
                 report.failures.append(((node_id, pname, int(i)), rel))
         report.per_param[f"{node_id}/{pname}"] = worst_here
-    restore_bn()
     return report

@@ -9,13 +9,12 @@ failure propagates.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass, field, replace
 
 from .accounting import report as make_report
-from .builders import build, strip_gates
+from .builders import build
 from .bundle import ModelBundle, bundle_fingerprint, load_bundle, save_bundle
 from .data import DatasetSpec, load_dataset
 from .errors import StageFailure
@@ -23,7 +22,7 @@ from .planner import PruneConfig, make_plan
 from .records import Record, content_hash, write_json
 from .rewriter import REWRITE_MODES, RewriteOptions, apply
 from .scoring import collect_scores
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, evaluate, retrain, train
 
 PIPELINE_STAGES = ("build", "train", "score", "plan", "apply", "report", "retrain")
 # stages whose artifact is a model bundle, and the directory it is saved in
@@ -52,14 +51,6 @@ class PipelineConfig(Record):
         if self.rewrite_mode not in REWRITE_MODES:
             raise ValueError(f"rewrite_mode must be one of {REWRITE_MODES}, "
                              f"got '{self.rewrite_mode}'")
-
-
-def file_hash(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 class ExperimentManifest:
@@ -106,7 +97,8 @@ def _run_stages(config: PipelineConfig, names, state: dict):
         try:
             input_hash, output_hash, path = fn()
         except Exception as exc:
-            manifest.rows.append({"stage": name, "error": str(exc)})
+            manifest.rows.append({"stage": name, "error": str(exc),
+                                  "error_type": type(exc).__name__})
             manifest.save(manifest_path)
             raise StageFailure(name, exc) from exc
         manifest.record(name, input_hash, output_hash, path, time.monotonic() - start)
@@ -166,22 +158,21 @@ def _run_stages(config: PipelineConfig, names, state: dict):
         return save_stage_bundle("apply", compact, state["plan"].fingerprint())
 
     def stage_report():
-        baseline = strip_gates(state["train"].graph)
-        rep = make_report(baseline, state["apply"].graph,
+        rep = make_report(state["train"].graph, state["apply"].graph,
                           base_epochs=config.train.epochs)
         state["report"] = rep
         rep.save(out("report.json"))
-        state["report_hash"] = file_hash(out("report.json"))
-        return bundle_fingerprint(state["apply"]), state["report_hash"], out("report.json")
+        return bundle_fingerprint(state["apply"]), rep.fingerprint(), out("report.json")
 
     def stage_retrain():
-        epochs = state["report"].epoch_recommendation
-        retrained, history = train(state["apply"], state["train_data"],
-                                   state["eval_data"], replace(config.train, epochs=epochs))
-        fields = save_stage_bundle("retrain", retrained, state["report_hash"])
+        rep = state["report"]
+        retrained, history = retrain(state["apply"], state["train_data"],
+                                     state["eval_data"], config.train, rep)
+        fields = save_stage_bundle("retrain", retrained, rep.fingerprint())
         write_json(history, out("retrain-history.json"))
         final_acc = evaluate(retrained, state["eval_data"])
-        write_json({"eval_acc": final_acc, "epochs": epochs}, out("final.json"))
+        write_json({"eval_acc": final_acc, "epochs": rep.epoch_recommendation},
+                   out("final.json"))
         return fields
 
     stage_fns = {

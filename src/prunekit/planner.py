@@ -263,16 +263,3 @@ def identity_plan(graph: ArchitectureGraph, config: PruneConfig | None = None) -
     plan.validate()
     return plan
 
-
-def stage_targets_from_dispersion(record: ScoreRecord, tau: float) -> dict[int, int]:
-    """Experimental heuristic: halve stages whose per-block score spread is high.
-
-    Published targets were chosen by inspecting the per-stage dispersion
-    plots by hand; this automates one reading of that procedure (halve when
-    the mean per-block std exceeds tau) and is not part of any contract.
-    """
-    targets = {}
-    for row in record.stages:
-        width = row["width"]
-        targets[row["index"]] = max(1, width // 2) if row["mean_std"] > tau else width
-    return targets

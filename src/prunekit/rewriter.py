@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import breakdown
 from .builders import initialize_parameters, strip_gates
 from .bundle import ModelBundle, bundle_fingerprint
 from .errors import PlanError
@@ -92,18 +91,3 @@ def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelB
         meta["init"] = {"scheme": "fan-in-gaussian", "seed": opts.seed}
     return ModelBundle(new_graph, meta)
 
-
-def summarize(before: ModelBundle, after: ModelBundle) -> list[dict]:
-    """Per-layer output-width/parameter diff; totals match the accounting counts."""
-    after_rows = {r["id"]: r for r in breakdown(after.graph)}
-    rows = []
-    for b in breakdown(before.graph):
-        a = after_rows.get(b["id"], {"out_shape": (0,), "params": 0})  # removed layer
-        if b["params"] or a["params"]:
-            rows.append({
-                "id": b["id"], "kind": b["kind"],
-                "width_before": b["out_shape"][0], "width_after": a["out_shape"][0],
-                "params_before": b["params"], "params_after": a["params"],
-                "delta": a["params"] - b["params"],
-            })
-    return rows

@@ -6,16 +6,16 @@ import pytest
 from prunekit import (CompressionReport, ModelBundle, PruneConfig, RewriteOptions,
                       apply, build, count_flops, count_params, report)
 from prunekit.accounting import breakdown, node_flop_count, node_param_count
-from prunekit.builders import initialize_parameters
+from prunekit.builders import initialize_parameters, strip_gates
 from prunekit.graph import ArchitectureGraph, LayerNode
 from prunekit.planner import LayerPlan, PruningPlan
 
 from oracles import conv_mac_loops, param_count_loops
 
 
-def lone_conv_graph(cin=3, cout=16, bias=True):
+def lone_conv_graph(cin=3, cout=16, bias=True, conv_id="c"):
     nodes = [
-        LayerNode("c", "conv", {"in_channels": cin, "out_channels": cout,
+        LayerNode(conv_id, "conv", {"in_channels": cin, "out_channels": cout,
                                 "kernel": (3, 3), "stride": 1, "padding": 1,
                                 "bias": bias}),
         LayerNode("gap", "globalavgpool"),
@@ -23,7 +23,7 @@ def lone_conv_graph(cin=3, cout=16, bias=True):
                                            "bias": True}),
         LayerNode("softmax", "softmax"),
     ]
-    edges = [("c", "gap"), ("gap", "fc"), ("fc", "softmax")]
+    edges = [(conv_id, "gap"), ("gap", "fc"), ("fc", "softmax")]
     return ArchitectureGraph(nodes, edges, (cin, 32, 32))
 
 
@@ -142,6 +142,23 @@ class TestReport:
                                 flops_before=3, flops_after=1)
         assert rep.pruned_params_pct == 33.3
         assert rep.pruned_flops_pct == 66.7
+
+    def test_gates_are_left_out(self):
+        gated = build("tiny-vgg", 4, with_gates=True, reduction=4, init=False)
+        plain = strip_gates(gated)
+        rep = report(gated, plain)
+        assert (rep.params_before, rep.flops_before) == (count_params(plain), count_flops(plain))
+        assert rep.pruned_params_pct == rep.pruned_flops_pct == 0.0
+        assert {r["kind"] for r in rep.per_layer} == {"conv", "batchnorm", "fullyconnected"}
+        assert sum(r["params_before"] for r in rep.per_layer) == rep.params_before
+
+    def test_per_layer_rows_and_missing_layer_reads_zero(self):
+        before, after = lone_conv_graph(cout=16), lone_conv_graph(cout=16, conv_id="c2")
+        rows = {r["id"]: r for r in report(before, after).per_layer}
+        assert rows["c"] == {"id": "c", "kind": "conv", "width_before": 16, "width_after": 0,
+                             "params_before": 3 * 16 * 9 + 16, "params_after": 0}
+        assert rows["fc"]["params_before"] == rows["fc"]["params_after"] == 16 * 2 + 2
+        assert "c2" not in rows
 
     def test_text_and_dict_forms(self):
         g = build("tiny-vgg", 4, init=False)

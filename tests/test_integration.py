@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 
+import prunekit
 from prunekit import (DatasetSpec, ModelBundle, Network, PruneConfig,
                       RewriteOptions, TrainConfig, apply, build, collect_scores,
                       count_params, load_bundle, load_dataset, make_plan)
@@ -96,3 +97,9 @@ def test_finetune_mode_pipeline(tmp_path):
     np.testing.assert_array_equal(
         compact.graph.node(entry["layer_id"]).params["weight"],
         trained.graph.node(entry["layer_id"]).params["weight"][kept])
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in prunekit.__all__ if not hasattr(prunekit, name)]
+    assert not missing
+    assert "retrain" in prunekit.__all__

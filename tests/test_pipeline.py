@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from prunekit import DatasetSpec, PruneConfig, TrainConfig, count_params, load_bundle
+from prunekit import (DatasetSpec, ModelBundle, PruneConfig, TrainConfig, build,
+                      count_params, identity_plan, load_bundle, save_bundle)
+from prunekit.bundle import bundle_fingerprint
 from prunekit.cli import main
 from prunekit.errors import StageFailure
 from prunekit.pipeline import (ExperimentManifest, PipelineConfig, run_pipeline,
@@ -73,6 +75,7 @@ class TestPipeline:
         saved = json.load(open(os.path.join(out, "manifest.json")))
         stages = [r["stage"] for r in saved["stages"]]
         assert stages[-1] == "plan" and "error" in saved["stages"][-1]
+        assert saved["stages"][-1]["error_type"] == "PlanError"
 
     def test_manifest_roundtrip(self, completed):
         out, manifest = completed
@@ -194,6 +197,53 @@ class TestCli:
         assert os.path.exists(os.path.join(retrained, "params.bin"))
         assert count_params(load_bundle(compact).graph) < \
             count_params(load_bundle(trained).graph)
+
+    def test_report_leaves_gates_out(self, tmp_path, capsys):
+        gated, compact, plan = (str(tmp_path / n) for n in ("gated", "compact", "plan.json"))
+        bundle = ModelBundle(build("tiny-vgg", 4, with_gates=True, reduction=4, seed=0))
+        save_bundle(bundle, gated)
+        identity_plan(bundle.graph).save(plan)
+        assert main(["apply", "--model", gated, "--plan", plan, "--mode", "finetune",
+                     "--out", compact]) == 0
+        for convention in ("mac", "opcount"):
+            capsys.readouterr()
+            assert main(["report", "--before", gated, "--after", compact,
+                         "--convention", convention]) == 0
+            rows = capsys.readouterr().out.splitlines()
+            assert rows[1].startswith("params") and rows[1].endswith(" 0.0")
+            assert rows[2].startswith("flops") and rows[2].endswith(" 0.0")
+
+    def test_retrain_reproduces_the_pipeline_retrain(self, completed, tmp_path):
+        out, _ = completed
+        cfg = small_config(out)
+        data_json, train_json = str(tmp_path / "data.json"), str(tmp_path / "train.json")
+        cfg.data.save(data_json)
+        cfg.train.save(train_json)
+        retrained = str(tmp_path / "retrained")
+        assert main(["retrain", "--model", os.path.join(out, "model-compact"),
+                     "--data", data_json, "--config", train_json,
+                     "--report", os.path.join(out, "report.json"), "--out", retrained]) == 0
+        assert bundle_fingerprint(load_bundle(retrained)) == \
+            bundle_fingerprint(load_bundle(os.path.join(out, "model-retrained")))
+
+    def test_retrain_fine_tunes_an_inherited_model(self, tmp_path):
+        gated, compact, plan = (str(tmp_path / n) for n in ("gated", "compact", "plan.json"))
+        bundle = ModelBundle(build("tiny-vgg", 4, with_gates=True, reduction=4, seed=0))
+        save_bundle(bundle, gated)
+        identity_plan(bundle.graph).save(plan)
+        assert main(["apply", "--model", gated, "--plan", plan, "--mode", "finetune",
+                     "--out", compact]) == 0
+        report, data_json, train_json = (str(tmp_path / n) for n in
+                                         ("report.json", "data.json", "train.json"))
+        assert main(["report", "--before", gated, "--after", compact,
+                     "--base-epochs", "2", "--out", report]) == 0
+        DatasetSpec(source="synthetic-planted", classes=4, samples=32).save(data_json)
+        TrainConfig(epochs=1, batch_size=32, lr=0.05).save(train_json)
+        retrained = str(tmp_path / "retrained")
+        assert main(["retrain", "--model", compact, "--data", data_json,
+                     "--config", train_json, "--report", report, "--out", retrained]) == 0
+        meta = load_bundle(retrained).metadata
+        assert meta["rewrite_mode"] == "inherit-weights" and meta["epochs_seen"] == 2
 
     def test_pipeline_and_sweep_subcommands(self, tmp_path, capsys):
         cfg_path = str(tmp_path / "cfg.json")

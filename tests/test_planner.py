@@ -323,17 +323,6 @@ class TestConfigAndHeuristics:
         with pytest.raises(ValueError, match="empty"):
             threshold(np.array([]), PruneConfig())
 
-    def test_dispersion_heuristic_halves_spread_stages(self):
-        from prunekit.planner import stage_targets_from_dispersion
-        record = ScoreRecord([], stages=[
-            {"index": 1, "width": 16, "blocks": 2, "mean": 0.5, "min": 0.1,
-             "max": 0.9, "mean_std": 0.02},
-            {"index": 2, "width": 32, "blocks": 2, "mean": 0.5, "min": 0.1,
-             "max": 0.9, "mean_std": 0.30},
-        ])
-        targets = stage_targets_from_dispersion(record, tau=0.1)
-        assert targets == {1: 16, 2: 16}
-
     def test_config_json_roundtrip(self):
         cfg = PruneConfig(beta=3, sign="plus", policy="resnet-stage-uniform",
                           half_rule=True, stage_targets=((1, 8), (2, 16)))

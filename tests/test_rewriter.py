@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prunekit import (ModelBundle, Network, PruneConfig, RewriteOptions, apply,
-                      build, count_params, identity_plan, summarize)
+                      build, count_params, identity_plan, report)
 from prunekit.bundle import bundle_fingerprint
 from prunekit.errors import PlanError
 from prunekit.graph import ArchitectureGraph, LayerNode
@@ -58,8 +58,9 @@ class TestIdentityRewrite:
         plan = identity_plan(tiny_gated_bundle.graph)
         out = apply(tiny_gated_bundle, plan,
                     RewriteOptions(mode="inherit-weights", strip_gates=False))
-        rows = summarize(tiny_gated_bundle, out)
-        assert all(r["delta"] == 0 for r in rows)
+        rows = report(tiny_gated_bundle.graph, out.graph).per_layer
+        assert rows and all(r["params_after"] == r["params_before"] and
+                            r["width_after"] == r["width_before"] for r in rows)
 
 
 class TestPublishedWidths:
@@ -78,7 +79,7 @@ class TestPublishedWidths:
         before = ModelBundle(graph)
         plan = width_plan(graph, VGG19_PRUNED_3)
         compact = apply(before, plan, RewriteOptions(mode="architecture-only", seed=5))
-        rows = {r["id"]: r for r in summarize(before, compact)}
+        rows = {r["id"]: r for r in report(graph, compact.graph).per_layer}
         conv_ids = [n.id for n in graph.nodes_of_kind("conv")]
         assert [rows[cid]["width_after"] for cid in conv_ids] == VGG19_PRUNED_3
 
@@ -87,8 +88,8 @@ class TestPublishedWidths:
         before = ModelBundle(graph)
         plan = width_plan(graph, VGG19_PRUNED_3)
         compact = apply(before, plan, RewriteOptions(mode="architecture-only", seed=5))
-        rows = summarize(before, compact)
-        assert sum(r["delta"] for r in rows) == \
+        rows = report(graph, compact.graph).per_layer
+        assert sum(r["params_after"] - r["params_before"] for r in rows) == \
             count_params(compact.graph) - count_params(graph)
 
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from prunekit import (DatasetSpec, ModelBundle, TrainConfig, build, evaluate,
-                      load_dataset, loss, train)
+from prunekit import (DatasetSpec, GradTape, ModelBundle, Network, TrainConfig, build,
+                      evaluate, load_dataset, loss, train)
 from prunekit.bundle import bundle_fingerprint
 from prunekit.errors import TrainingDiverged
-from prunekit.trainer import OptimizerState, data_loss_and_grad, lr_at, retrain_scratch
+from prunekit.trainer import (OptimizerState, data_loss_and_grad, lr_at, penalized_loss,
+                              penalty_value, retrain)
 
 from oracles import penalized_loss_loops, sgd_recurrence
 
@@ -198,9 +199,8 @@ class TestRetrainScratch:
                               {"rewrite_mode": "architecture-only"})
         rep = CompressionReport(params_before=2, params_after=1,
                                 flops_before=1000, flops_after=500, base_epochs=2)
-        _, history = retrain_scratch(compact, train_data, eval_data,
-                                     TrainConfig(epochs=2, batch_size=32, lr=0.05),
-                                     rep)
+        _, history = retrain(compact, train_data, eval_data,
+                             TrainConfig(epochs=2, batch_size=32, lr=0.05), rep)
         assert len(history) == rep.epoch_recommendation == 4
 
     def test_identity_budget_is_base_epochs(self, planted_pair):
@@ -209,15 +209,38 @@ class TestRetrainScratch:
                                 flops_before=777, flops_after=777, base_epochs=3)
         assert rep.epoch_recommendation == 3
 
-    def test_inherited_model_rejected(self, planted_pair):
+    def test_report_without_base_epochs_rejected(self, planted_pair):
         from prunekit.accounting import CompressionReport
         train_data, eval_data = planted_pair
-        tuned = ModelBundle(build("tiny-vgg", 4, seed=2),
-                            {"rewrite_mode": "inherit-weights"})
-        rep = CompressionReport(1, 1, 10, 10, base_epochs=1)
-        with pytest.raises(ValueError, match="architecture-only"):
-            retrain_scratch(tuned, train_data, eval_data, TrainConfig(), rep)
+        compact = ModelBundle(build("tiny-vgg", 4, seed=2))
+        rep = CompressionReport(1, 1, 10, 10)
+        with pytest.raises(ValueError, match="no epoch budget"):
+            retrain(compact, train_data, eval_data, TrainConfig(), rep)
 
+
+class TestL2Scale:
+    """The penalty divides weight_decay by the total weight count n."""
+
+    @pytest.mark.parametrize("arch, classes, reduction, n", [
+        ("tiny-vgg", 4, 4, 18688), ("resnet56", 10, 16, 857552)])
+    def test_weight_count_of_gated_nets(self, arch, classes, reduction, n):
+        net = Network(build(arch, classes, with_gates=True, reduction=reduction, seed=0))
+        assert penalty_value([w for _, _, w in net.weight_parameters()], 1e-4)[1] == n
+
+    def test_penalty_gradient_is_weight_decay_over_n_times_w(self):
+        net = Network(build("tiny-vgg", 4, with_gates=True, reduction=4, seed=0))
+        net = net.astype(np.float64)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(4, 8, 16, 16)), rng.integers(0, 4, size=4)
+        grads = {}
+        for wd in (0.0, 1e-4):
+            tape = GradTape()
+            penalized_loss(net, x, y, "softmax-ce", wd, False, tape)
+            grads[wd] = tape.grads
+        weights = list(net.weight_parameters())
+        for node_id, pname, w in weights:
+            decay = grads[1e-4][(node_id, pname)] - grads[0.0][(node_id, pname)]
+            np.testing.assert_allclose(decay, 1e-4 / 18688 * w, rtol=1e-6, atol=1e-18)
 
 def test_config_validation():
     with pytest.raises(ValueError):
