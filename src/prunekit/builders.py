@@ -4,14 +4,25 @@ Four full-size architectures (vgg16, vgg19, resnet56, preresnet164) plus two
 desk-scale variants (tiny-vgg, tiny-resnet) that keep every structural idiom
 of their big siblings but train on a CPU in minutes.
 
-Channel gates are optional and their position is a policy:
+Every graph comes out of one private assembler.  ``chain`` appends a path of
+layers and its edges in declaration order; ``residual`` adds one block from
+its main path, its projection shortcut (empty for an identity shortcut), the
+add node and the post-add tail, and reads the block's handles (first, middle,
+last and shortcut conv, gate) from those layer lists; ``stage_loop`` builds
+the residual families stage by stage, with stride 2 on the first block of
+every stage after the first.  Node and edge order, and so every content
+hash, follow from that declaration order.
 
-* VGG:          conv -> batchnorm -> gate -> relu
+Channel gates are optional.  A gate is an entry in a layer list, present
+only at the requested placement; ``_PLACEMENTS`` names each architecture's
+accepted placements, the default first:
+
+* VGG:          ``pre-relu``: conv -> batchnorm -> gate -> relu.
 * basic block:  ``block-output`` puts the gate right after the second conv
                 (scores the block's output channels, used for stage-uniform
                 planning); ``block-middle`` puts it after the first conv,
                 before its batchnorm (scores the intermediate channels).
-* bottleneck:   ``middle`` (default) gates the middle 3x3 conv's output;
+* bottleneck:   ``middle`` gates the middle 3x3 conv's output;
                 ``block-output`` gates the third conv's output.
 
 Convolutions carry a bias only when no batchnorm follows them; pre-activation
@@ -19,6 +30,8 @@ bottleneck convs are bias-free throughout, matching the usual design.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,6 +61,11 @@ PRERESNET_PLANS = {
 
 ARCHITECTURES = tuple(VGG_PLANS) + tuple(RESNET_PLANS) + tuple(PRERESNET_PLANS)
 
+# accepted gate placements per architecture, the default first
+_PLACEMENTS = {**dict.fromkeys(VGG_PLANS, ("pre-relu",)),
+               **dict.fromkeys(RESNET_PLANS, ("block-output", "block-middle")),
+               **dict.fromkeys(PRERESNET_PLANS, ("middle", "block-output"))}
+
 _DEFAULT_INPUT = {
     "vgg16": (3, 32, 32), "vgg19": (3, 32, 32),
     "resnet56": (3, 32, 32), "preresnet164": (3, 32, 32),
@@ -69,217 +87,106 @@ def _bn(nid, channels):
         "channels": channels, "eps": BN_EPS, "momentum": BN_MOMENTUM})
 
 
-def _gate(nid, channels, reduction):
-    return LayerNode(nid, "gate", {
-        "channels": channels, "reduction": reduction,
-        "hidden": hidden_width(channels, reduction)})
+def _relu(nid):
+    return LayerNode(nid, "relu")
 
 
-def _head(nodes, edges, prev, features, num_classes):
-    nodes.append(LayerNode("gap", "globalavgpool"))
-    nodes.append(LayerNode("fc", "fullyconnected",
-                           {"in_features": features, "out_features": num_classes,
-                            "bias": True}))
-    nodes.append(LayerNode("softmax", "softmax"))
-    edges += [(prev, "gap"), ("gap", "fc"), ("fc", "softmax")]
+class _Assembler:
+    """Nodes, edges, blocks and stages of one graph, in declaration order."""
+
+    def __init__(self, gate_at: str | None, reduction: int):
+        self.nodes, self.edges, self.blocks, self.stages = [], [], [], []
+        self.gate_at, self.reduction = gate_at, reduction   # gate_at is None when ungated
+
+    def gate(self, nid, at, channels) -> list[LayerNode]:
+        """A one-gate layer list when gates sit at placement ``at``, else an empty one."""
+        if at != self.gate_at:
+            return []
+        return [LayerNode(nid, "gate", {"channels": channels, "reduction": self.reduction,
+                                        "hidden": hidden_width(channels, self.reduction)})]
+
+    def chain(self, prev, layers) -> str | None:
+        """Append ``layers`` as a path fed by ``prev`` (None at the entry); returns its end."""
+        for node in layers:
+            self.nodes.append(node)
+            if prev is not None:
+                self.edges.append((prev, node.id))
+            prev = node.id
+        return prev
+
+    def residual(self, name, kind, stage, prev, main, shortcut, shortcut_from, tail) -> str:
+        """One block: main path and shortcut meet at ``{name}.add``, then the tail."""
+        main_out = self.chain(prev, main)
+        shortcut_out = self.chain(shortcut_from, shortcut) if shortcut else prev
+        add = f"{name}.add"
+        self.nodes.append(LayerNode(add, "add"))
+        self.edges += [(main_out, add), (shortcut_out, add)]
+        out = self.chain(add, tail)
+        convs = [n.id for n in main if n.kind == "conv"]
+        self.blocks.append(BlockInfo(
+            name, kind, stage, [n.id for n in main + shortcut] + [add] + [n.id for n in tail],
+            first_conv=convs[0], middle_conv=convs[1] if len(convs) == 3 else None,
+            last_conv=convs[-1], shortcut_conv=shortcut[0].id if shortcut else None,
+            gate_id=next((n.id for n in main if n.kind == "gate"), None)))
+        return out
+
+    def stage_loop(self, prev, widths, expansion, blocks_per_stage, block) -> tuple:
+        """Residual stages after a ``widths[0]``-wide stem; ``block`` lists a block's layers."""
+        cin = widths[0]
+        for si, width in enumerate(widths, start=1):
+            cout = width * expansion
+            for bi in range(1, blocks_per_stage + 1):
+                name, stride = f"s{si}.b{bi}", 2 if (si > 1 and bi == 1) else 1
+                kind, main, projection, projection_from, tail = block(
+                    self, name, prev, cin, width, cout, stride)
+                shortcut = projection if (cin != cout or stride != 1) else []
+                prev = self.residual(name, kind, si, prev, main, shortcut, projection_from, tail)
+                cin = cout
+            self.stages.append(StageInfo(si, cout, [b.id for b in self.blocks
+                                                    if b.stage == si]))
+        return prev, cin
 
 
-def _chain(edges, ids):
-    edges += [(a, b) for a, b in zip(ids, ids[1:])]
+def _basic_block(a, name, prev, cin, width, cout, stride):
+    """conv-bn-relu-conv-bn; conv-bn projection from the block input; relu after the add."""
+    main = [_conv(f"{name}.conv1", cin, width, stride=stride),
+            *a.gate(f"{name}.gate", "block-middle", width),
+            _bn(f"{name}.bn1", width), _relu(f"{name}.relu1"),
+            _conv(f"{name}.conv2", width, width),
+            *a.gate(f"{name}.gate", "block-output", width),
+            _bn(f"{name}.bn2", width)]
+    projection = [_conv(f"{name}.down.conv", cin, cout, kernel=1, stride=stride, padding=0),
+                  _bn(f"{name}.down.bn", cout)]
+    return "basic", main, projection, prev, [_relu(f"{name}.relu2")]
 
 
-# ---------------------------------------------------------------------------
-# VGG family
+def _preact_bottleneck(a, name, prev, cin, width, cout, stride):
+    """(bn-relu-conv) x3, 1x1/3x3/1x1; the projection reads the pre-activated input."""
+    main = [_bn(f"{name}.bn1", cin), _relu(f"{name}.relu1"),
+            _conv(f"{name}.conv1", cin, width, kernel=1, padding=0),
+            _bn(f"{name}.bn2", width), _relu(f"{name}.relu2"),
+            _conv(f"{name}.conv2", width, width, stride=stride),
+            *a.gate(f"{name}.gate", "middle", width),
+            _bn(f"{name}.bn3", width), _relu(f"{name}.relu3"),
+            _conv(f"{name}.conv3", width, cout, kernel=1, padding=0),
+            *a.gate(f"{name}.gate", "block-output", cout)]
+    projection = [_conv(f"{name}.down.conv", cin, cout, kernel=1, stride=stride, padding=0)]
+    return "preact-bottleneck", main, projection, f"{name}.relu1", []
 
-def _build_vgg(arch, num_classes, with_gates, placement, reduction, input_shape):
-    if placement not in (None, "pre-relu"):
-        raise ValueError(f"{arch}: unsupported gate placement '{placement}'")
-    plan = VGG_PLANS[arch]
-    nodes, edges = [], []
-    cin = input_shape[0]
-    prev = None
-    ci = pi = 0
+
+def _vgg(a, plan, cin):
+    """conv-bn-relu per width and a 2x2 max-pool per "M"; returns the end and its width."""
+    prev, ci, pi = None, 0, 0
     for item in plan:
         if item == "M":
             pi += 1
-            nodes.append(LayerNode(f"pool{pi}", "maxpool", {"kernel": 2, "stride": 2}))
-            edges.append((prev, f"pool{pi}"))
-            prev = f"pool{pi}"
+            prev = a.chain(prev, [LayerNode(f"pool{pi}", "maxpool", {"kernel": 2, "stride": 2})])
             continue
         ci += 1
-        seq = [f"conv{ci}", f"bn{ci}"]
-        nodes.append(_conv(f"conv{ci}", cin, item))
-        nodes.append(_bn(f"bn{ci}", item))
-        if with_gates:
-            nodes.append(_gate(f"gate{ci}", item, reduction))
-            seq.append(f"gate{ci}")
-        nodes.append(LayerNode(f"relu{ci}", "relu"))
-        seq.append(f"relu{ci}")
-        if prev is not None:
-            edges.append((prev, seq[0]))
-        _chain(edges, seq)
-        prev = seq[-1]
+        prev = a.chain(prev, [_conv(f"conv{ci}", cin, item), _bn(f"bn{ci}", item),
+                              *a.gate(f"gate{ci}", "pre-relu", item), _relu(f"relu{ci}")])
         cin = item
-    _head(nodes, edges, prev, cin, num_classes)
-    return ArchitectureGraph(nodes, edges, input_shape, arch=arch)
-
-
-# ---------------------------------------------------------------------------
-# basic-block ResNet family
-
-def _basic_block(nodes, edges, name, cin, width, stride, with_gates, placement,
-                 reduction, stage_idx, prev):
-    seq = []
-
-    def add(node):
-        nodes.append(node)
-        seq.append(node.id)
-
-    add(_conv(f"{name}.conv1", cin, width, stride=stride))
-    gate_id = None
-    if with_gates and placement == "block-middle":
-        gate_id = f"{name}.gate"
-        add(_gate(gate_id, width, reduction))
-    add(_bn(f"{name}.bn1", width))
-    add(LayerNode(f"{name}.relu1", "relu"))
-    add(_conv(f"{name}.conv2", width, width))
-    if with_gates and placement == "block-output":
-        gate_id = f"{name}.gate"
-        add(_gate(gate_id, width, reduction))
-    add(_bn(f"{name}.bn2", width))
-    edges.append((prev, seq[0]))
-    _chain(edges, seq)
-
-    shortcut_conv = None
-    if cin != width or stride != 1:
-        shortcut_conv = f"{name}.down.conv"
-        nodes.append(_conv(shortcut_conv, cin, width, kernel=1, stride=stride, padding=0))
-        nodes.append(_bn(f"{name}.down.bn", width))
-        edges += [(prev, shortcut_conv), (shortcut_conv, f"{name}.down.bn")]
-        shortcut_out = f"{name}.down.bn"
-    else:
-        shortcut_out = prev
-
-    nodes.append(LayerNode(f"{name}.add", "add"))
-    nodes.append(LayerNode(f"{name}.relu2", "relu"))
-    edges += [(seq[-1], f"{name}.add"), (shortcut_out, f"{name}.add"),
-              (f"{name}.add", f"{name}.relu2")]
-
-    member_ids = seq + ([shortcut_conv, f"{name}.down.bn"] if shortcut_conv else [])
-    member_ids += [f"{name}.add", f"{name}.relu2"]
-    info = BlockInfo(name, "basic", stage_idx, member_ids,
-                     first_conv=f"{name}.conv1", middle_conv=None,
-                     last_conv=f"{name}.conv2", shortcut_conv=shortcut_conv,
-                     gate_id=gate_id)
-    return f"{name}.relu2", info
-
-
-def _build_resnet(arch, num_classes, with_gates, placement, reduction, input_shape):
-    placement = placement or "block-output"
-    if placement not in ("block-output", "block-middle"):
-        raise ValueError(f"{arch}: unsupported gate placement '{placement}'")
-    widths, blocks_per_stage = RESNET_PLANS[arch]
-    nodes, edges, blocks, stages = [], [], [], []
-
-    nodes += [_conv("stem.conv", input_shape[0], widths[0]),
-              _bn("stem.bn", widths[0]),
-              LayerNode("stem.relu", "relu")]
-    _chain(edges, ["stem.conv", "stem.bn", "stem.relu"])
-    prev, cin = "stem.relu", widths[0]
-
-    for si, width in enumerate(widths, start=1):
-        block_ids = []
-        for bi in range(1, blocks_per_stage + 1):
-            stride = 2 if (si > 1 and bi == 1) else 1
-            prev, info = _basic_block(nodes, edges, f"s{si}.b{bi}", cin, width, stride,
-                                      with_gates, placement, reduction, si, prev)
-            blocks.append(info)
-            block_ids.append(info.id)
-            cin = width
-        stages.append(StageInfo(si, width, block_ids))
-
-    _head(nodes, edges, prev, cin, num_classes)
-    return ArchitectureGraph(nodes, edges, input_shape, blocks, stages, arch=arch)
-
-
-# ---------------------------------------------------------------------------
-# pre-activation bottleneck family
-
-def _preact_bottleneck(nodes, edges, name, cin, width, cout, stride, with_gates,
-                       placement, reduction, stage_idx, prev):
-    seq = []
-
-    def add(node):
-        nodes.append(node)
-        seq.append(node.id)
-
-    add(_bn(f"{name}.bn1", cin))
-    add(LayerNode(f"{name}.relu1", "relu"))
-    add(_conv(f"{name}.conv1", cin, width, kernel=1, padding=0))
-    add(_bn(f"{name}.bn2", width))
-    add(LayerNode(f"{name}.relu2", "relu"))
-    add(_conv(f"{name}.conv2", width, width, stride=stride))
-    gate_id = None
-    if with_gates and placement == "middle":
-        gate_id = f"{name}.gate"
-        add(_gate(gate_id, width, reduction))
-    add(_bn(f"{name}.bn3", width))
-    add(LayerNode(f"{name}.relu3", "relu"))
-    add(_conv(f"{name}.conv3", width, cout, kernel=1, padding=0))
-    if with_gates and placement == "block-output":
-        gate_id = f"{name}.gate"
-        add(_gate(gate_id, cout, reduction))
-    edges.append((prev, seq[0]))
-    _chain(edges, seq)
-
-    shortcut_conv = None
-    if cin != cout or stride != 1:
-        # downsample consumes the pre-activated tensor, shared with conv1
-        shortcut_conv = f"{name}.down.conv"
-        nodes.append(_conv(shortcut_conv, cin, cout, kernel=1, stride=stride, padding=0))
-        edges.append((f"{name}.relu1", shortcut_conv))
-        shortcut_out = shortcut_conv
-    else:
-        shortcut_out = prev
-
-    nodes.append(LayerNode(f"{name}.add", "add"))
-    edges += [(seq[-1], f"{name}.add"), (shortcut_out, f"{name}.add")]
-
-    member_ids = seq + ([shortcut_conv] if shortcut_conv else []) + [f"{name}.add"]
-    info = BlockInfo(name, "preact-bottleneck", stage_idx, member_ids,
-                     first_conv=f"{name}.conv1", middle_conv=f"{name}.conv2",
-                     last_conv=f"{name}.conv3", shortcut_conv=shortcut_conv,
-                     gate_id=gate_id)
-    return f"{name}.add", info
-
-
-def _build_preresnet(arch, num_classes, with_gates, placement, reduction, input_shape):
-    placement = placement or "middle"
-    if placement not in ("middle", "block-output"):
-        raise ValueError(f"{arch}: unsupported gate placement '{placement}'")
-    widths, expansion, blocks_per_stage = PRERESNET_PLANS[arch]
-    nodes, edges, blocks, stages = [], [], [], []
-
-    nodes.append(_conv("stem.conv", input_shape[0], widths[0]))
-    prev, cin = "stem.conv", widths[0]
-
-    for si, width in enumerate(widths, start=1):
-        cout = width * expansion
-        block_ids = []
-        for bi in range(1, blocks_per_stage + 1):
-            stride = 2 if (si > 1 and bi == 1) else 1
-            prev, info = _preact_bottleneck(nodes, edges, f"s{si}.b{bi}", cin, width,
-                                            cout, stride, with_gates, placement,
-                                            reduction, si, prev)
-            blocks.append(info)
-            block_ids.append(info.id)
-            cin = cout
-        stages.append(StageInfo(si, cout, block_ids))
-
-    nodes += [_bn("final.bn", cin), LayerNode("final.relu", "relu")]
-    edges += [(prev, "final.bn"), ("final.bn", "final.relu")]
-    _head(nodes, edges, "final.relu", cin, num_classes)
-    return ArchitectureGraph(nodes, edges, input_shape, blocks, stages, arch=arch)
+    return prev, cin
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +201,29 @@ def build(arch: str, num_classes: int, with_gates: bool = False,
         raise ValueError(f"unknown architecture '{arch}'; choose from {ARCHITECTURES}")
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
+    placement = gate_placement or _PLACEMENTS[arch][0]
+    if placement not in _PLACEMENTS[arch]:
+        raise ValueError(f"{arch}: unsupported gate placement '{placement}'")
     input_shape = tuple(input_shape or _DEFAULT_INPUT[arch])
 
+    a = _Assembler(placement if with_gates else None, reduction)
     if arch in VGG_PLANS:
-        g = _build_vgg(arch, num_classes, with_gates, gate_placement, reduction, input_shape)
+        prev, cin = _vgg(a, VGG_PLANS[arch], input_shape[0])
     elif arch in RESNET_PLANS:
-        g = _build_resnet(arch, num_classes, with_gates, gate_placement, reduction, input_shape)
+        widths, blocks_per_stage = RESNET_PLANS[arch]
+        prev = a.chain(None, [_conv("stem.conv", input_shape[0], widths[0]),
+                              _bn("stem.bn", widths[0]), _relu("stem.relu")])
+        prev, cin = a.stage_loop(prev, widths, 1, blocks_per_stage, _basic_block)
     else:
-        g = _build_preresnet(arch, num_classes, with_gates, gate_placement, reduction,
-                             input_shape)
+        widths, expansion, blocks_per_stage = PRERESNET_PLANS[arch]
+        prev = a.chain(None, [_conv("stem.conv", input_shape[0], widths[0])])
+        prev, cin = a.stage_loop(prev, widths, expansion, blocks_per_stage, _preact_bottleneck)
+        prev = a.chain(prev, [_bn("final.bn", cin), _relu("final.relu")])
+    a.chain(prev, [LayerNode("gap", "globalavgpool"),
+                   LayerNode("fc", "fullyconnected",
+                             {"in_features": cin, "out_features": num_classes, "bias": True}),
+                   LayerNode("softmax", "softmax")])
+    g = ArchitectureGraph(a.nodes, a.edges, input_shape, a.blocks, a.stages, arch=arch)
     if init:
         initialize_parameters(g, seed)
     g.check_valid()
@@ -319,32 +240,22 @@ def initialize_parameters(graph: ArchitectureGraph, seed: int,
 
 def strip_gates(graph: ArchitectureGraph) -> ArchitectureGraph:
     """Remove every gate node, splicing its producer to its consumers."""
-    gate_ids = {n.id for n in graph.nodes if n.kind == "gate"}
-    if not gate_ids:
+    producers = graph.producer_map()
+    redirect = {n.id: producers[n.id] for n in graph.nodes if n.kind == "gate"}
+    if not redirect:
         return graph.copy()
-    nodes = [n.copy() for n in graph.nodes if n.id not in gate_ids]
-    redirect = {}
-    for gid in gate_ids:
-        prods = graph.producers(gid)
+    for gid, prods in redirect.items():
         if len(prods) != 1:
             raise GraphValidationError([f"gate '{gid}' must have exactly one producer"])
-        redirect[gid] = prods[0]
 
     def resolve(nid):
         while nid in redirect:
-            nid = redirect[nid]
+            nid = redirect[nid][0]
         return nid
 
-    edges = []
-    for s, d in graph.edges:
-        if d in gate_ids:
-            continue
-        edges.append((resolve(s), d))
-    blocks = []
-    for b in graph.blocks:
-        nb = b.copy()
-        nb.node_ids = [nid for nid in nb.node_ids if nid not in gate_ids]
-        nb.gate_id = None
-        blocks.append(nb)
+    nodes = [n.copy() for n in graph.nodes if n.id not in redirect]
+    edges = [(resolve(s), d) for s, d in graph.edges if d not in redirect]
+    blocks = [replace(b, node_ids=[nid for nid in b.node_ids if nid not in redirect],
+                      gate_id=None) for b in graph.blocks]
     return ArchitectureGraph(nodes, edges, graph.input_shape, blocks,
                              [s.copy() for s in graph.stages], graph.arch)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import BundleIntegrityError
 from .graph import ArchitectureGraph
+from .records import read_json, write_json
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
@@ -71,15 +72,13 @@ def save_bundle(bundle: ModelBundle, path: str) -> str:
 
     with open(os.path.join(path, BLOB_NAME), "wb") as f:
         f.write(blob)
-    with open(os.path.join(path, MANIFEST_NAME), "w") as f:
-        json.dump(manifest, f, indent=1)
+    write_json(manifest, os.path.join(path, MANIFEST_NAME))
     return manifest["checksum"]
 
 
 def load_bundle(path: str) -> ModelBundle:
     """Read and verify a bundle directory written by :func:`save_bundle`."""
-    with open(os.path.join(path, MANIFEST_NAME)) as f:
-        manifest = json.load(f)
+    manifest = read_json(os.path.join(path, MANIFEST_NAME))
     if manifest.get("format_version") != FORMAT_VERSION:
         raise BundleIntegrityError(
             f"unsupported bundle format {manifest.get('format_version')}")

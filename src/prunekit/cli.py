@@ -13,8 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .accounting import (CompressionReport, count_flops, count_params,
-                         report as make_report)
+from .accounting import CompressionReport, count_params, report as make_report
 from .builders import ARCHITECTURES, build
 from .bundle import ModelBundle, load_bundle, save_bundle
 from .data import DatasetSpec, load_dataset
@@ -101,11 +100,14 @@ def cmd_apply(args) -> int:
 
 
 def cmd_count(args) -> int:
-    bundle = load_bundle(args.model)
-    p = count_params(bundle.graph)
-    f = count_flops(bundle.graph, convention=args.convention)
-    print(f"params {p:,}")
-    print(f"flops[{args.convention}] {f:,}")
+    graph = load_bundle(args.model).graph
+    counted = make_report(graph, graph, convention=args.convention)
+    print(f"params {counted.params_before:,}")
+    print(f"flops[{args.convention}] {counted.flops_before:,}")
+    gates = graph.nodes_of_kind("gate")
+    if gates:
+        print(f"left out: {len(gates)} gates, "
+              f"{count_params(graph) - counted.params_before:,} params")
     return EXIT_OK
 
 

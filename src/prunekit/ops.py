@@ -25,12 +25,6 @@ def check_tensor4(x: np.ndarray, what: str = "tensor") -> None:
         raise StructuralError(f"{what}: all dims must be >= 1, got {x.shape}")
 
 
-def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
-    """Assertable finiteness mode used by tests and the divergence guard."""
-    if not np.isfinite(x).all():
-        raise StructuralError(f"{what}: contains NaN or Inf")
-
-
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     out = (size + 2 * padding - kernel) // stride + 1
     if out < 1:

@@ -150,21 +150,29 @@ class PruningPlan(Record):
 # ---------------------------------------------------------------------------
 # policies
 
+def _threshold_layers(record: ScoreRecord, graph: ArchitectureGraph, config: PruneConfig,
+                      conv_ids, what: str) -> PruningPlan:
+    """Threshold each listed conv's scores independently; errors name the layer."""
+    plan = PruningPlan(config, score_fingerprint=record.fingerprint())
+    for conv_id in conv_ids:
+        if not record.has_layer(conv_id):
+            raise PlanError(f"no score entry for {what} '{conv_id}'")
+        ls = record.layer(conv_id)
+        width = graph.node(conv_id).attrs["out_channels"]
+        if ls.channels != width:
+            raise PlanError(f"layer '{conv_id}': scores cover {ls.channels} channels, "
+                            f"layer has {width}")
+        kept = select_channels(ls.mean, config)
+        plan.layers.append(LayerPlan(conv_id, width, tuple(int(i) for i in kept)))
+    plan.validate()
+    return plan
+
+
 def plan_vgg(record: ScoreRecord, graph: ArchitectureGraph,
              config: PruneConfig) -> PruningPlan:
     """Threshold every convolution independently, all layers at once."""
-    plan = PruningPlan(config, score_fingerprint=record.fingerprint())
-    for node in graph.nodes_of_kind("conv"):
-        if not record.has_layer(node.id):
-            raise PlanError(f"no score entry for conv layer '{node.id}'")
-        ls = record.layer(node.id)
-        if ls.channels != node.attrs["out_channels"]:
-            raise PlanError(f"layer '{node.id}': scores cover {ls.channels} channels, "
-                            f"layer has {node.attrs['out_channels']}")
-        kept = select_channels(ls.mean, config)
-        plan.layers.append(LayerPlan(node.id, ls.channels, tuple(int(i) for i in kept)))
-    plan.validate()
-    return plan
+    return _threshold_layers(record, graph, config,
+                             [n.id for n in graph.nodes_of_kind("conv")], "conv layer")
 
 
 def plan_stage_uniform(record: ScoreRecord, graph: ArchitectureGraph,
@@ -228,21 +236,11 @@ def plan_bottleneck(record: ScoreRecord, graph: ArchitectureGraph,
     bottlenecks = [b for b in graph.blocks if b.kind in ("bottleneck", "preact-bottleneck")]
     if not bottlenecks:
         raise PlanError("graph has no bottleneck blocks")
-    plan = PruningPlan(config, score_fingerprint=record.fingerprint())
     for b in bottlenecks:
         if b.middle_conv is None:
             raise PlanError(f"block '{b.id}' has no middle conv")
-        if not record.has_layer(b.middle_conv):
-            raise PlanError(f"no score entry for middle conv '{b.middle_conv}'")
-        ls = record.layer(b.middle_conv)
-        width = graph.node(b.middle_conv).attrs["out_channels"]
-        if ls.channels != width:
-            raise PlanError(f"block '{b.id}': scores cover {ls.channels} channels, "
-                            f"middle conv has {width}")
-        kept = select_channels(ls.mean, config)
-        plan.layers.append(LayerPlan(b.middle_conv, width, tuple(int(i) for i in kept)))
-    plan.validate()
-    return plan
+    return _threshold_layers(record, graph, config,
+                             [b.middle_conv for b in bottlenecks], "middle conv")
 
 
 def make_plan(record: ScoreRecord, graph: ArchitectureGraph,

@@ -6,6 +6,7 @@ import pytest
 from prunekit import ModelBundle, Network, build, count_params, strip_gates
 from prunekit.builders import initialize_parameters
 from prunekit.graph import ArchitectureGraph, LayerNode
+from prunekit.records import content_hash
 
 VGG19_ORIGINAL = [64, 64, 128, 128, 256, 256, 256, 256,
                   512, 512, 512, 512, 512, 512, 512, 512]
@@ -176,6 +177,46 @@ class TestStripGates:
         assert n_gates == 6
         stripped = strip_gates(gated)
         assert len(stripped.nodes) == len(gated.nodes) - n_gates
+
+
+# content_hash of build(arch, 10, init=False).to_manifest(): the node, edge and
+# block order every fixed-seed hash rests on; parameter-free, so RNG-independent
+PLAIN_MANIFEST = {
+    "vgg16": "282d6d6919bb2c3ff6054415844d34ef255e10cd1497a0db13e8d4c5ff9e1b38",
+    "vgg19": "6fcc7d4ee09d66995cce8dc8069d32968e0f1a7e75cf32b010f9b6e2302a15e0",
+    "tiny-vgg": "32ed1813a98b2cbe9d8941231daa0cf30cfe2e557b0a95b09fea26ecf31e8b01",
+    "resnet56": "42f12761a6b7b5498f5242d72817a9ed1781c0d4fb9935927c879718a5078bc3",
+    "tiny-resnet": "67a83f18727f52908b5326153c9150786a0f96186cde724fb29c64cf0334a7d3",
+    "preresnet164": "367bec9c9223970f9b099bc63782654dca56b22c70861cd60294145bd6a96289",
+}
+# the same with gates, per accepted placement
+GATED_MANIFEST = {
+    ("vgg16", "pre-relu"): "97ca50c56c6b166242db453a7e128635f1297df572cfc013e4972dbcf7c6af68",
+    ("vgg19", "pre-relu"): "b7ecb70a271558f24a56c6d9c5ef2387cefd7809cdcebf6bc104557621484a88",
+    ("tiny-vgg", "pre-relu"): "7fb1297c13c5d8ea92f6ad07ca49d2dbc242eb0406f1bd3216d49fea3d90b52d",
+    ("resnet56", "block-output"):
+        "5efb7d990966f9958b252cf7877ee44c5623e7baa38d5824e7c480334beaa9bb",
+    ("resnet56", "block-middle"):
+        "c7e3b7d4dc13d1c918b71a111e05bd3278d26f59fc759f20e42074db1394a95f",
+    ("tiny-resnet", "block-output"):
+        "e43bf890e75c9ab43a9223a9ca899f4cff9c4be20fae0a3da4afba0a5086b12e",
+    ("tiny-resnet", "block-middle"):
+        "04172721a32b139233952a3828008e1b3d23caada78ec67f640a6eb20d2d3522",
+    ("preresnet164", "middle"):
+        "e72a781fa723c913bbb9a4a22d847e56d2cb30d335661066989df80cf7f8401b",
+    ("preresnet164", "block-output"):
+        "3fb3bbddc5502384cce88b2cdee4756e75e5686666c483971427550e7fbc0a03",
+}
+
+
+@pytest.mark.parametrize("arch,placement", sorted(GATED_MANIFEST))
+def test_built_structure_is_pinned(arch, placement):
+    """Gated and ungated manifests keep their digests; stripping a gated build gives the plain one."""
+    plain = build(arch, 10, with_gates=False, gate_placement=placement, init=False)
+    gated = build(arch, 10, with_gates=True, gate_placement=placement, init=False)
+    assert content_hash(plain.to_manifest()) == PLAIN_MANIFEST[arch]
+    assert content_hash(gated.to_manifest()) == GATED_MANIFEST[arch, placement]
+    assert content_hash(strip_gates(gated).to_manifest()) == PLAIN_MANIFEST[arch]
 
 
 def test_initialize_is_deterministic():

@@ -171,10 +171,3 @@ class TestHead:
         p, _ = ops.softmax_forward(x)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert (p > 0).all()
-
-
-def test_assert_finite_flags_nan():
-    x = np.ones((1, 1, 2, 2), dtype=np.float32)
-    x[0, 0, 0, 0] = np.nan
-    with pytest.raises(StructuralError, match="NaN"):
-        ops.assert_finite(x)

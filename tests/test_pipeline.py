@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prunekit import (DatasetSpec, ModelBundle, PruneConfig, TrainConfig, build,
-                      count_params, identity_plan, load_bundle, save_bundle)
+                      count_params, identity_plan, load_bundle, report, save_bundle)
 from prunekit.bundle import bundle_fingerprint
 from prunekit.cli import main
 from prunekit.errors import StageFailure
@@ -212,6 +212,30 @@ class TestCli:
             rows = capsys.readouterr().out.splitlines()
             assert rows[1].startswith("params") and rows[1].endswith(" 0.0")
             assert rows[2].startswith("flops") and rows[2].endswith(" 0.0")
+
+    def test_count_leaves_gates_out_like_the_report(self, tmp_path, capsys):
+        gated = str(tmp_path / "gated")
+        graph = build("tiny-vgg", 4, with_gates=True, reduction=4, seed=0)
+        save_bundle(ModelBundle(graph), gated)
+        for convention in ("mac", "opcount"):
+            capsys.readouterr()
+            assert main(["count", "--model", gated, "--convention", convention]) == 0
+            rows = capsys.readouterr().out.splitlines()
+            rep = report(graph, graph, convention=convention)
+            assert rows[0] == f"params {rep.params_before:,}"
+            assert rows[1] == f"flops[{convention}] {rep.flops_before:,}"
+            gate_params = count_params(graph) - rep.params_before
+            assert gate_params > 0 and rows[2] == f"left out: 4 gates, {gate_params:,} params"
+
+    def test_truncated_bundle_manifest_exits_2_naming_it(self, tmp_path, capsys):
+        model = str(tmp_path / "m")
+        assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0
+        manifest = os.path.join(model, "manifest.json")
+        with open(manifest, "r+") as f:
+            f.truncate(50)
+        capsys.readouterr()
+        assert main(["count", "--model", model]) == 2
+        assert f"{manifest}: not valid JSON" in capsys.readouterr().err
 
     def test_retrain_reproduces_the_pipeline_retrain(self, completed, tmp_path):
         out, _ = completed
