@@ -34,9 +34,8 @@ def node_param_count(node) -> int:
     return kind_of(node).params(node.attrs)
 
 
-def count_params(graph: ArchitectureGraph, include_gates: bool = True) -> int:
-    return sum(node_param_count(node) for node in graph.nodes
-               if include_gates or node.kind != "gate")
+def count_params(graph: ArchitectureGraph) -> int:
+    return sum(node_param_count(node) for node in graph.nodes)
 
 
 def node_flop_count(node, in_shape, out_shape, convention: str) -> int:

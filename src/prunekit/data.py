@@ -52,6 +52,8 @@ class DatasetSpec(Record):
             raise DataError(f"unknown source '{self.source}'")
         if not (0.0 < self.subset <= 1.0):
             raise DataError(f"subset fraction must be in (0, 1], got {self.subset}")
+        if self.samples < 1:
+            raise DataError(f"samples must be at least 1, got {self.samples}")
         if self.split not in ("train", "eval"):
             raise DataError(f"split must be train or eval, got '{self.split}'")
         if self.source == "synthetic-planted" and self.signal_channels < 1:

@@ -67,8 +67,8 @@ def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
     tape = GradTape()
     if not math.isfinite(loss_at(tape)):
         # name the first layer whose output went non-finite
-        bad = [nid for nid in tape.order if not np.isfinite(tape.outputs[nid]).all()]
-        report.failures.append((bad[0], "non-finite output") if bad else
+        bad = next((n.id for n, y, _ in net.walk(x, training) if not np.isfinite(y).all()), None)
+        report.failures.append((bad, "non-finite output") if bad else
                                ("<loss>", "non-finite loss"))
         return report
 

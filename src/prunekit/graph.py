@@ -157,10 +157,6 @@ class ArchitectureGraph:
             io[nid] = (ins, kind_of(node).out_shape(node, ins))
         return io
 
-    def infer_shapes(self, input_shape=None) -> dict[str, tuple[int, int, int]]:
-        """Per-node output (channels, height, width) for a single sample."""
-        return {nid: out for nid, (_, out) in self.io_shapes(input_shape).items()}
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:

@@ -1,11 +1,12 @@
 """Graph executor: forward passes and reverse-mode differentiation.
 
-The executor walks an :class:`ArchitectureGraph` in topological order and
-records per-node caches on a :class:`GradTape`; ``backward`` replays the tape
-in exact reverse order, accumulating parameter gradients into buffers shaped
-like the parameters themselves.  Fan-out points (residual branches) sum
-their incoming gradients in a fixed edge order, so identical seeds give
-bit-identical results.
+:meth:`Network.walk` runs an :class:`ArchitectureGraph` in topological order
+and drops each output once its last consumer has run.  A :class:`GradTape`
+keeps each node's cache and output shape, all that ``backward`` reads;
+``backward`` replays it in exact reverse order, accumulating parameter
+gradients into buffers shaped like the parameters themselves.  Fan-out
+points (residual branches) sum their incoming gradients in a fixed edge
+order, so identical seeds give bit-identical results.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class GradTape:
     def __init__(self):
         self.order: list[str] = []            # node ids in execution order
         self.caches: dict[str, object] = {}
-        self.outputs: dict[str, np.ndarray] = {}
+        self.outputs: dict[str, tuple] = {}   # output shapes, for backward's checks
         self.grads: dict[tuple[str, str], np.ndarray] = {}
 
     def accumulate(self, node_id: str, param: str, grad: np.ndarray) -> None:
@@ -43,13 +44,15 @@ class Network:
         self._topo = graph.topo_order()
         self._producers = graph.producer_map()
         self._sink = graph.nodes_of_kind("softmax")[0].id
+        self._last_consumer = {p: nid for nid in self._topo for p in self._producers[nid]}
 
     # -- forward --------------------------------------------------------------
 
-    def forward(self, x: np.ndarray, training: bool = False,
-                tape: GradTape | None = None) -> np.ndarray:
-        """Run the network; returns class probabilities of shape (n, classes).
+    def walk(self, x: np.ndarray, training: bool = False):
+        """Run the graph in topological order, yielding ``(node, output, cache)``.
 
+        Each output is dropped once its last consumer has run, so a caller
+        that keeps nothing holds only the activations still to be read.
         Train mode lets batchnorm use batch statistics and update its running
         statistics in place; eval mode reads running statistics only.
         """
@@ -58,22 +61,33 @@ class Network:
             raise StructuralError(
                 f"network input has {x.shape[1]} channels, graph declares "
                 f"{self.graph.input_shape[0]}")
-        outputs: dict[str, np.ndarray] = {}
+        live: dict[str, np.ndarray] = {}
         for nid in self._topo:
             node = self.graph.node(nid)
             prods = self._producers[nid]
-            src = [outputs[p] for p in prods] if prods else [x]
+            src = [live[p] for p in prods] if prods else [x]
             forward = kind_of(node).forward
             try:
                 y, cache = forward(node, src, training)
             except StructuralError as exc:
                 raise StructuralError(f"layer '{node.id}': {exc}") from None
-            outputs[nid] = y
+            for p in prods:
+                if self._last_consumer[p] == nid:
+                    live.pop(p, None)   # a node may read one producer twice
+            live[nid] = y
+            yield node, y, cache
+
+    def forward(self, x: np.ndarray, training: bool = False,
+                tape: GradTape | None = None) -> np.ndarray:
+        """Run :meth:`walk` to the end; returns class probabilities of shape (n, classes)."""
+        for node, y, cache in self.walk(x, training):
             if tape is not None:
-                tape.order.append(nid)
-                tape.caches[nid] = cache
-                tape.outputs[nid] = y
-        return outputs[self._sink][:, :, 0, 0]
+                tape.order.append(node.id)
+                tape.caches[node.id] = cache
+                tape.outputs[node.id] = y.shape
+            if node.id == self._sink:
+                probs = y[:, :, 0, 0]
+        return probs
 
     # -- backward ---------------------------------------------------------------
 
@@ -83,10 +97,10 @@ class Network:
         Parameter gradients accumulate into ``tape.grads`` keyed by
         ``(node_id, param_name)``.
         """
-        sink_out = tape.outputs[self._sink]
-        if dprobs.shape != sink_out.shape[:2]:
+        sink_shape = tape.outputs[self._sink]
+        if dprobs.shape != sink_shape[:2]:
             raise StructuralError(
-                f"upstream gradient shape {dprobs.shape} != output {sink_out.shape[:2]}")
+                f"upstream gradient shape {dprobs.shape} != output {sink_shape[:2]}")
         pending: dict[str, np.ndarray] = {self._sink: dprobs[:, :, None, None]}
         dinput = None
         for nid in reversed(tape.order):
@@ -94,10 +108,10 @@ class Network:
             if dy is None:
                 continue
             node = self.graph.node(nid)
-            if dy.shape != tape.outputs[nid].shape:
+            if dy.shape != tape.outputs[nid]:
                 raise StructuralError(
                     f"layer '{nid}': upstream gradient shape {dy.shape} != "
-                    f"forward output {tape.outputs[nid].shape}")
+                    f"forward output {tape.outputs[nid]}")
             dxs, grads = kind_of(node).backward(dy, tape.caches[nid])
             for pname, grad in grads.items():
                 if grad is not None:

@@ -48,6 +48,9 @@ class PipelineConfig(Record):
         if self.data is None:
             self.data = DatasetSpec(source="synthetic-planted", classes=self.num_classes,
                                     seed=self.seed)
+        if self.data.source.startswith("synthetic") and self.data.classes != self.num_classes:
+            raise ValueError(f"data.classes ({self.data.classes}) must equal num_classes "
+                             f"({self.num_classes}) for synthetic data")
         if self.rewrite_mode not in REWRITE_MODES:
             raise ValueError(f"rewrite_mode must be one of {REWRITE_MODES}, "
                              f"got '{self.rewrite_mode}'")

@@ -16,7 +16,7 @@ import numpy as np
 from .bundle import ModelBundle, bundle_fingerprint
 from .errors import PrunekitError
 from .graph import ArchitectureGraph
-from .network import GradTape, Network
+from .network import Network
 from .records import Record
 
 
@@ -57,7 +57,7 @@ def scored_conv_for_gate(graph: ArchitectureGraph, gate_id: str) -> str:
 
 def collect_scores(bundle: ModelBundle, batches, max_batches: int | None = None,
                    training: bool = False) -> ScoreRecord:
-    """Run eval-mode forward passes and average each gate's outputs.
+    """Run forward passes, eval mode by default, and average each gate's outputs.
 
     ``batches`` yields (x, y) pairs; only x is used.  Per-layer accumulators
     are merged in batch order, so a fixed data order gives a deterministic
@@ -71,37 +71,32 @@ def collect_scores(bundle: ModelBundle, batches, max_batches: int | None = None,
     net = Network(graph)
     gate_to_conv = {g.id: scored_conv_for_gate(graph, g.id) for g in gates}
 
-    acc = {g.id: {"sum": np.zeros(g.attrs["channels"], dtype=np.float64),
-                  "sumsq": np.zeros(g.attrs["channels"], dtype=np.float64),
-                  "n": 0} for g in gates}
+    # per gate: the sum and the sum of squares of its per-sample vectors
+    acc = {g.id: np.zeros((2, g.attrs["channels"]), dtype=np.float64) for g in gates}
     seen = 0
     for bi, (x, _y) in enumerate(batches):
         if max_batches is not None and bi >= max_batches:
             break
-        tape = GradTape()
-        net.forward(x, training=training, tape=tape)
-        for g in gates:
-            s = tape.caches[g.id].s.astype(np.float64)   # per-sample gate vectors
-            acc[g.id]["sum"] += s.sum(axis=0)
-            acc[g.id]["sumsq"] += (s * s).sum(axis=0)
-            acc[g.id]["n"] += s.shape[0]
+        for node, _out, cache in net.walk(x, training):
+            if node.id in acc:
+                s = cache.s.astype(np.float64)   # per-sample gate vectors
+                acc[node.id] += (s.sum(axis=0), (s * s).sum(axis=0))
         seen += x.shape[0]
     if seen == 0:
         raise PrunekitError("score collection saw no data")
 
     layers = []
     for g in gates:
-        a = acc[g.id]
-        mean = a["sum"] / a["n"]
+        mean, meansq = acc[g.id] / seen
         if not ((mean > 0.0) & (mean < 1.0)).all():
             raise PrunekitError(
                 f"gate '{g.id}': mean scores left the open interval (0,1); "
                 "the sigmoid saturated, which happens when activations are "
                 "far outside the trained operating range (e.g. scoring an "
                 "untrained or diverged model in eval mode)")
-        var = np.maximum(a["sumsq"] / a["n"] - mean * mean, 0.0)
+        var = np.maximum(meansq - mean * mean, 0.0)
         layers.append(LayerScore(gate_to_conv[g.id], g.id, g.attrs["channels"],
-                                 mean, np.sqrt(var), a["n"]))
+                                 mean, np.sqrt(var), seen))
 
     record = ScoreRecord(layers, metadata={
         "model": bundle_fingerprint(bundle),
@@ -159,9 +154,10 @@ def attribute_scored_channels(bundle: ModelBundle, x_normal: np.ndarray,
     net = Network(graph)
 
     def channel_energy(x):
-        tape = GradTape()
-        net.forward(x, training=False, tape=tape)
-        return np.abs(tape.outputs[layer_id]).mean(axis=(0, 2, 3)).astype(np.float64)
+        for node, y, _cache in net.walk(x):
+            if node.id == layer_id:
+                return np.abs(y).mean(axis=(0, 2, 3)).astype(np.float64)
+        raise KeyError(layer_id)
 
     gap = channel_energy(x_normal) - channel_energy(x_muted)
     order = np.argsort(-gap, kind="stable")

@@ -53,6 +53,10 @@ class TrainConfig(Record):
     augment: bool = False   # pad-4 random crop + horizontal flip on train batches
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not (0.0 <= self.momentum < 1.0):

@@ -34,8 +34,8 @@ class TestFormulas:
 
     def test_conv_mac_formula(self):
         g = lone_conv_graph()
-        shapes = g.infer_shapes()
-        macs = node_flop_count(g.node("c"), (3, 32, 32), shapes["c"], "mac")
+        _, out_shape = g.io_shapes()["c"]
+        macs = node_flop_count(g.node("c"), (3, 32, 32), out_shape, "mac")
         assert macs == 32 * 32 * 16 * 27 == 442368
 
     def test_totals_equal_breakdown_sums(self):
@@ -67,7 +67,7 @@ class TestPublishedBaselines:
         gated = build("vgg16", 10, with_gates=True, init=False)
         delta = count_params(gated) - count_params(plain)
         assert 1.5e5 < delta < 3.5e5
-        assert count_params(gated, include_gates=False) == count_params(plain)
+        assert report(gated, gated).params_before == count_params(plain)
 
     def test_vgg19_pruned3_near_published_absolute_count(self):
         graph = build("vgg19", 100, seed=0)

@@ -5,8 +5,12 @@ the real chains: trained gates -> collected scores -> plan -> rewrite ->
 forward/retrain, on both residual block types.
 """
 
+import ast
+import importlib
+import inspect
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -103,3 +107,40 @@ def test_every_public_name_resolves():
     missing = [name for name in prunekit.__all__ if not hasattr(prunekit, name)]
     assert not missing
     assert "retrain" in prunekit.__all__
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _literals(path: Path) -> dict:
+    """Module-level names bound to literals in a source file, read without running it."""
+    found = {}
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+                and isinstance(stmt.targets[0], ast.Name):
+            try:
+                found[stmt.targets[0].id] = ast.literal_eval(stmt.value)
+            except ValueError:
+                pass
+    return found
+
+
+def test_benchmark_reads_only_names_that_exist():
+    """Every name the benchmark's tracer wraps exists where its install looks it up,
+    and the desk workload's quick-start config decodes."""
+    tables = _literals(PERFBENCH / "tracing.py")
+    unresolved = []
+    for modname, attr, _span in tables["FUNCTIONS"]:
+        if not callable(getattr(importlib.import_module(modname), attr, None)):
+            unresolved.append(f"{modname}.{attr}")
+    for table in ("METHODS", "COUNTED_METHODS", "GENERATOR_METHODS"):
+        for modname, clsname, attr, _span in tables[table]:
+            cls = getattr(importlib.import_module(modname), clsname, None)
+            method = vars(cls).get(attr) if isinstance(cls, type) else None
+            if not callable(method) or (table == "GENERATOR_METHODS"
+                                        and not inspect.isgeneratorfunction(method)):
+                unresolved.append(f"{modname}.{clsname}.{attr}")
+    assert unresolved == []
+    quick_start = _literals(PERFBENCH / "workloads.py")["QUICK_START"]
+    cfg = PipelineConfig.from_dict(quick_start)
+    assert cfg.to_dict() == quick_start

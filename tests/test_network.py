@@ -1,10 +1,15 @@
-"""Executor-level behavior: error naming, fan-out gradients, dtype casting."""
+"""Executor-level behavior: error naming, fan-out gradients, dtype casting,
+and how long each activation lives."""
+
+import weakref
 
 import numpy as np
 import pytest
 
 from prunekit import GradTape, ModelBundle, Network, build
+from prunekit.builders import initialize_parameters
 from prunekit.errors import StructuralError
+from prunekit.graph import ArchitectureGraph, LayerNode
 from prunekit.trainer import _onehot, data_loss_and_grad
 
 
@@ -94,3 +99,72 @@ def test_eval_forward_does_not_touch_running_stats(rng):
     np.testing.assert_array_equal(g.node("bn1").params["running_mean"], before)
     net.forward(rng.normal(size=(2, 8, 16, 16)).astype(np.float32), training=True)
     assert np.abs(g.node("bn1").params["running_mean"] - before).max() > 0
+
+
+def _array_ids(obj, ids):
+    """ids of every array reachable from a cache, with the arrays they view."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj, np.ndarray):
+            ids.add(id(obj))
+            obj = obj.base
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _array_ids(item, ids)
+    return ids
+
+
+def test_walk_drops_each_output_after_its_last_consumer(rng):
+    g = build("tiny-resnet", 3, with_gates=True, reduction=4, seed=1)
+    order = g.topo_order()
+    position = {nid: k for k, nid in enumerate(order)}
+    last_read = {s: max(position[d] for s2, d in g.edges if s2 == s) for s, _ in g.edges}
+    x = rng.normal(size=(2, 8, 16, 16)).astype(np.float32)
+    refs = {}
+    for k, (node, y, _cache) in enumerate(Network(g).walk(x, training=True)):
+        assert node.id == order[k]
+        refs[node.id] = weakref.ref(y)
+        done = [nid for nid, last in last_read.items() if last < k]
+        assert [nid for nid in done if refs[nid]() is not None] == []
+    assert len(done) > len(order) // 2     # most outputs die well before the sink
+
+
+def test_training_tape_holds_only_what_a_cache_references(rng):
+    g = build("tiny-resnet", 3, with_gates=True, reduction=4, seed=1)
+    net = Network(g)
+    refs, shapes = {}, {}
+    walk = net.walk
+
+    def spy(x, training=False):
+        for node, y, cache in walk(x, training):
+            refs[node.id] = weakref.ref(y)
+            shapes[node.id] = y.shape
+            yield node, y, cache
+
+    net.walk = spy
+    tape = GradTape()
+    probs = net.forward(rng.normal(size=(2, 8, 16, 16)).astype(np.float32),
+                        training=True, tape=tape)
+    assert list(refs) == tape.order
+    held = _array_ids(list(tape.caches.values()), set())
+    alive = {nid: ref() for nid, ref in refs.items() if ref() is not None}
+    assert [nid for nid, y in alive.items() if id(y) not in held] == []
+    bn_inputs = [s for s, d in g.edges if g.node(d).kind == "batchnorm"
+                 and g.node(s).kind == "conv"]
+    assert bn_inputs and all(refs[nid]() is None for nid in bn_inputs)
+    # the tape's outputs are shapes, enough for backward's checks
+    assert tape.outputs == shapes
+    assert shapes[tape.order[-1]] == probs.shape + (1, 1)
+
+
+def test_a_node_may_read_one_producer_twice(rng):
+    nodes = [LayerNode("c", "conv", {"in_channels": 2, "out_channels": 3, "kernel": (3, 3),
+                                     "stride": 1, "padding": 1, "bias": False}),
+             LayerNode("sum", "add"), LayerNode("gap", "globalavgpool"),
+             LayerNode("fc", "fullyconnected", {"in_features": 3, "out_features": 2}),
+             LayerNode("softmax", "softmax")]
+    edges = [("c", "sum"), ("c", "sum"), ("sum", "gap"), ("gap", "fc"), ("fc", "softmax")]
+    g = ArchitectureGraph(nodes, edges, (2, 4, 4))
+    initialize_parameters(g, seed=0)
+    assert g.validate() == []
+    outputs = {node.id: y for node, y, _ in Network(g).walk(rng.normal(size=(1, 2, 4, 4)))}
+    np.testing.assert_array_equal(outputs["sum"], 2 * outputs["c"])

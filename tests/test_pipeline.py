@@ -305,8 +305,14 @@ class TestCli:
         ("apply", "--plan", {"config": {}, "layers": [{"layer_id": "conv1", "kept": [0]}]},
          "PruningPlan.layers[0]: missing required field 'original'"),
         ("retrain", "--report", {**REPORT, "bogus": 1}, "CompressionReport: unknown field 'bogus'"),
+        ("pipeline", "--config", {"train": {"epochs": 0}}, "epochs must be at least 1"),
+        ("pipeline", "--config", {"train": {"batch_size": 0}}, "batch_size must be at least 1"),
+        ("pipeline", "--config", {"data": {**SPEC, "samples": 0}}, "samples must be at least 1"),
+        ("pipeline", "--config", {"num_classes": 4, "data": {**SPEC, "classes": 8}},
+         "data.classes (8) must equal num_classes (4)"),
     ], ids=["pipeline-unknown", "data-unknown", "data-list", "config-lr", "scores-gate_id",
-            "plan-original", "report-unknown"])
+            "plan-original", "report-unknown", "pipeline-epochs-0", "pipeline-batch-0",
+            "pipeline-samples-0", "pipeline-classes-mismatch"])
     def test_malformed_json_input_exits_2(self, tmp_path, capsys, command, flag, content, named):
         model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
         assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0

@@ -30,16 +30,27 @@ json_dicts = st.dictionaries(names, scalars, max_size=3)
 index_sets = st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True).map(
     lambda kept: tuple(sorted(kept)))
 
-pipeline_configs = st.builds(
+counts = st.integers(1, 64)     # epochs, batch size and samples start at 1
+dataset_specs = st.builds(
+    DatasetSpec, source=st.sampled_from(SOURCES), root=st.none() | names,
+    split=st.sampled_from(("train", "eval")), subset=st.floats(0.01, 1.0),
+    classes=small, samples=counts, channels=small, signal_channels=st.integers(1, 8),
+    image_size=small, amplitude=unit, noise_std=unit, seed=small)
+
+
+def with_classes(spec, num_classes):
+    """Synthetic data draws the pipeline's class count; CIFAR data keeps its own."""
+    if spec is None or not spec.source.startswith("synthetic"):
+        return spec
+    return dataclasses.replace(spec, classes=num_classes)
+
+
+pipeline_configs = small.flatmap(lambda num_classes: st.builds(
     PipelineConfig,
-    arch=names, num_classes=small,
-    data=st.none() | st.builds(
-        DatasetSpec, source=st.sampled_from(SOURCES), root=st.none() | names,
-        split=st.sampled_from(("train", "eval")), subset=st.floats(0.01, 1.0),
-        classes=small, samples=small, channels=small, signal_channels=st.integers(1, 8),
-        image_size=small, amplitude=unit, noise_std=unit, seed=small),
+    arch=names, num_classes=st.just(num_classes),
+    data=(st.none() | dataset_specs).map(lambda spec: with_classes(spec, num_classes)),
     train=st.builds(
-        TrainConfig, epochs=small, batch_size=small, lr=st.floats(1e-4, 1.0),
+        TrainConfig, epochs=counts, batch_size=counts, lr=st.floats(1e-4, 1.0),
         momentum=st.floats(0.0, 0.99), weight_decay=unit, seed=small,
         loss_variant=st.sampled_from(LOSS_VARIANTS), lr_milestones=st.tuples(unit, unit),
         lr_gamma=unit, augment=st.booleans()),
@@ -49,7 +60,7 @@ pipeline_configs = st.builds(
         half_rule=st.booleans(), half_rule_tolerance=unit,
         stage_targets=st.none() | st.lists(st.tuples(small, small), max_size=3).map(tuple)),
     rewrite_mode=st.sampled_from(REWRITE_MODES), gate_placement=st.none() | names,
-    reduction=small, score_batches=st.none() | small, seed=small, out=names)
+    reduction=small, score_batches=st.none() | small, seed=small, out=names))
 
 pruning_plans = st.builds(
     PruningPlan,

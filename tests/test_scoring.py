@@ -1,10 +1,12 @@
-"""Score collection semantics: means, stds, determinism, aggregates."""
+"""Score collection semantics: means, stds, determinism, aggregates, memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from prunekit import (DatasetSpec, GradTape, ModelBundle, Network, build,
-                      collect_scores, load_dataset)
+from prunekit import (DatasetSpec, ModelBundle, Network, build, collect_scores,
+                      load_dataset)
 from prunekit.errors import PrunekitError
 from prunekit.scoring import ScoreRecord, scored_conv_for_gate
 
@@ -34,11 +36,10 @@ class TestCollect:
     def test_single_sample_mean_equals_sample_scores(self, tiny_gated_bundle, planted):
         record = collect_scores(tiny_gated_bundle,
                                 planted.batches(1), max_batches=1)
-        net = Network(tiny_gated_bundle.graph)
-        tape = GradTape()
-        net.forward(planted.x[:1], training=False, tape=tape)
+        outputs = {node.id: y for node, y, _ in
+                   Network(tiny_gated_bundle.graph).walk(planted.x[:1])}
         for ls in record.layers:
-            conv_out = tape.outputs[ls.layer_id][0]
+            conv_out = outputs[ls.layer_id][0]
             z = np.array([squeeze_loops(conv_out[c]) for c in range(ls.channels)])
             gate = tiny_gated_bundle.graph.node(ls.gate_id)
             s_oracle = excite_loops(z, gate.params["w1"].astype(np.float64),
@@ -49,14 +50,13 @@ class TestCollect:
 
     def test_two_sample_mean_is_average_of_oracles(self, tiny_gated_bundle, planted):
         record = collect_scores(tiny_gated_bundle, planted.batches(2), max_batches=1)
-        net = Network(tiny_gated_bundle.graph)
-        tape = GradTape()
-        net.forward(planted.x[:2], training=False, tape=tape)
+        outputs = {node.id: y for node, y, _ in
+                   Network(tiny_gated_bundle.graph).walk(planted.x[:2])}
         ls = record.layers[0]
         gate = tiny_gated_bundle.graph.node(ls.gate_id)
         per_sample = []
         for b in range(2):
-            conv_out = tape.outputs[ls.layer_id][b]
+            conv_out = outputs[ls.layer_id][b]
             z = np.array([squeeze_loops(conv_out[c]) for c in range(ls.channels)])
             per_sample.append(excite_loops(z, gate.params["w1"].astype(np.float64),
                                            gate.params["w2"].astype(np.float64)))
@@ -86,6 +86,19 @@ class TestCollect:
     def test_max_batches_caps_samples(self, tiny_gated_bundle, planted):
         record = collect_scores(tiny_gated_bundle, planted.batches(16), max_batches=3)
         assert record.layers[0].samples == 48
+
+    def test_peak_memory_below_one_forward_of_activations(self, rng):
+        """Scoring keeps each activation only until its last reader has run."""
+        bundle = ModelBundle(build("resnet56", 10, with_gates=True, seed=0))
+        x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
+        activations = sum(y.nbytes for _, y, _ in Network(bundle.graph).walk(x))
+        tracemalloc.start()
+        try:
+            collect_scores(bundle, [(x, None)], training=True)   # eval saturates untrained
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < activations
 
 
 class TestAggregatesAndIO:
