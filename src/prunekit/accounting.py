@@ -17,6 +17,7 @@ convention; ``mac`` is the default everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .graph import ArchitectureGraph
@@ -24,6 +25,7 @@ from .layers import kind_of
 from .records import Record
 
 CONVENTIONS = ("mac", "opcount")
+EPOCH_MODES = ("flop-matched", "literal-fraction")
 # derived report values, each written after the field it follows in report.json
 DERIVED_AFTER = {"flops_after": ("pruned_params_pct", "pruned_flops_pct"),
                  "epoch_mode": ("epoch_recommendation",)}
@@ -31,7 +33,9 @@ DERIVED_AFTER = {"flops_after": ("pruned_params_pct", "pruned_flops_pct"),
 
 def node_param_count(node) -> int:
     """Parameters a node contributes; running statistics are excluded."""
-    return kind_of(node).params(node.attrs)
+    rules = kind_of(node)
+    shapes = rules.param_shapes(node.attrs)
+    return sum(math.prod(shapes[name]) for name in rules.trainable if name in shapes)
 
 
 def count_params(graph: ArchitectureGraph) -> int:
@@ -80,6 +84,19 @@ class CompressionReport(Record):
     epoch_mode: str = "flop-matched"
     convention: str = "mac"
     per_layer: list = field(default_factory=list)
+
+    def __post_init__(self):
+        for name in ("params_before", "flops_before", "flops_after"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.params_after < 0:
+            raise ValueError(f"params_after must be at least 0, got {self.params_after}")
+        if self.base_epochs is not None and self.base_epochs < 1:
+            raise ValueError(f"base_epochs must be at least 1, got {self.base_epochs}")
+        if self.epoch_mode not in EPOCH_MODES:
+            raise ValueError(f"epoch_mode must be one of {EPOCH_MODES}, got '{self.epoch_mode}'")
+        if self.convention not in CONVENTIONS:
+            raise ValueError(f"convention must be one of {CONVENTIONS}, got '{self.convention}'")
 
     @property
     def pruned_params_pct(self) -> float:

@@ -31,6 +31,7 @@ bottleneck convs are bias-free throughout, matching the usual design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -232,10 +233,21 @@ def build(arch: str, num_classes: int, with_gates: bool = False,
 
 def initialize_parameters(graph: ArchitectureGraph, seed: int,
                           dtype=np.float32) -> None:
-    """Fan-in-scaled Gaussian init, deterministic in node declaration order."""
+    """Each kind's declared parameters, drawn in node and declaration order.
+
+    A name in ``weights`` gets the fan-in Gaussian of He et al. (2015),
+    N(0, 2 / prod(shape[1:])); a name in ``ones`` starts at 1 and every
+    other parameter at 0.
+    """
     rng = np.random.default_rng(seed)
     for node in graph.nodes:
-        kind_of(node).init(node, rng, dtype)
+        rules = kind_of(node)
+        for name, shape in rules.param_shapes(node.attrs).items():
+            if name in rules.weights:
+                std = np.sqrt(2.0 / math.prod(shape[1:]))
+                node.params[name] = rng.normal(0.0, std, shape).astype(dtype)
+            else:
+                node.params[name] = np.full(shape, 1.0 if name in rules.ones else 0.0, dtype)
 
 
 def strip_gates(graph: ArchitectureGraph) -> ArchitectureGraph:

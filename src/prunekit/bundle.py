@@ -9,7 +9,9 @@ Layout under a bundle directory:
 
 The checksum is sha256 over the parameter blob followed by the canonical
 manifest JSON (checksum field blanked), so corruption of either file is
-detected on load.  Round-trips are bit-exact.
+detected on load.  A load also checks that each node's tensors are exactly
+the names and shapes its kind declares (``LayerKind.param_shapes``).
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import BundleIntegrityError
 from .graph import ArchitectureGraph
+from .layers import kind_of
 from .records import read_json, write_json
 
 MANIFEST_NAME = "manifest.json"
@@ -109,6 +112,16 @@ def load_bundle(path: str) -> ModelBundle:
             raise BundleIntegrityError(f"tensor '{name}': no such node in manifest")
         arr = np.frombuffer(blob[start:start + nbytes], dtype="<f4").reshape(shape)
         by_node[node_id].params[pname] = arr.copy()
+    for node in graph.nodes:
+        declared = kind_of(node).param_shapes(node.attrs)
+        for pname in sorted(declared.keys() | node.params.keys()):
+            want = declared.get(pname)
+            have = node.params[pname].shape if pname in node.params else None
+            if have != want:
+                raise BundleIntegrityError(f"tensor '{node.id}/{pname}': " + (
+                    f"missing, {node.kind} declares shape {want}" if have is None else
+                    f"not a parameter of {node.kind}" if want is None else
+                    f"shape {have} != declared {want}"))
     return ModelBundle(graph, dict(manifest.get("metadata", {})))
 
 

@@ -13,13 +13,14 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .accounting import CompressionReport, count_params, report as make_report
+from .accounting import (CONVENTIONS, EPOCH_MODES, CompressionReport, count_params,
+                         report as make_report)
 from .builders import ARCHITECTURES, build
 from .bundle import ModelBundle, load_bundle, save_bundle
 from .data import DatasetSpec, load_dataset
 from .errors import (BundleIntegrityError, DataError, GraphValidationError,
                      PlanError, PrunekitError, StageFailure)
-from .planner import PruneConfig, PruningPlan, make_plan
+from .planner import POLICIES, SIGNS, PruneConfig, PruningPlan, make_plan
 from .records import write_json
 from .rewriter import RewriteOptions, apply as apply_plan
 from .scoring import ScoreRecord, collect_scores
@@ -194,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--scores", required=True)
     pl.add_argument("--model", required=True)
     pl.add_argument("--beta", type=int, default=2)
-    pl.add_argument("--sign", choices=("minus", "plus"), default="minus")
-    pl.add_argument("--policy", default="vgg-per-layer",
-                    choices=("vgg-per-layer", "resnet-stage-uniform", "bottleneck-middle"))
+    pl.add_argument("--sign", choices=SIGNS, default="minus")
+    pl.add_argument("--policy", choices=POLICIES, default="vgg-per-layer")
     pl.add_argument("--stage-targets", default=None, help="e.g. 8,32,32")
     pl.add_argument("--half-rule", choices=("on", "off"), default="off")
     pl.add_argument("--min-channels", type=int, default=1)
@@ -214,16 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("count", help="count parameters and FLOPs")
     c.add_argument("--model", required=True)
-    c.add_argument("--convention", choices=("mac", "opcount"), default="mac")
+    c.add_argument("--convention", choices=CONVENTIONS, default="mac")
     c.set_defaults(fn=cmd_count)
 
     r = sub.add_parser("report", help="compression report for two models")
     r.add_argument("--before", required=True)
     r.add_argument("--after", required=True)
     r.add_argument("--base-epochs", type=int, default=None)
-    r.add_argument("--epoch-mode", choices=("flop-matched", "literal-fraction"),
-                   default="flop-matched")
-    r.add_argument("--convention", choices=("mac", "opcount"), default="mac")
+    r.add_argument("--epoch-mode", choices=EPOCH_MODES, default="flop-matched")
+    r.add_argument("--convention", choices=CONVENTIONS, default="mac")
     r.add_argument("--out", default=None)
     r.set_defaults(fn=cmd_report)
 

@@ -205,7 +205,11 @@ class ArchitectureGraph:
             v.append(f"shape inference failed: {exc}")
             return v
         for n in self.nodes:
-            v.extend(LAYERS[n.kind].check(n, io[n.id][0]))
+            rules = LAYERS[n.kind]
+            v.extend(rules.check(n, io[n.id][0]))
+            v.extend(f"{n.kind} '{n.id}': {name} shape {n.params[name].shape} != {shape}"
+                     for name, shape in rules.param_shapes(n.attrs).items()
+                     if name in n.params and n.params[name].shape != shape)
         v.extend(self._validate_annotations(io))
         return v
 

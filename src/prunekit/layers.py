@@ -1,11 +1,14 @@
 """Layer kinds: every rule that depends on a node's kind, in one table.
 
 An entry of :data:`LAYERS` says, for one kind, how a node runs forward and
-backward, what shape it outputs, which widths and parameter shapes it must
-agree with, what it costs, how pruning narrows it, and how its parameters
-are initialized.  The executor, graph, accounting, rewriter and builders
-look rules up here rather than branching on the kind themselves, so a new
-kind touches this file only.
+backward, what shape it outputs, which widths it must agree with, what it
+costs, how pruning narrows it, and which parameters it has.  That last rule,
+``param_shapes``, is the one statement of a kind's parameters: the parameter
+count, the initialization, the shape check of graph validation, the tensor
+check of a bundle load and the names of ``backward``'s parameter gradients
+all derive from it.  The executor, graph, accounting, rewriter, bundle and
+builders look rules up here rather than branching on the kind themselves, so
+a new kind touches this file only.
 
 Rules call ``ops`` and ``gate`` through the module attribute at call time,
 so a wrapper installed on those functions (a profiler, say) sees every call.
@@ -30,19 +33,23 @@ class LayerKind:
     order; an entry node receives the graph input and keeps every channel.
     A keep set is an index array of surviving channels, or None for all;
     ``narrow`` runs only on nodes with at least one keep set.
+    ``param_shapes`` lists every parameter in draw order.  ``trainable``
+    names those counted and updated (the rest are running statistics);
+    ``weights`` are drawn from the fan-in Gaussian and ``ones`` start at 1,
+    every other parameter at 0.
     """
     forward: Callable    # (node, inputs, training) -> (y, cache)
-    backward: Callable   # (dy, cache) -> (input grads, {param: grad or None})
+    backward: Callable   # (dy, cache) -> (*input grads, *trainable grads or None)
     opcount: Callable    # (attrs, in_shape, out_shape) -> FLOPs, convention "opcount"
     macs: Callable = lambda attrs, in_shape, out_shape: 0
-    params: Callable = lambda attrs: 0      # running statistics excluded
+    param_shapes: Callable = lambda attrs: {}               # {name: shape}
     out_shape: Callable = lambda node, in_shapes: in_shapes[0]
     check: Callable = lambda node, in_shapes: ()           # yields violation messages
     out_keep: Callable = lambda node, in_keeps, planned: in_keeps[0]
     narrow: Callable = lambda node, in_keep, out_keep: None  # slices in place
-    init: Callable = lambda node, rng, dtype: None           # seeded draws
     trainable: tuple[str, ...] = ()
     weights: tuple[str, ...] = ()           # operands of the L2 penalty
+    ones: tuple[str, ...] = ()
     arity: int = 1
 
 
@@ -51,24 +58,15 @@ def _elems(shape) -> int:
     return c * h * w
 
 
-def _with_param_grads(names, dx, *grads):
-    return (dx,), dict(zip(names, grads))
-
-
 def _declared_channels(node, in_shapes):
     c, declared = in_shapes[0][0], node.attrs["channels"]
     if declared != c:
         yield f"{node.kind} '{node.id}': declares {declared} channels but receives {c}"
 
 
-def _param_shapes(node, expected: dict):
-    for name, shape in expected.items():
-        if name in node.params and node.params[name].shape != shape:
-            yield f"{node.kind} '{node.id}': {name} shape {node.params[name].shape} != {shape}"
-
-
-def _gaussian(rng, fan_in, shape, dtype):
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).astype(dtype)
+def _weight_bias(weight_shape, bias):
+    """A weight and, when ``bias`` is set, one bias per output unit."""
+    return {"weight": weight_shape, **({"bias": weight_shape[:1]} if bias else {})}
 
 
 def _conv_shape(node, in_shapes):
@@ -86,8 +84,6 @@ def _conv_check(node, in_shapes):
                f"channels but receives {c}")
     if a["out_channels"] < 1 or a["in_channels"] < 1:
         yield f"conv '{node.id}': channel widths must be positive"
-    yield from _param_shapes(
-        node, {"weight": (a["out_channels"], a["in_channels"], *a["kernel"])})
 
 
 def _conv_macs(a, in_shape, out_shape):
@@ -108,22 +104,10 @@ def _conv_narrow(node, in_keep, out_keep):
     p["weight"] = np.ascontiguousarray(w)
 
 
-def _conv_init(node, rng, dtype):
-    a = node.attrs
-    fan_in = a["in_channels"] * a["kernel"][0] * a["kernel"][1]
-    shape = (a["out_channels"], a["in_channels"], *a["kernel"])
-    node.params["weight"] = _gaussian(rng, fan_in, shape, dtype)
-    if a["bias"]:
-        node.params["bias"] = np.zeros(a["out_channels"], dtype=dtype)
-
-
 def _pool_shape(node, in_shapes):
     c, h, w = in_shapes[0]
     k, s = node.attrs["kernel"], node.attrs["stride"]
     return (c, ops.conv_output_size(h, k, s, 0), ops.conv_output_size(w, k, s, 0))
-
-
-BN_PARAMS = ("gamma", "beta", "running_mean", "running_var")
 
 
 def _bn_forward(node, inputs, training):
@@ -137,23 +121,10 @@ def _bn_forward(node, inputs, training):
     return y, cache
 
 
-def _bn_check(node, in_shapes):
-    yield from _declared_channels(node, in_shapes)
-    yield from _param_shapes(node, {name: (node.attrs["channels"],) for name in BN_PARAMS})
-
-
 def _bn_narrow(node, in_keep, out_keep):
     node.attrs["channels"] = len(in_keep)
-    for name in BN_PARAMS:
-        node.params[name] = node.params[name][in_keep].copy()
-
-
-def _bn_init(node, rng, dtype):
-    c = node.attrs["channels"]
-    node.params["gamma"] = np.ones(c, dtype=dtype)
-    node.params["beta"] = np.zeros(c, dtype=dtype)
-    node.params["running_mean"] = np.zeros(c, dtype=dtype)
-    node.params["running_var"] = np.ones(c, dtype=dtype)
+    for name, p in node.params.items():
+        node.params[name] = p[in_keep].copy()
 
 
 def _gate_check(node, in_shapes):
@@ -163,7 +134,6 @@ def _gate_check(node, in_shapes):
     yield from _declared_channels(node, in_shapes)
     if a.get("hidden", hid) != hid:
         yield f"gate '{node.id}': hidden width {a.get('hidden')} != max(1, C // r) = {hid}"
-    yield from _param_shapes(node, {"w1": (hid, c), "w2": (c, hid)})
 
 
 def _gate_narrow(node, in_keep, out_keep):
@@ -172,12 +142,6 @@ def _gate_narrow(node, in_keep, out_keep):
     node.attrs["hidden"] = hid
     node.params["w1"] = np.ascontiguousarray(node.params["w1"][:hid, in_keep])
     node.params["w2"] = np.ascontiguousarray(node.params["w2"][in_keep, :hid])
-
-
-def _gate_init(node, rng, dtype):
-    c, hid = node.attrs["channels"], node.attrs["hidden"]
-    node.params["w1"] = _gaussian(rng, c, (hid, c), dtype)
-    node.params["w2"] = _gaussian(rng, hid, (c, hid), dtype)
 
 
 def _fc_check(node, in_shapes):
@@ -190,14 +154,6 @@ def _fc_check(node, in_shapes):
 def _fc_narrow(node, in_keep, out_keep):
     node.attrs["in_features"] = len(in_keep)
     node.params["weight"] = np.ascontiguousarray(node.params["weight"][:, in_keep])
-
-
-def _fc_init(node, rng, dtype):
-    a = node.attrs
-    node.params["weight"] = _gaussian(rng, a["in_features"],
-                                      (a["out_features"], a["in_features"]), dtype)
-    if a.get("bias", True):
-        node.params["bias"] = np.zeros(a["out_features"], dtype=dtype)
 
 
 def _add_forward(node, inputs, training):
@@ -224,66 +180,66 @@ LAYERS: dict[str, LayerKind] = {
         forward=lambda node, xs, training: ops.conv2d_forward(
             xs[0], node.params["weight"], node.params.get("bias"),
             node.attrs["stride"], node.attrs["padding"]),
-        backward=lambda dy, cache: _with_param_grads(
-            ("weight", "bias"), *ops.conv2d_backward(dy, cache)),
+        backward=lambda dy, cache: ops.conv2d_backward(dy, cache),
         macs=_conv_macs,
         opcount=lambda a, i, o: 2 * _conv_macs(a, i, o) + (_elems(o) if a.get("bias") else 0),
-        params=lambda a: (a["kernel"][0] * a["kernel"][1] * a["in_channels"] * a["out_channels"]
-                          + (a["out_channels"] if a.get("bias") else 0)),
-        out_shape=_conv_shape, check=_conv_check, narrow=_conv_narrow, init=_conv_init,
+        param_shapes=lambda a: _weight_bias(
+            (a["out_channels"], a["in_channels"], *a["kernel"]), a.get("bias")),
+        out_shape=_conv_shape, check=_conv_check, narrow=_conv_narrow,
         out_keep=lambda node, in_keeps, planned: planned,
         trainable=("weight", "bias"), weights=("weight",)),
     "batchnorm": LayerKind(
         forward=_bn_forward,
-        backward=lambda dy, cache: _with_param_grads(
-            ("gamma", "beta"), *ops.batchnorm_backward(dy, cache)),
-        opcount=lambda a, i, o: 2 * _elems(o), params=lambda a: 2 * a["channels"],
-        check=_bn_check, narrow=_bn_narrow, init=_bn_init, trainable=("gamma", "beta")),
+        backward=lambda dy, cache: ops.batchnorm_backward(dy, cache),
+        opcount=lambda a, i, o: 2 * _elems(o),
+        param_shapes=lambda a: dict.fromkeys(
+            ("gamma", "beta", "running_mean", "running_var"), (a["channels"],)),
+        check=_declared_channels, narrow=_bn_narrow,
+        trainable=("gamma", "beta"), ones=("gamma", "running_var")),
     "relu": LayerKind(
         forward=lambda node, xs, training: ops.relu_forward(xs[0]),
-        backward=lambda dy, cache: ((ops.relu_backward(dy, cache),), {}),
+        backward=lambda dy, cache: (ops.relu_backward(dy, cache),),
         opcount=lambda a, i, o: _elems(o)),
     "maxpool": LayerKind(
         forward=lambda node, xs, training: ops.maxpool_forward(
             xs[0], node.attrs["kernel"], node.attrs["stride"]),
-        backward=lambda dy, cache: ((ops.maxpool_backward(dy, cache),), {}),
+        backward=lambda dy, cache: (ops.maxpool_backward(dy, cache),),
         opcount=lambda a, i, o: _elems(o) * (a["kernel"] * a["kernel"] - 1),
         out_shape=_pool_shape),
     "globalavgpool": LayerKind(
         forward=lambda node, xs, training: ops.global_avg_pool_forward(xs[0]),
-        backward=lambda dy, cache: ((ops.global_avg_pool_backward(dy, cache),), {}),
+        backward=lambda dy, cache: (ops.global_avg_pool_backward(dy, cache),),
         opcount=lambda a, i, o: _elems(i) + o[0],
         out_shape=lambda node, in_shapes: (in_shapes[0][0], 1, 1)),
     "fullyconnected": LayerKind(
         forward=lambda node, xs, training: ops.linear_forward(
             xs[0], node.params["weight"], node.params.get("bias")),
-        backward=lambda dy, cache: _with_param_grads(
-            ("weight", "bias"), *ops.linear_backward(dy, cache)),
+        backward=lambda dy, cache: ops.linear_backward(dy, cache),
         macs=lambda a, i, o: a["in_features"] * a["out_features"],
         opcount=lambda a, i, o: (2 * a["in_features"] * a["out_features"]
                                  + (a["out_features"] if a.get("bias", True) else 0)),
-        params=lambda a: (a["in_features"] * a["out_features"]
-                          + (a["out_features"] if a.get("bias", True) else 0)),
+        param_shapes=lambda a: _weight_bias(
+            (a["out_features"], a["in_features"]), a.get("bias", True)),
         out_shape=lambda node, in_shapes: (node.attrs["out_features"], 1, 1),
-        check=_fc_check, narrow=_fc_narrow, init=_fc_init,
+        check=_fc_check, narrow=_fc_narrow,
         out_keep=lambda node, in_keeps, planned: None,
         trainable=("weight", "bias"), weights=("weight",)),
     "gate": LayerKind(
         forward=lambda node, xs, training: gate.gate_forward(
             xs[0], node.params["w1"], node.params["w2"]),
-        backward=lambda dy, cache: _with_param_grads(
-            ("w1", "w2"), *gate.gate_backward(dy, cache)),
+        backward=lambda dy, cache: gate.gate_backward(dy, cache),
         opcount=lambda a, i, o: (2 * _elems(i) + 2 * 2 * a["channels"] * a["hidden"]
                                  + a["channels"]),
-        params=lambda a: 2 * a["hidden"] * a["channels"],
-        check=_gate_check, narrow=_gate_narrow, init=_gate_init,
+        param_shapes=lambda a: {"w1": (a["hidden"], a["channels"]),
+                                "w2": (a["channels"], a["hidden"])},
+        check=_gate_check, narrow=_gate_narrow,
         trainable=("w1", "w2"), weights=("w1", "w2")),
     "add": LayerKind(
-        forward=_add_forward, backward=lambda dy, cache: ((dy, dy), {}),
+        forward=_add_forward, backward=lambda dy, cache: (dy, dy),
         opcount=lambda a, i, o: _elems(o), check=_add_check, out_keep=_add_keep, arity=2),
     "softmax": LayerKind(
         forward=lambda node, xs, training: ops.softmax_forward(xs[0]),
-        backward=lambda dy, cache: ((ops.softmax_backward(dy, cache),), {}),
+        backward=lambda dy, cache: (ops.softmax_backward(dy, cache),),
         opcount=lambda a, i, o: 3 * _elems(o)),
 }
 

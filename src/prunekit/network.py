@@ -112,8 +112,10 @@ class Network:
                 raise StructuralError(
                     f"layer '{nid}': upstream gradient shape {dy.shape} != "
                     f"forward output {tape.outputs[nid]}")
-            dxs, grads = kind_of(node).backward(dy, tape.caches[nid])
-            for pname, grad in grads.items():
+            rules = kind_of(node)
+            grads = rules.backward(dy, tape.caches[nid])
+            dxs = grads[:rules.arity]
+            for pname, grad in zip(rules.trainable, grads[rules.arity:]):
                 if grad is not None:
                     tape.accumulate(nid, pname, grad)
             prods = self._producers[nid]

@@ -87,3 +87,35 @@ def test_fingerprint_tracks_parameters(bundle):
     fp1 = bundle_fingerprint(bundle)
     bundle.graph.nodes[0].params["weight"][0, 0, 0, 0] += 1.0
     assert bundle_fingerprint(bundle) != fp1
+
+
+def _drop(name):
+    def edit(graph):
+        node_id, pname = name.split("/")
+        del graph.node(node_id).params[pname]
+    return edit
+
+
+def _extra(graph):
+    graph.node("conv1").params["extra"] = np.zeros(3, dtype=np.float32)
+
+
+def _misshape(graph):
+    node = graph.node("fc")
+    node.params["weight"] = node.params["weight"][:, :31].copy()
+
+
+@pytest.mark.parametrize("edit, named, reason", [
+    (_drop("fc/bias"), "fc/bias", "missing"),
+    (_drop("conv1/weight"), "conv1/weight", "missing"),
+    (_drop("gate1/w2"), "gate1/w2", "missing"),
+    (_extra, "conv1/extra", "not a parameter of conv"),
+    (_misshape, "fc/weight", r"shape \(4, 31\) != declared \(4, 32\)"),
+], ids=["missing-fc-bias", "missing-conv-weight", "missing-gate-w2", "extra", "misshaped"])
+def test_tensors_must_match_the_declaration(bundle, tmp_path, edit, named, reason):
+    """A load rejects a node whose tensors are not exactly its kind's declared ones."""
+    edit(bundle.graph)
+    path = str(tmp_path / "model")
+    save_bundle(bundle, path)
+    with pytest.raises(BundleIntegrityError, match=f"tensor '{named}': {reason}"):
+        load_bundle(path)

@@ -5,6 +5,7 @@ import pytest
 
 from prunekit import ModelBundle, build
 from prunekit.builders import initialize_parameters
+from prunekit.bundle import bundle_fingerprint
 from prunekit.gradcheck import grad_check
 from prunekit.graph import ArchitectureGraph, LayerNode
 
@@ -114,3 +115,9 @@ def test_tiny_resnet_with_gates_passes(rng):
     report = grad_check(bundle, x, y, samples_per_tensor=2)
     assert report.ok
     assert report.max_rel_err < 1e-4
+
+
+def test_biased_conv_graph_is_pinned():
+    """bundle_fingerprint of the one graph here with conv biases: pins their init at 0."""
+    assert bundle_fingerprint(ModelBundle(two_conv_gated_graph())) == (
+        "8373d4c525d20e14f92179f5b428e2e4ee466666bdd42399f16359ee9f053c59")

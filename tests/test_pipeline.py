@@ -237,6 +237,17 @@ class TestCli:
         assert main(["count", "--model", model]) == 2
         assert f"{manifest}: not valid JSON" in capsys.readouterr().err
 
+    def test_bundle_missing_a_declared_tensor_exits_2_naming_it(self, tmp_path, capsys):
+        model = str(tmp_path / "m")
+        assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--with-gates",
+                     "--out", model]) == 0
+        bundle = load_bundle(model)
+        del bundle.graph.node("conv1").params["weight"]
+        save_bundle(bundle, model)
+        capsys.readouterr()
+        assert main(["count", "--model", model]) == 2
+        assert "tensor 'conv1/weight': missing" in capsys.readouterr().err
+
     def test_retrain_reproduces_the_pipeline_retrain(self, completed, tmp_path):
         out, _ = completed
         cfg = small_config(out)
@@ -310,9 +321,20 @@ class TestCli:
         ("pipeline", "--config", {"data": {**SPEC, "samples": 0}}, "samples must be at least 1"),
         ("pipeline", "--config", {"num_classes": 4, "data": {**SPEC, "classes": 8}},
          "data.classes (8) must equal num_classes (4)"),
+        ("retrain", "--report", {**REPORT, "params_before": 0}, "params_before must be at least 1"),
+        ("retrain", "--report", {**REPORT, "params_after": -1}, "params_after must be at least 0"),
+        ("retrain", "--report", {**REPORT, "flops_before": 0}, "flops_before must be at least 1"),
+        ("retrain", "--report", {**REPORT, "flops_after": 0}, "flops_after must be at least 1"),
+        ("retrain", "--report", {**REPORT, "base_epochs": -5}, "base_epochs must be at least 1"),
+        ("retrain", "--report", {**REPORT, "base_epochs": 1, "epoch_mode": "literal"},
+         "epoch_mode must be one of"),
+        ("retrain", "--report", {**REPORT, "base_epochs": 1, "convention": "flops"},
+         "convention must be one of"),
     ], ids=["pipeline-unknown", "data-unknown", "data-list", "config-lr", "scores-gate_id",
             "plan-original", "report-unknown", "pipeline-epochs-0", "pipeline-batch-0",
-            "pipeline-samples-0", "pipeline-classes-mismatch"])
+            "pipeline-samples-0", "pipeline-classes-mismatch", "report-params-before-0",
+            "report-params-after-negative", "report-flops-before-0", "report-flops-after-0",
+            "report-base-epochs-negative", "report-epoch-mode", "report-convention"])
     def test_malformed_json_input_exits_2(self, tmp_path, capsys, command, flag, content, named):
         model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
         assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0
