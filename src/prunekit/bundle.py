@@ -9,8 +9,9 @@ Layout under a bundle directory:
 
 The checksum is sha256 over the parameter blob followed by the canonical
 manifest JSON (checksum field blanked), so corruption of either file is
-detected on load.  A load also checks that each node's tensors are exactly
-the names and shapes its kind declares (``LayerKind.param_shapes``).
+detected on load.  A load also checks that each node's kind is known and
+its tensors are exactly the names and shapes the kind declares
+(``LayerKind.param_shapes``).
 Round-trips are bit-exact.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BundleIntegrityError
+from .errors import BundleIntegrityError, StructuralError
 from .graph import ArchitectureGraph
 from .layers import kind_of
 from .records import read_json, write_json
@@ -113,7 +114,13 @@ def load_bundle(path: str) -> ModelBundle:
         arr = np.frombuffer(blob[start:start + nbytes], dtype="<f4").reshape(shape)
         by_node[node_id].params[pname] = arr.copy()
     for node in graph.nodes:
-        declared = kind_of(node).param_shapes(node.attrs)
+        try:
+            declared = kind_of(node).param_shapes(node.attrs)
+        except StructuralError as e:  # unknown kind
+            raise BundleIntegrityError(str(e)) from None
+        except KeyError as e:
+            raise BundleIntegrityError(
+                f"layer '{node.id}': {node.kind} lacks attribute {e}") from None
         for pname in sorted(declared.keys() | node.params.keys()):
             want = declared.get(pname)
             have = node.params[pname].shape if pname in node.params else None

@@ -110,6 +110,13 @@ def _pool_shape(node, in_shapes):
     return (c, ops.conv_output_size(h, k, s, 0), ops.conv_output_size(w, k, s, 0))
 
 
+def _pool_check(node, in_shapes):
+    k, s = node.attrs["kernel"], node.attrs["stride"]
+    if k != s:
+        yield (f"maxpool '{node.id}': kernel {k} != stride {s}; "
+               "only non-overlapping windows are supported")
+
+
 def _bn_forward(node, inputs, training):
     p = node.params
     y, cache, new_mean, new_var = ops.batchnorm_forward(
@@ -205,7 +212,7 @@ LAYERS: dict[str, LayerKind] = {
             xs[0], node.attrs["kernel"], node.attrs["stride"]),
         backward=lambda dy, cache: (ops.maxpool_backward(dy, cache),),
         opcount=lambda a, i, o: _elems(o) * (a["kernel"] * a["kernel"] - 1),
-        out_shape=_pool_shape),
+        out_shape=_pool_shape, check=_pool_check),
     "globalavgpool": LayerKind(
         forward=lambda node, xs, training: ops.global_avg_pool_forward(xs[0]),
         backward=lambda dy, cache: (ops.global_avg_pool_backward(dy, cache),),

@@ -60,6 +60,32 @@ def conv2d_backward_loops(x, weight, dy, stride=1, padding=0):
     return dxp[:, :, padding:padding + h, padding:padding + w], dw, db
 
 
+def maxpool_loops(x, kernel, dy):
+    """Max pooling over non-overlapping kernel x kernel windows, and its gradient.
+
+    Rows and columns that do not fill a window are cropped.  Returns (y, dx):
+    dx routes each dy[b, c, i, j] to the first maximum of its window in
+    row-major window order, and is zero everywhere else.
+    """
+    n, ch, h, w = x.shape
+    ho, wo = h // kernel, w // kernel
+    y = np.zeros((n, ch, ho, wo), dtype=np.float64)
+    dx = np.zeros(x.shape, dtype=np.float64)
+    for b in range(n):
+        for c in range(ch):
+            for i in range(ho):
+                for j in range(wo):
+                    best, at = None, None
+                    for u in range(kernel):
+                        for v in range(kernel):
+                            r, s = i * kernel + u, j * kernel + v
+                            if best is None or x[b, c, r, s] > best:
+                                best, at = x[b, c, r, s], (r, s)
+                    y[b, c, i, j] = best
+                    dx[b, c, at[0], at[1]] = dy[b, c, i, j]
+    return y, dx
+
+
 def squeeze_loops(channel):
     """Mean of absolute values of one (h, w) channel, scalar accumulation."""
     h, w = channel.shape

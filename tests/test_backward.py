@@ -118,6 +118,23 @@ def test_layer_gradients_match_finite_differences(layer, rng):
             assert max_rel_error(grad, tensor, loss, rng) < TOL
 
 
+def test_batchnorm_eval_backward_matches_fd(rng):
+    # eval mode normalizes with fixed running statistics, so they are constants
+    x = rng.normal(size=(2, 2, 3, 3))
+    gamma, beta = rng.normal(size=2) * 0.4 + 1.0, rng.normal(size=2) * 0.2
+    rm, rv = rng.normal(size=2), rng.uniform(0.5, 2.0, size=2)
+    r = rng.normal(size=x.shape)
+
+    def loss():
+        y, _, _, _ = ops.batchnorm_forward(x, gamma, beta, rm, rv, training=False)
+        return float((y * r).sum())
+
+    _, cache, _, _ = ops.batchnorm_forward(x, gamma, beta, rm, rv, training=False)
+    dx, dgamma, dbeta = ops.batchnorm_backward(r, cache)
+    for grad, tensor in ((dx, x), (dgamma, gamma), (dbeta, beta)):
+        assert max_rel_error(grad, tensor, loss, rng) < TOL
+
+
 def test_softmax_backward_matches_fd(rng):
     x = rng.normal(size=(2, 4, 1, 1))
     r = rng.normal(size=x.shape)

@@ -1,5 +1,6 @@
 """Bundle serialization: bit-exact round trips and corruption detection."""
 
+import hashlib
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 
 from prunekit import ModelBundle, build, load_bundle, save_bundle
 from prunekit.bundle import BLOB_NAME, MANIFEST_NAME, bundle_fingerprint
+from prunekit.cli import main
 from prunekit.errors import BundleIntegrityError
 
 
@@ -42,20 +44,24 @@ def test_truncated_blob_names_problem(bundle, tmp_path):
         load_bundle(path)
 
 
-def test_length_mismatch_names_tensor(bundle, tmp_path):
-    path = str(tmp_path / "model")
-    save_bundle(bundle, path)
+def resign(path, edit):
+    """Apply ``edit`` to a bundle's manifest and re-sign it, so the checksum
+    passes and the check under test is the one that fires."""
     mpath = os.path.join(path, MANIFEST_NAME)
     manifest = json.load(open(mpath))
-    manifest["tensors"][0]["nbytes"] -= 4
-    # re-sign so the checksum passes and the length check itself fires
-    import hashlib
+    edit(manifest)
     blob = open(os.path.join(path, BLOB_NAME), "rb").read()
     manifest["checksum"] = ""
     canon = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     manifest["checksum"] = hashlib.sha256(blob + canon).hexdigest()
     json.dump(manifest, open(mpath, "w"))
-    name = json.load(open(mpath))["tensors"][0]["name"]
+
+
+def test_length_mismatch_names_tensor(bundle, tmp_path):
+    path = str(tmp_path / "model")
+    save_bundle(bundle, path)
+    resign(path, lambda m: m["tensors"][0].update(nbytes=m["tensors"][0]["nbytes"] - 4))
+    name = json.load(open(os.path.join(path, MANIFEST_NAME)))["tensors"][0]["name"]
     with pytest.raises(BundleIntegrityError, match=name.split("/")[0]):
         load_bundle(path)
 
@@ -119,3 +125,23 @@ def test_tensors_must_match_the_declaration(bundle, tmp_path, edit, named, reaso
     save_bundle(bundle, path)
     with pytest.raises(BundleIntegrityError, match=f"tensor '{named}': {reason}"):
         load_bundle(path)
+
+
+def _node(manifest, node_id):
+    return next(d for d in manifest["graph"]["nodes"] if d["id"] == node_id)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: _node(m, "relu1").update(kind="mystery"),
+     "layer 'relu1': unknown kind 'mystery'"),
+    (lambda m: _node(m, "gate1")["attrs"].pop("hidden"),
+     "layer 'gate1': gate lacks attribute 'hidden'"),
+], ids=["unknown-kind", "gate-without-hidden"])
+def test_malformed_manifest_exits_2_naming_the_layer(bundle, tmp_path, capsys, edit, message):
+    path = str(tmp_path / "model")
+    save_bundle(bundle, path)
+    resign(path, edit)
+    with pytest.raises(BundleIntegrityError, match=message):
+        load_bundle(path)
+    assert main(["count", "--model", path]) == 2
+    assert message in capsys.readouterr().err

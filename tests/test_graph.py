@@ -128,6 +128,12 @@ class TestValidate:
         joined = "\n".join(violations)
         assert "(32, 8, 8)" in joined and "(64, 8, 8)" in joined
 
+    def test_overlapping_maxpool_is_reported_naming_it(self):
+        g = build("tiny-vgg", 4, init=False)
+        g.node("pool1").attrs["kernel"] = 3
+        assert "maxpool 'pool1': kernel 3 != stride 2; only non-overlapping " \
+            "windows are supported" in g.validate()
+
     def test_cycle_detected(self):
         g = build("tiny-vgg", 4, init=False)
         g.edges.append(("relu2", "conv1"))

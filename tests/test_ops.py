@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from prunekit import ops
 from prunekit.errors import StructuralError
 
-from oracles import conv2d_backward_loops, conv2d_loops
+from oracles import conv2d_backward_loops, conv2d_loops, maxpool_loops
 
 
-def draw_conv_case(data):
-    """A random conv problem, float64: n, cin, cout, h, w, k <= 3, stride 1-2, padding 0-1."""
-    n = data.draw(st.integers(1, 2))
+def draw_conv_case(data, max_n=2):
+    """A random conv problem, float64: n <= max_n, cin, cout, h, w, k <= 3, stride 1-2, padding 0-1."""
+    n = data.draw(st.integers(1, max_n))
     cin = data.draw(st.integers(1, 4))
     cout = data.draw(st.integers(1, 4))
     h = data.draw(st.integers(1, 8))
@@ -23,6 +23,17 @@ def draw_conv_case(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     return (rng.normal(size=(n, cin, h, w)), rng.normal(size=(cout, cin, k, k)),
             rng.normal(size=cout), stride, padding)
+
+
+def small_tiles(data, x, wt, stride, padding):
+    """A TILE_BYTES of at most three samples' patches, so a batch of up to 7
+    spans several tiles and the last is often ragged."""
+    n, cin, h, w = x.shape
+    _, _, kh, kw = wt.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    sample = cin * kh * kw * ho * wo * x.itemsize
+    return data.draw(st.integers(1, 3 * sample))
 
 
 class TestConvForward:
@@ -46,6 +57,16 @@ class TestConvForward:
     def test_oracle_property_over_random_shapes(self, data):
         x, wt, b, stride, padding = draw_conv_case(data)
         y, _ = ops.conv2d_forward(x, wt, b, stride=stride, padding=padding)
+        ref = conv2d_loops(x, wt, b, stride=stride, padding=padding)
+        np.testing.assert_allclose(y, ref, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_oracle_property_across_tiles(self, data):
+        x, wt, b, stride, padding = draw_conv_case(data, max_n=7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "TILE_BYTES", small_tiles(data, x, wt, stride, padding))
+            y, _ = ops.conv2d_forward(x, wt, b, stride=stride, padding=padding)
         ref = conv2d_loops(x, wt, b, stride=stride, padding=padding)
         np.testing.assert_allclose(y, ref, rtol=1e-9, atol=1e-9)
 
@@ -87,16 +108,42 @@ class TestConvBackward:
         check_backward_against_oracle(x, rng.normal(size=(2, 3, k, k)), rng.normal(size=2),
                                       stride, padding)
 
-    def test_cache_layout(self, rng):
-        # perfbench's tracer reads the patch matrix size and the weight from the cache
-        x = rng.normal(size=(2, 3, 7, 6)).astype(np.float32)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_oracle_property_across_tiles(self, data):
+        x, wt, b, stride, padding = draw_conv_case(data, max_n=7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "TILE_BYTES", small_tiles(data, x, wt, stride, padding))
+            check_backward_against_oracle(x, wt, b, stride, padding)
+
+    def test_repeated_backward_gives_bit_identical_weight_grad(self, rng, monkeypatch):
+        # 5 samples in tiles of 2: the kept last tile holds one, two tiles are rebuilt
+        x = rng.normal(size=(5, 3, 6, 6)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        monkeypatch.setattr(ops, "TILE_BYTES", 2 * 3 * 9 * 36 * 4)
+        y, cache = ops.conv2d_forward(x, w, None, stride=1, padding=1)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        first, second = ops.conv2d_backward(dy, cache), ops.conv2d_backward(dy, cache)
+        assert first[1].tobytes() == second[1].tobytes()
+        assert first[0].tobytes() == second[0].tobytes()
+
+    def test_cache_layout(self, rng, monkeypatch):
+        # perfbench's tracer reads the kept patch matrix size and the weight from the cache
+        x = rng.normal(size=(5, 3, 7, 6)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 2)).astype(np.float32)
-        y, cache = ops.conv2d_forward(x, w, None, stride=2, padding=1)
-        (n, cin, _, _), (_, _, kh, kw), (_, _, ho, wo) = x.shape, w.shape, y.shape
-        x_shape, cols, weight, has_bias, stride, padding = cache
-        assert cols.nbytes == cin * kh * kw * n * ho * wo * x.itemsize
-        assert weight is w
-        assert (x_shape, has_bias, stride, padding) == (x.shape, False, 2, 1)
+        (_, cin, _, _), (_, _, kh, kw) = x.shape, w.shape
+        ho, wo = 4, 4
+        sample = cin * kh * kw * ho * wo * x.itemsize
+        # one tile keeps all 5 samples' patches; tiles of 2 leave 1 in the last
+        for tile_bytes, kept in ((ops.TILE_BYTES, 5), (2 * sample, 1)):
+            monkeypatch.setattr(ops, "TILE_BYTES", tile_bytes)
+            y, cache = ops.conv2d_forward(x, w, None, stride=2, padding=1)
+            assert y.shape[2:] == (ho, wo)
+            x_in, cols, weight, has_bias, stride, padding = cache
+            assert cols.shape == (cin * kh * kw, kept * ho * wo)
+            assert cols.nbytes == kept * sample
+            assert x_in is x and weight is w
+            assert (has_bias, stride, padding) == (False, 2, 1)
 
 
 class TestBatchNorm:
@@ -133,8 +180,8 @@ class TestPooling:
         x[0, 0] = [[7, 7], [7, 7]]
         y, cache = ops.maxpool_forward(x, 2, 2)
         assert y[0, 0, 0, 0] == 7
-        _, arg, _, _ = cache
-        assert arg[0, 0, 0, 0] == 0  # lowest linear index
+        dx = ops.maxpool_backward(np.ones((1, 1, 1, 1), dtype=np.float32), cache)
+        assert dx[0, 0].tolist() == [[1, 0], [0, 0]]  # lowest linear index
 
     def test_maxpool_backward_routes_to_argmax_only(self, rng):
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
@@ -144,6 +191,26 @@ class TestPooling:
         # each upstream element lands on exactly one input position
         assert np.count_nonzero(dx) <= dy.size
         np.testing.assert_allclose(np.abs(dx).sum(), np.abs(dy).sum(), rtol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_maxpool_matches_loop_oracle(self, data):
+        """Integer-valued inputs make ties common; extents may leave a cropped edge."""
+        k = data.draw(st.integers(1, 3))
+        n, c = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+        h, w = data.draw(st.integers(k, 3 * k + 2)), data.draw(st.integers(k, 3 * k + 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.integers(-2, 3, size=(n, c, h, w)).astype(np.float64)
+        y, cache = ops.maxpool_forward(x, k, k)
+        dy = rng.normal(size=y.shape)
+        dx = ops.maxpool_backward(dy, cache)
+        ref_y, ref_dx = maxpool_loops(x, k, dy)
+        np.testing.assert_array_equal(y, ref_y)
+        np.testing.assert_array_equal(dx, ref_dx)
+
+    def test_maxpool_overlapping_windows_raise(self, rng):
+        with pytest.raises(StructuralError, match="kernel 3 != stride 2"):
+            ops.maxpool_forward(rng.normal(size=(1, 1, 6, 6)), 3, 2)
 
     def test_global_avg_pool_constant_channel_is_exact(self):
         for c_val in (2.5, -1.25, 4.0):
