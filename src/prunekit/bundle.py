@@ -3,22 +3,27 @@
 Layout under a bundle directory:
 
 * ``manifest.json`` -- graph structure, a tensor index (name, shape, byte
-  offset, byte length), free-form metadata, and an integrity checksum.
+  offset, byte length), free-form metadata, and an integrity checksum,
+  written as canonical JSON: sorted keys, no whitespace.
 * ``params.bin`` -- every parameter tensor as little-endian float32,
-  concatenated in manifest index order.
+  concatenated in manifest index order with no gaps.
 
 The checksum is sha256 over the parameter blob followed by the canonical
 manifest JSON (checksum field blanked), so corruption of either file is
-detected on load.  A load also checks that each node's kind is known and
-its tensors are exactly the names and shapes the kind declares
-(``LayerKind.param_shapes``).
-Round-trips are bit-exact.
+detected on load.  The rule reads the manifest's content, not its file
+bytes, so a manifest written indented by older code still loads.  A load
+also checks that the tensor index is contiguous (each tensor starts where
+the previous one ended, the last ends at the end of the blob), that each
+node's kind is known, and that its tensors are exactly the names and shapes
+the kind declares (``LayerKind.param_shapes``).
+Each file is replaced atomically, one at a time.  Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -27,7 +32,7 @@ import numpy as np
 from .errors import BundleIntegrityError, StructuralError
 from .graph import ArchitectureGraph
 from .layers import kind_of
-from .records import read_json, write_json
+from .records import read_json, write_bytes
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
@@ -53,6 +58,13 @@ def _param_items(graph: ArchitectureGraph):
             yield f"{node.id}/{pname}", node.params[pname]
 
 
+def _checksum(blob: bytes, canonical: bytes) -> str:
+    """sha256 of the blob followed by the canonical manifest, checksum field blank."""
+    h = hashlib.sha256(blob)
+    h.update(canonical)
+    return h.hexdigest()
+
+
 def save_bundle(bundle: ModelBundle, path: str) -> str:
     """Write manifest + blob into directory ``path``; returns the checksum."""
     os.makedirs(path, exist_ok=True)
@@ -72,12 +84,15 @@ def save_bundle(bundle: ModelBundle, path: str) -> str:
         "metadata": bundle.metadata,
         "checksum": "",
     }
-    manifest["checksum"] = hashlib.sha256(blob + _canonical_json(manifest)).hexdigest()
-
-    with open(os.path.join(path, BLOB_NAME), "wb") as f:
-        f.write(blob)
-    write_json(manifest, os.path.join(path, MANIFEST_NAME))
-    return manifest["checksum"]
+    canonical = _canonical_json(manifest)
+    checksum = _checksum(blob, canonical)
+    # "checksum" sorts first of the top-level keys, so its blank value opens
+    # the text; filling it in gives the canonical form of the signed manifest
+    head = b'{"checksum":"'
+    write_bytes(blob, os.path.join(path, BLOB_NAME))
+    write_bytes(head + checksum.encode() + canonical[len(head):],
+                os.path.join(path, MANIFEST_NAME))
+    return checksum
 
 
 def load_bundle(path: str) -> ModelBundle:
@@ -88,31 +103,40 @@ def load_bundle(path: str) -> ModelBundle:
             f"unsupported bundle format {manifest.get('format_version')}")
     with open(os.path.join(path, BLOB_NAME), "rb") as f:
         blob = f.read()
-
-    stored = manifest["checksum"]
-    manifest["checksum"] = ""
-    actual = hashlib.sha256(blob + _canonical_json(manifest)).hexdigest()
-    if actual != stored:
+    blank = _canonical_json({**manifest, "checksum": ""})
+    if _checksum(blob, blank) != manifest.get("checksum"):
         raise BundleIntegrityError("checksum mismatch: bundle is corrupt")
 
     graph = ArchitectureGraph.from_manifest(manifest["graph"])
     by_node = {n.id: n for n in graph.nodes}
+    end = 0      # save writes the tensors back to back in index order
     for entry in manifest["tensors"]:
         name, shape = entry["name"], tuple(entry["shape"])
         start, nbytes = entry["offset"], entry["nbytes"]
-        expect = int(np.prod(shape)) * 4 if shape else 4
+        if not all(type(v) is int and v >= 0 for v in (start, nbytes, *shape)):
+            raise BundleIntegrityError(
+                f"tensor '{name}': offset, byte length and shape must be "
+                f"non-negative integers")
+        if start != end:
+            raise BundleIntegrityError(
+                f"tensor '{name}': offset {start}, but the previous tensor ends at {end}")
+        expect = math.prod(shape) * 4
         if nbytes != expect:
             raise BundleIntegrityError(
                 f"tensor '{name}': manifest declares {nbytes} bytes, "
                 f"shape {shape} needs {expect}")
-        if start + nbytes > len(blob):
+        end = start + nbytes
+        if end > len(blob):
             raise BundleIntegrityError(
-                f"tensor '{name}': blob truncated ({start + nbytes} > {len(blob)})")
+                f"tensor '{name}': blob truncated ({end} > {len(blob)})")
         node_id, pname = name.rsplit("/", 1)
         if node_id not in by_node:
             raise BundleIntegrityError(f"tensor '{name}': no such node in manifest")
-        arr = np.frombuffer(blob[start:start + nbytes], dtype="<f4").reshape(shape)
-        by_node[node_id].params[pname] = arr.copy()
+        by_node[node_id].params[pname] = np.frombuffer(
+            blob, "<f4", nbytes // 4, start).reshape(shape).copy()
+    if end != len(blob):
+        raise BundleIntegrityError(
+            f"{BLOB_NAME} holds {len(blob)} bytes, but the tensor index ends at {end}")
     for node in graph.nodes:
         try:
             declared = kind_of(node).param_shapes(node.attrs)

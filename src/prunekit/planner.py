@@ -154,10 +154,11 @@ def _threshold_layers(record: ScoreRecord, graph: ArchitectureGraph, config: Pru
                       conv_ids, what: str) -> PruningPlan:
     """Threshold each listed conv's scores independently; errors name the layer."""
     plan = PruningPlan(config, score_fingerprint=record.fingerprint())
+    scores = record.layer_map()
     for conv_id in conv_ids:
-        if not record.has_layer(conv_id):
+        ls = scores.get(conv_id)
+        if ls is None:
             raise PlanError(f"no score entry for {what} '{conv_id}'")
-        ls = record.layer(conv_id)
         width = graph.node(conv_id).attrs["out_channels"]
         if ls.channels != width:
             raise PlanError(f"layer '{conv_id}': scores cover {ls.channels} channels, "
@@ -189,6 +190,7 @@ def plan_stage_uniform(record: ScoreRecord, graph: ArchitectureGraph,
     if not graph.stages:
         raise PlanError("graph has no stage annotations")
     plan = PruningPlan(config, score_fingerprint=record.fingerprint())
+    scores = record.layer_map()
     for st in sorted(graph.stages, key=lambda s: s.index):
         if st.index not in targets:
             raise PlanError(f"no target width for stage {st.index}")
@@ -201,9 +203,9 @@ def plan_stage_uniform(record: ScoreRecord, graph: ArchitectureGraph,
             if b.kind != "basic":
                 raise PlanError(f"stage-uniform policy needs basic blocks, "
                                 f"block '{bid}' is {b.kind}")
-            if not record.has_layer(b.last_conv):
+            ls = scores.get(b.last_conv)
+            if ls is None:
                 raise PlanError(f"no score entry for block output conv '{b.last_conv}'")
-            ls = record.layer(b.last_conv)
             if ls.channels != st.width:
                 raise PlanError(f"block '{bid}': scores cover {ls.channels} channels, "
                                 f"stage width is {st.width}")

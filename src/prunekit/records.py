@@ -3,6 +3,10 @@
 A dataclass inheriting :class:`Record` derives to_dict/from_dict/save/load/
 fingerprint from its fields.  Decoding is strict, and an error names the
 field's path: ``PruningPlan.layers[0]: missing required field 'original'``.
+
+Every file goes through :func:`write_bytes`, the one atomic writer.  JSON is
+encoded whole with ``json.dumps`` and written once; the streaming ``json.dump``
+would issue one ``write`` per token, tens of thousands for a large manifest.
 """
 
 from __future__ import annotations
@@ -28,17 +32,22 @@ def content_hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def write_json(obj, path: str) -> None:
-    """Write indented JSON by temp file and rename, so a failed write keeps the old file."""
+def write_bytes(data: bytes, path: str) -> None:
+    """Write ``data`` by temp file and rename, so a failed write keeps the old file."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as f:
-            json.dump(obj, f, indent=1)
+        with open(tmp, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_json(obj, path: str) -> None:
+    """Write indented JSON atomically; the text is encoded whole, then written once."""
+    write_bytes(json.dumps(obj, indent=1).encode(), path)
 
 
 def read_json(path: str):

@@ -55,11 +55,13 @@ def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelB
                 f"plan says layer '{lp.layer_id}' has {lp.original} channels, "
                 f"model has {node.attrs['out_channels']}")
 
+    # a gate only passes kept sets through, so stripping it first gives the same
+    # compact graph, and the parent's parameters are copied once
+    new_graph = strip_gates(graph) if opts.strip_gates else graph.copy()
     # kept channel sets flow in dataflow order; None means every channel survives
-    planned, prods = plan.layer_map(), graph.producer_map()
-    new_graph = graph.copy()
+    planned, prods = plan.layer_map(), new_graph.producer_map()
     out_keep: dict[str, np.ndarray | None] = {}
-    for nid in graph.topo_order():
+    for nid in new_graph.topo_order():
         node, lp = new_graph.node(nid), planned.get(nid)
         rules = kind_of(node)
         ins = [out_keep[p] for p in prods[nid]] or [None]
@@ -75,8 +77,6 @@ def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelB
         if len(widths) == 1:
             st.width = widths.pop()
 
-    if opts.strip_gates:
-        new_graph = strip_gates(new_graph)
     if opts.mode == "architecture-only":
         initialize_parameters(new_graph, opts.seed)
     new_graph.check_valid()

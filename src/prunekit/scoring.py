@@ -37,14 +37,8 @@ class ScoreRecord(Record):
     stages: list[dict] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def layer(self, layer_id: str) -> LayerScore:
-        for ls in self.layers:
-            if ls.layer_id == layer_id:
-                return ls
-        raise KeyError(layer_id)
-
-    def has_layer(self, layer_id: str) -> bool:
-        return any(ls.layer_id == layer_id for ls in self.layers)
+    def layer_map(self) -> dict[str, LayerScore]:
+        return {ls.layer_id: ls for ls in self.layers}
 
 
 def scored_conv_for_gate(graph: ArchitectureGraph, gate_id: str) -> str:
@@ -108,7 +102,7 @@ def collect_scores(bundle: ModelBundle, batches, max_batches: int | None = None,
 
 
 def _aggregate_blocks(record: ScoreRecord, graph: ArchitectureGraph) -> None:
-    by_layer = {ls.layer_id: ls for ls in record.layers}
+    by_layer = record.layer_map()
     for b in graph.blocks:
         ls = None
         for conv_id in (b.last_conv, b.middle_conv, b.first_conv):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from prunekit import ModelBundle, build, load_bundle, save_bundle
-from prunekit.bundle import BLOB_NAME, MANIFEST_NAME, bundle_fingerprint
+from prunekit.bundle import BLOB_NAME, MANIFEST_NAME, _canonical_json, bundle_fingerprint
 from prunekit.cli import main
 from prunekit.errors import BundleIntegrityError
 
@@ -145,3 +145,50 @@ def test_malformed_manifest_exits_2_naming_the_layer(bundle, tmp_path, capsys, e
         load_bundle(path)
     assert main(["count", "--model", path]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_checksum_is_pinned(tmp_path):
+    """The checksum is sha256(blob || canonical manifest with a blank checksum),
+    whatever the layout of the manifest file, so this digest must not move."""
+    checksum = save_bundle(ModelBundle(build("tiny-vgg", 4, seed=0)), str(tmp_path))
+    assert checksum == "25d52b8f63d19cf73e1492af0c11325a99b03e8078913bf86437e0de00c1351b"
+
+
+def test_manifest_is_written_canonical(bundle, tmp_path):
+    save_bundle(bundle, str(tmp_path))
+    raw = (tmp_path / MANIFEST_NAME).read_bytes()
+    assert raw == _canonical_json(json.loads(raw))
+
+
+def test_indented_manifest_of_older_bundles_loads(bundle, tmp_path):
+    save_bundle(bundle, str(tmp_path))
+    mpath = tmp_path / MANIFEST_NAME
+    manifest = json.loads(mpath.read_bytes())
+    with open(mpath, "w") as f:
+        json.dump(manifest, f, indent=1)
+    assert bundle_fingerprint(load_bundle(str(tmp_path))) == bundle_fingerprint(bundle)
+
+
+@pytest.mark.parametrize("index, offset, message", [
+    (0, -4, "must be non-negative integers"),
+    (1, 0, "offset 0, but the previous tensor ends at"),
+    (0, 0.0, "must be non-negative integers"),
+], ids=["negative-offset", "aliased-offset", "float-offset"])
+def test_tensor_index_must_be_contiguous(bundle, tmp_path, capsys, index, offset, message):
+    """Only the layout save writes loads: each tensor starts where the last one ended."""
+    path = str(tmp_path / "model")
+    save_bundle(bundle, path)
+    resign(path, lambda m: m["tensors"][index].update(offset=offset))
+    name = json.load(open(os.path.join(path, MANIFEST_NAME)))["tensors"][index]["name"]
+    with pytest.raises(BundleIntegrityError, match=f"tensor '{name}': .*{message}"):
+        load_bundle(path)
+    assert main(["count", "--model", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_blob_longer_than_the_index_is_rejected(bundle, tmp_path):
+    path = str(tmp_path / "model")
+    save_bundle(bundle, path)
+    resign(path, lambda m: m["tensors"].pop())
+    with pytest.raises(BundleIntegrityError, match="tensor index ends at"):
+        load_bundle(path)

@@ -206,9 +206,14 @@ def json_calls(path: Path) -> list[str]:
 
 
 def test_only_the_codec_and_bundle_call_json():
+    """And no module streams with ``json.dump``, which writes once per token:
+    the codec and the bundle encode with ``dumps``, then call ``write_bytes``."""
     package = Path(prunekit.__file__).parent
     assert json_calls(package / "records.py"), "found no json calls; the scan is broken"
-    offenders = [call for path in sorted(package.glob("*.py"))
-                 if path.name not in ("records.py", "bundle.py")
-                 for call in json_calls(path)]
+    calls = {path.name: json_calls(path) for path in sorted(package.glob("*.py"))}
+    offenders = [call for name, found in calls.items()
+                 if name not in ("records.py", "bundle.py") for call in found]
     assert not offenders
+    streaming = [call for found in calls.values() for call in found
+                 if call.endswith("json.dump")]
+    assert not streaming
