@@ -16,7 +16,7 @@ from .planner import (PruneConfig, PruningPlan, identity_plan, make_plan,
                       select_channels, threshold)
 from .rewriter import RewriteOptions, apply
 from .scoring import ScoreRecord, collect_scores
-from .trainer import TrainConfig, evaluate, loss, retrain, train
+from .trainer import TrainConfig, evaluate, retrain, train
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,6 @@ __all__ = [
     "PruneConfig", "PruningPlan", "RewriteOptions", "ScoreRecord",
     "TrainConfig", "apply", "build", "collect_scores", "count_flops",
     "count_params", "evaluate", "identity_plan", "load_bundle", "load_dataset",
-    "loss", "make_plan", "report", "retrain", "save_bundle",
-    "select_channels", "strip_gates", "threshold", "train",
+    "make_plan", "report", "retrain", "save_bundle", "select_channels",
+    "strip_gates", "threshold", "train",
 ]

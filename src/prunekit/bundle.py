@@ -12,10 +12,10 @@ The checksum is sha256 over the parameter blob followed by the canonical
 manifest JSON (checksum field blanked), so corruption of either file is
 detected on load.  The rule reads the manifest's content, not its file
 bytes, so a manifest written indented by older code still loads.  A load
-also checks that the tensor index is contiguous (each tensor starts where
-the previous one ended, the last ends at the end of the blob), that each
-node's kind is known, and that its tensors are exactly the names and shapes
-the kind declares (``LayerKind.param_shapes``).
+also checks each manifest field's type, that the tensor index is contiguous
+(each tensor starts where the previous one ended, the last ends at the end of
+the blob), and that each node's attributes and tensors are exactly the ones
+its kind declares (``LayerKind.attrs`` and ``param_shapes``).
 Each file is replaced atomically, one at a time.  Round-trips are bit-exact.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BundleIntegrityError, StructuralError
 from .graph import ArchitectureGraph
 from .layers import kind_of
-from .records import read_json, write_bytes
+from .records import Record, decode, read_json, write_bytes
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
@@ -46,6 +46,15 @@ class ModelBundle:
 
     def copy(self) -> "ModelBundle":
         return ModelBundle(self.graph.copy(), dict(self.metadata))
+
+
+@dataclass
+class TensorEntry(Record):
+    """One entry of the tensor index; the load checks its numbers are non-negative ints."""
+    name: str
+    shape: object
+    offset: object
+    nbytes: object
 
 
 def _canonical_json(obj) -> bytes:
@@ -97,7 +106,7 @@ def save_bundle(bundle: ModelBundle, path: str) -> str:
 
 def load_bundle(path: str) -> ModelBundle:
     """Read and verify a bundle directory written by :func:`save_bundle`."""
-    manifest = read_json(os.path.join(path, MANIFEST_NAME))
+    manifest = decode(dict, read_json(os.path.join(path, MANIFEST_NAME)), MANIFEST_NAME)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise BundleIntegrityError(
             f"unsupported bundle format {manifest.get('format_version')}")
@@ -107,16 +116,20 @@ def load_bundle(path: str) -> ModelBundle:
     if _checksum(blob, blank) != manifest.get("checksum"):
         raise BundleIntegrityError("checksum mismatch: bundle is corrupt")
 
-    graph = ArchitectureGraph.from_manifest(manifest["graph"])
-    by_node = {n.id: n for n in graph.nodes}
+    try:
+        graph = ArchitectureGraph.from_manifest(manifest.get("graph"))
+        index = decode(list[TensorEntry], manifest.get("tensors"), "manifest.tensors")
+    except (ValueError, StructuralError) as exc:
+        raise BundleIntegrityError(str(exc)) from None
     end = 0      # save writes the tensors back to back in index order
-    for entry in manifest["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if not all(type(v) is int and v >= 0 for v in (start, nbytes, *shape)):
+    for entry in index:
+        name, shape, start, nbytes = entry.name, entry.shape, entry.offset, entry.nbytes
+        if type(shape) is not list or not all(
+                type(v) is int and v >= 0 for v in (start, nbytes, *shape)):
             raise BundleIntegrityError(
                 f"tensor '{name}': offset, byte length and shape must be "
                 f"non-negative integers")
+        shape = tuple(shape)
         if start != end:
             raise BundleIntegrityError(
                 f"tensor '{name}': offset {start}, but the previous tensor ends at {end}")
@@ -129,22 +142,16 @@ def load_bundle(path: str) -> ModelBundle:
         if end > len(blob):
             raise BundleIntegrityError(
                 f"tensor '{name}': blob truncated ({end} > {len(blob)})")
-        node_id, pname = name.rsplit("/", 1)
-        if node_id not in by_node:
+        node_id, _, pname = name.rpartition("/")
+        if not graph.has_node(node_id):
             raise BundleIntegrityError(f"tensor '{name}': no such node in manifest")
-        by_node[node_id].params[pname] = np.frombuffer(
+        graph.node(node_id).params[pname] = np.frombuffer(
             blob, "<f4", nbytes // 4, start).reshape(shape).copy()
     if end != len(blob):
         raise BundleIntegrityError(
             f"{BLOB_NAME} holds {len(blob)} bytes, but the tensor index ends at {end}")
     for node in graph.nodes:
-        try:
-            declared = kind_of(node).param_shapes(node.attrs)
-        except StructuralError as e:  # unknown kind
-            raise BundleIntegrityError(str(e)) from None
-        except KeyError as e:
-            raise BundleIntegrityError(
-                f"layer '{node.id}': {node.kind} lacks attribute {e}") from None
+        declared = kind_of(node).param_shapes(node.attrs)
         for pname in sorted(declared.keys() | node.params.keys()):
             want = declared.get(pname)
             have = node.params[pname].shape if pname in node.params else None

@@ -43,8 +43,6 @@ def sigmoid(a: np.ndarray) -> np.ndarray:
 
 def excite(z: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Gate vector s = sigmoid(w2 @ relu(w1 @ z)) for each row of z (n,c)."""
-    if z.ndim == 1:
-        return excite(z[None, :], w1, w2)[0]
     if z.shape[1] != w1.shape[1]:
         raise StructuralError(f"excite: z has {z.shape[1]} channels, w1 expects {w1.shape[1]}")
     hidden = np.maximum(z @ w1.T, 0)
@@ -52,12 +50,8 @@ def excite(z: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
 
 
 def scale(u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Channel-wise product; s is (c,) or (n,c) matching u's channel count."""
+    """Channel-wise product; s is (n,c) matching u's channel count."""
     check_tensor4(u, "scale input")
-    if s.ndim == 1:
-        if s.shape[0] != u.shape[1]:
-            raise StructuralError(f"scale: {s.shape[0]} gate values for {u.shape[1]} channels")
-        return u * s[None, :, None, None]
     if s.shape[1] != u.shape[1]:
         raise StructuralError(f"scale: {s.shape[1]} gate values for {u.shape[1]} channels")
     return u * s[:, :, None, None]

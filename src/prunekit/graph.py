@@ -13,11 +13,9 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .errors import GraphValidationError
-from .layers import LAYERS, kind_of
+from .errors import GraphValidationError, StructuralError
+from .layers import LAYERS, checked_attrs, kind_of
 from .records import Record, decode, encode
-
-KINDS = tuple(LAYERS)
 
 
 @dataclass
@@ -58,6 +56,24 @@ class StageInfo(Record):
 
     def copy(self) -> "StageInfo":
         return replace(self, block_ids=list(self.block_ids))
+
+
+@dataclass
+class NodeManifest(Record):
+    id: str
+    kind: str
+    attrs: dict     # held to the kind's declaration by ``layers.checked_attrs``
+
+
+@dataclass
+class GraphManifest(Record):
+    """The fields of a graph manifest, as ``from_manifest`` reads them."""
+    input_shape: tuple[int, int, int]
+    nodes: list[NodeManifest]
+    edges: list[tuple[str, str]]
+    blocks: list[BlockInfo] = field(default_factory=list)
+    stages: list[StageInfo] = field(default_factory=list)
+    arch: str = "custom"
 
 
 class ArchitectureGraph:
@@ -198,6 +214,12 @@ class ArchitectureGraph:
                 v.append(f"{n.kind} node '{n.id}' has {np_in} inputs, needs exactly {arity}")
             if arity == 1 and np_in > 1:
                 v.append(f"node '{n.id}' has {np_in} inputs, at most 1 allowed")
+            try:
+                checked_attrs(n)
+            except StructuralError as exc:
+                v.append(str(exc))
+        if v:   # shape rules may read only known kinds and well-formed attributes
+            return v
 
         try:
             io = self.io_shapes()
@@ -261,13 +283,6 @@ class ArchitectureGraph:
 
     @classmethod
     def from_manifest(cls, m: dict) -> "ArchitectureGraph":
-        nodes = []
-        for d in m["nodes"]:
-            attrs = dict(d["attrs"])
-            if "kernel" in attrs and isinstance(attrs["kernel"], list):
-                attrs["kernel"] = tuple(attrs["kernel"])
-            nodes.append(LayerNode(d["id"], d["kind"], attrs))
-        blocks = decode(list[BlockInfo], m.get("blocks", []), "graph.blocks")
-        stages = decode(list[StageInfo], m.get("stages", []), "graph.stages")
-        return cls(nodes, [tuple(e) for e in m["edges"]], tuple(m["input_shape"]),
-                   blocks, stages, m.get("arch", "custom"))
+        g = decode(GraphManifest, m, "graph")
+        nodes = [LayerNode(d.id, d.kind, checked_attrs(d)) for d in g.nodes]
+        return cls(nodes, g.edges, g.input_shape, g.blocks, g.stages, g.arch)

@@ -6,9 +6,11 @@ costs, how pruning narrows it, and which parameters it has.  That last rule,
 ``param_shapes``, is the one statement of a kind's parameters: the parameter
 count, the initialization, the shape check of graph validation, the tensor
 check of a bundle load and the names of ``backward``'s parameter gradients
-all derive from it.  The executor, graph, accounting, rewriter, bundle and
-builders look rules up here rather than branching on the kind themselves, so
-a new kind touches this file only.
+all derive from it.  ``attrs``, ``{name: type}``, is the one statement of a
+kind's attributes, all required: :func:`checked_attrs` holds built graphs and
+loaded manifests to it, so no rule reads a default.  The executor, graph,
+accounting, rewriter, bundle and builders look rules up here rather than
+branching on the kind themselves, so a new kind touches this file only.
 
 Rules call ``ops`` and ``gate`` through the module attribute at call time,
 so a wrapper installed on those functions (a profiler, say) sees every call.
@@ -16,13 +18,14 @@ so a wrapper installed on those functions (a profiler, say) sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import gate, ops
 from .errors import PlanError, StructuralError
+from .records import decode
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ class LayerKind:
     weights: tuple[str, ...] = ()           # operands of the L2 penalty
     ones: tuple[str, ...] = ()
     arity: int = 1
+    attrs: dict = field(default_factory=dict)   # {name: type}, every one required
 
 
 def _elems(shape) -> int:
@@ -136,11 +140,10 @@ def _bn_narrow(node, in_keep, out_keep):
 
 def _gate_check(node, in_shapes):
     a = node.attrs
-    c = a["channels"]
-    hid = gate.hidden_width(c, a["reduction"])
+    hid = gate.hidden_width(a["channels"], a["reduction"])
     yield from _declared_channels(node, in_shapes)
-    if a.get("hidden", hid) != hid:
-        yield f"gate '{node.id}': hidden width {a.get('hidden')} != max(1, C // r) = {hid}"
+    if a["hidden"] != hid:
+        yield f"gate '{node.id}': hidden width {a['hidden']} != max(1, C // r) = {hid}"
 
 
 def _gate_narrow(node, in_keep, out_keep):
@@ -189,12 +192,14 @@ LAYERS: dict[str, LayerKind] = {
             node.attrs["stride"], node.attrs["padding"]),
         backward=lambda dy, cache: ops.conv2d_backward(dy, cache),
         macs=_conv_macs,
-        opcount=lambda a, i, o: 2 * _conv_macs(a, i, o) + (_elems(o) if a.get("bias") else 0),
+        opcount=lambda a, i, o: 2 * _conv_macs(a, i, o) + (_elems(o) if a["bias"] else 0),
         param_shapes=lambda a: _weight_bias(
-            (a["out_channels"], a["in_channels"], *a["kernel"]), a.get("bias")),
+            (a["out_channels"], a["in_channels"], *a["kernel"]), a["bias"]),
         out_shape=_conv_shape, check=_conv_check, narrow=_conv_narrow,
         out_keep=lambda node, in_keeps, planned: planned,
-        trainable=("weight", "bias"), weights=("weight",)),
+        trainable=("weight", "bias"), weights=("weight",),
+        attrs={"in_channels": int, "out_channels": int, "kernel": tuple[int, int],
+               "stride": int, "padding": int, "bias": bool}),
     "batchnorm": LayerKind(
         forward=_bn_forward,
         backward=lambda dy, cache: ops.batchnorm_backward(dy, cache),
@@ -202,7 +207,8 @@ LAYERS: dict[str, LayerKind] = {
         param_shapes=lambda a: dict.fromkeys(
             ("gamma", "beta", "running_mean", "running_var"), (a["channels"],)),
         check=_declared_channels, narrow=_bn_narrow,
-        trainable=("gamma", "beta"), ones=("gamma", "running_var")),
+        trainable=("gamma", "beta"), ones=("gamma", "running_var"),
+        attrs={"channels": int, "eps": float, "momentum": float}),
     "relu": LayerKind(
         forward=lambda node, xs, training: ops.relu_forward(xs[0]),
         backward=lambda dy, cache: (ops.relu_backward(dy, cache),),
@@ -212,7 +218,7 @@ LAYERS: dict[str, LayerKind] = {
             xs[0], node.attrs["kernel"], node.attrs["stride"]),
         backward=lambda dy, cache: (ops.maxpool_backward(dy, cache),),
         opcount=lambda a, i, o: _elems(o) * (a["kernel"] * a["kernel"] - 1),
-        out_shape=_pool_shape, check=_pool_check),
+        out_shape=_pool_shape, check=_pool_check, attrs={"kernel": int, "stride": int}),
     "globalavgpool": LayerKind(
         forward=lambda node, xs, training: ops.global_avg_pool_forward(xs[0]),
         backward=lambda dy, cache: (ops.global_avg_pool_backward(dy, cache),),
@@ -224,13 +230,14 @@ LAYERS: dict[str, LayerKind] = {
         backward=lambda dy, cache: ops.linear_backward(dy, cache),
         macs=lambda a, i, o: a["in_features"] * a["out_features"],
         opcount=lambda a, i, o: (2 * a["in_features"] * a["out_features"]
-                                 + (a["out_features"] if a.get("bias", True) else 0)),
+                                 + (a["out_features"] if a["bias"] else 0)),
         param_shapes=lambda a: _weight_bias(
-            (a["out_features"], a["in_features"]), a.get("bias", True)),
+            (a["out_features"], a["in_features"]), a["bias"]),
         out_shape=lambda node, in_shapes: (node.attrs["out_features"], 1, 1),
         check=_fc_check, narrow=_fc_narrow,
         out_keep=lambda node, in_keeps, planned: None,
-        trainable=("weight", "bias"), weights=("weight",)),
+        trainable=("weight", "bias"), weights=("weight",),
+        attrs={"in_features": int, "out_features": int, "bias": bool}),
     "gate": LayerKind(
         forward=lambda node, xs, training: gate.gate_forward(
             xs[0], node.params["w1"], node.params["w2"]),
@@ -240,7 +247,8 @@ LAYERS: dict[str, LayerKind] = {
         param_shapes=lambda a: {"w1": (a["hidden"], a["channels"]),
                                 "w2": (a["channels"], a["hidden"])},
         check=_gate_check, narrow=_gate_narrow,
-        trainable=("w1", "w2"), weights=("w1", "w2")),
+        trainable=("w1", "w2"), weights=("w1", "w2"),
+        attrs={"channels": int, "reduction": int, "hidden": int}),
     "add": LayerKind(
         forward=_add_forward, backward=lambda dy, cache: (dy, dy),
         opcount=lambda a, i, o: _elems(o), check=_add_check, out_keep=_add_keep, arity=2),
@@ -257,3 +265,22 @@ def kind_of(node) -> LayerKind:
         return LAYERS[node.kind]
     except KeyError:
         raise StructuralError(f"layer '{node.id}': unknown kind '{node.kind}'") from None
+
+
+def checked_attrs(node) -> dict:
+    """``node.attrs`` decoded against its kind's ``attrs`` by ``records.decode``.
+
+    A missing, extra or mistyped attribute raises StructuralError naming the layer.
+    """
+    declared, where = kind_of(node).attrs, f"layer '{node.id}': {node.kind}"
+    for name in declared:
+        if name not in node.attrs:
+            raise StructuralError(f"{where} lacks attribute '{name}'")
+    for name in node.attrs:
+        if name not in declared:
+            raise StructuralError(f"{where} has no attribute '{name}'")
+    try:
+        return {name: decode(hint, node.attrs[name], f"{where} attribute '{name}'")
+                for name, hint in declared.items()}
+    except ValueError as exc:
+        raise StructuralError(str(exc)) from None

@@ -25,6 +25,7 @@ import numpy as np
 _JSON_TYPES = {dict: "an object", list: "an array", tuple: "an array", str: "a string",
                bool: "a boolean", int: "an integer", float: "a number", type(None): "null"}
 _ACCEPTED = {float: (int, float), list: (list, tuple)}   # what else passes for the type
+_SCALARS = (str, int, float, bool)
 
 
 def content_hash(obj) -> str:
@@ -72,9 +73,12 @@ def encode(value):
 
 @functools.cache
 def _shape(hint):
-    """A hint's origin and args, and its field hints if it is a dataclass."""
-    hints = typing.get_type_hints(hint) if dataclasses.is_dataclass(hint) else None
-    return typing.get_origin(hint) or hint, typing.get_args(hint), hints
+    """A hint's origin and args; for a dataclass, its field hints and required fields."""
+    if not dataclasses.is_dataclass(hint):
+        return typing.get_origin(hint) or hint, typing.get_args(hint), None, ()
+    return hint, (), typing.get_type_hints(hint), tuple(
+        f.name for f in dataclasses.fields(hint)
+        if f.default is MISSING and f.default_factory is MISSING)
 
 
 def _expect(json_type, value, path: str) -> None:
@@ -85,9 +89,16 @@ def _expect(json_type, value, path: str) -> None:
         raise ValueError(f"{path}: expected {_JSON_TYPES[json_type]}, got {got}")
 
 
+def _plain(hint, value) -> bool:
+    """Whether ``value`` decodes to itself: anything for ``object``, else an exact scalar."""
+    return hint is object or (type(value) is hint and hint in _SCALARS)
+
+
 def decode(hint, value, path: str):
     """Build a value of type ``hint`` from its JSON form; errors name ``path``."""
-    origin, args, hints = _shape(hint)
+    if _plain(hint, value):
+        return value
+    origin, args, hints, required = _shape(hint)
     if origin in (typing.Union, types.UnionType):     # ``X | None``
         (inner,) = [a for a in args if a is not type(None)]
         return None if value is None else decode(inner, value, path)
@@ -96,10 +107,11 @@ def decode(hint, value, path: str):
         for key in value:
             if key not in hints:
                 raise ValueError(f"{path}: unknown field '{key}'")
-        for f in dataclasses.fields(hint):
-            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
-                raise ValueError(f"{path}: missing required field '{f.name}'")
-        return hint(**{k: decode(hints[k], v, f"{path}.{k}") for k, v in value.items()})
+        for name in required:
+            if name not in value:
+                raise ValueError(f"{path}: missing required field '{name}'")
+        return hint(**{k: v if _plain(hints[k], v) else decode(hints[k], v, f"{path}.{k}")
+                       for k, v in value.items()})
     if origin is np.ndarray:     # array fields hold float vectors
         return np.asarray(decode(list[float], value, path), dtype=np.float64)
     if origin in (list, tuple):
@@ -108,6 +120,8 @@ def decode(hint, value, path: str):
             args = (args[:1] or (typing.Any,)) * len(value)
         elif len(args) != len(value):
             raise ValueError(f"{path}: expected {len(args)} items, got {len(value)}")
+        if all(map(_plain, args, value)):
+            return origin(value)
         return origin(decode(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
     if origin in (dict, str, bool, int, float):
         _expect(origin, value, path)

@@ -140,16 +140,6 @@ def penalized_loss(net: Network, x: np.ndarray, y: np.ndarray, variant: str,
     return value, probs
 
 
-def loss(predictions: np.ndarray, labels_onehot: np.ndarray, weights=(),
-         weight_decay: float = 0.0, variant: str = "softmax-ce") -> float:
-    """Penalized loss on probability vectors, as a single scalar."""
-    if not np.allclose(predictions.sum(axis=1), 1.0, atol=1e-5):
-        raise ValueError("predictions must sum to 1 per sample")
-    value, _ = data_loss_and_grad(predictions, labels_onehot, variant)
-    pen, _ = penalty_value(list(weights), weight_decay)
-    return value + pen
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 

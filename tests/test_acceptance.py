@@ -175,7 +175,7 @@ def test_criterion_06_gradient_fidelity():
 def test_criterion_07_zero_weight_half_law():
     for c, r in ((8, 2), (16, 4), (64, 16)):
         hid = max(1, c // r)
-        s = excite(np.random.default_rng(c).uniform(0, 5, size=c),
+        s = excite(np.random.default_rng(c).uniform(0, 5, size=c)[None],
                    np.zeros((hid, c)), np.zeros((c, hid)))
         assert (s == 0.5).all()
     emit(7, True, "zero-weight excitation is exactly 0.5 per channel")

@@ -1,16 +1,23 @@
 """Bundle serialization: bit-exact round trips and corruption detection."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prunekit import ModelBundle, build, load_bundle, save_bundle
 from prunekit.bundle import BLOB_NAME, MANIFEST_NAME, _canonical_json, bundle_fingerprint
 from prunekit.cli import main
 from prunekit.errors import BundleIntegrityError
+from prunekit.layers import LAYERS
 
 
 @pytest.fixture
@@ -136,7 +143,16 @@ def _node(manifest, node_id):
      "layer 'relu1': unknown kind 'mystery'"),
     (lambda m: _node(m, "gate1")["attrs"].pop("hidden"),
      "layer 'gate1': gate lacks attribute 'hidden'"),
-], ids=["unknown-kind", "gate-without-hidden"])
+    (lambda m: _node(m, "conv2")["attrs"].update(stride="2"),
+     "layer 'conv2': conv attribute 'stride': expected an integer, got a string"),
+    (lambda m: _node(m, "pool1")["attrs"].pop("kernel"),
+     "layer 'pool1': maxpool lacks attribute 'kernel'"),
+    (lambda m: _node(m, "conv1")["attrs"].pop("stride"),
+     "layer 'conv1': conv lacks attribute 'stride'"),
+    (lambda m: _node(m, "conv1")["attrs"].update(dilation=1),
+     "layer 'conv1': conv has no attribute 'dilation'"),
+], ids=["unknown-kind", "gate-without-hidden", "string-stride", "maxpool-without-kernel",
+        "conv-without-stride", "extra-dilation"])
 def test_malformed_manifest_exits_2_naming_the_layer(bundle, tmp_path, capsys, edit, message):
     path = str(tmp_path / "model")
     save_bundle(bundle, path)
@@ -145,6 +161,82 @@ def test_malformed_manifest_exits_2_naming_the_layer(bundle, tmp_path, capsys, e
         load_bundle(path)
     assert main(["count", "--model", path]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["tensors"][0].pop("offset"),
+     "manifest.tensors[0]: missing required field 'offset'"),
+    (lambda m: m["tensors"][0].update(shape=3),
+     "tensor 'conv1/weight': offset, byte length and shape must be non-negative integers"),
+    (lambda m: m["graph"].pop("edges"), "graph: missing required field 'edges'"),
+    (lambda m: m["graph"].pop("input_shape"), "graph: missing required field 'input_shape'"),
+    (lambda m: m["graph"]["nodes"][0].pop("attrs"),
+     "graph.nodes[0]: missing required field 'attrs'"),
+    (lambda m: m["tensors"][0].update(name="conv1weight"),
+     "tensor 'conv1weight': no such node in manifest"),
+], ids=["tensor-without-offset", "scalar-shape", "graph-without-edges",
+        "graph-without-input-shape", "node-without-attrs", "tensor-name-without-node"])
+def test_malformed_manifest_field_exits_2_naming_it(bundle, tmp_path, capsys, edit, message):
+    path = str(tmp_path / "model")
+    save_bundle(bundle, path)
+    resign(path, edit)
+    with pytest.raises(BundleIntegrityError, match=re.escape(message)):
+        load_bundle(path)
+    assert main(["count", "--model", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_manifest_that_is_not_an_object_exits_2(bundle, tmp_path, capsys):
+    path = str(tmp_path / "model")
+    save_bundle(bundle, path)
+    with open(os.path.join(path, MANIFEST_NAME), "w") as f:
+        json.dump([1, 2], f)
+    assert main(["count", "--model", path]) == 2
+    assert "manifest.json: expected an object, got an array" in capsys.readouterr().err
+
+
+def _retyped(value, data):
+    """A value of another JSON type than ``value``, or a kernel of the wrong length."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, list):
+        return value[:1] if data.draw(st.booleans()) else value + value[:1]
+    return data.draw(st.sampled_from([str(value), True] if isinstance(value, int)
+                                     else [str(value)]))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_malformed_attribute_exits_2_naming_the_layer(data):
+    """Drop, add or retype one attribute of a node, or rename its kind: the CLI
+    exits 2 naming the layer, never 1 (a crash) or 3 (a stage failure)."""
+    graph = build("tiny-vgg", 4, with_gates=True, seed=0)
+    node = data.draw(st.sampled_from(graph.nodes))
+    attrs = json.loads(json.dumps(node.attrs))
+    ops = ["add", "rename"] + (["drop", "retype"] if attrs else [])
+    op = data.draw(st.sampled_from(ops))
+    if op == "add":
+        attrs[data.draw(st.sampled_from(["dilation", "groups", "Bias"]))] = 1
+    elif op == "drop":
+        del attrs[data.draw(st.sampled_from(sorted(attrs)))]
+    elif op == "retype":
+        name = data.draw(st.sampled_from(sorted(attrs)))
+        attrs[name] = _retyped(attrs[name], data)
+    kind = node.kind
+    if op == "rename":     # to an unknown kind, or a known one declaring other attributes
+        kind = data.draw(st.sampled_from(["mystery"] + [k for k in LAYERS
+                                                        if set(LAYERS[k].attrs) != set(attrs)]))
+
+    def edit(m):
+        _node(m, node.id).update(kind=kind, attrs=attrs)
+    with tempfile.TemporaryDirectory() as path:
+        save_bundle(ModelBundle(graph), path)
+        resign(path, edit)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["count", "--model", path])
+    assert code == 2, (op, node.id, kind, attrs, err.getvalue())
+    assert f"layer '{node.id}'" in err.getvalue()
 
 
 def test_checksum_is_pinned(tmp_path):

@@ -36,14 +36,14 @@ class TestSqueeze:
 class TestExcite:
     def test_zero_weights_give_exact_half(self):
         c, hid = 6, 3
-        s = excite(np.random.default_rng(0).normal(size=c),
+        s = excite(np.random.default_rng(0).normal(size=c)[None],
                    np.zeros((hid, c)), np.zeros((c, hid)))
-        np.testing.assert_array_equal(s, np.full(c, 0.5))
+        np.testing.assert_array_equal(s, np.full((1, c), 0.5))
 
     def test_zero_input_gives_half(self, rng):
         c, hid = 4, 2
-        s = excite(np.zeros(c), rng.normal(size=(hid, c)), rng.normal(size=(c, hid)))
-        np.testing.assert_array_equal(s, np.full(c, 0.5))
+        s = excite(np.zeros((1, c)), rng.normal(size=(hid, c)), rng.normal(size=(c, hid)))
+        np.testing.assert_array_equal(s, np.full((1, c), 0.5))
 
     def test_matches_dense_oracle(self, rng):
         c, r = 6, 2
@@ -51,7 +51,7 @@ class TestExcite:
         z = rng.normal(size=c) ** 2
         w1 = rng.normal(size=(hid, c))
         w2 = rng.normal(size=(c, hid))
-        np.testing.assert_allclose(excite(z, w1, w2), excite_loops(z, w1, w2),
+        np.testing.assert_allclose(excite(z[None], w1, w2)[0], excite_loops(z, w1, w2),
                                    atol=1e-6)
 
     def test_output_strictly_inside_unit_interval(self, rng):
@@ -63,40 +63,40 @@ class TestExcite:
             z = np.abs(rng.normal(size=c)) * 3
             w1 = rng.normal(0, np.sqrt(2 / c), size=(hid, c))
             w2 = rng.normal(0, np.sqrt(2 / hid), size=(c, hid))
-            s = excite(z, w1, w2)
+            s = excite(z[None], w1, w2)
             assert ((s > 0) & (s < 1)).all()
 
 
 class TestScale:
     def test_ones_identity(self, rng):
         u = rng.normal(size=(2, 3, 4, 4))
-        np.testing.assert_array_equal(scale(u, np.ones(3)), u)
+        np.testing.assert_array_equal(scale(u, np.ones((2, 3))), u)
 
     def test_zeros_annihilate(self, rng):
         u = rng.normal(size=(2, 3, 4, 4))
-        assert (scale(u, np.zeros(3)) == 0).all()
+        assert (scale(u, np.zeros((2, 3))) == 0).all()
 
     def test_one_hot_selects_single_channel(self, rng):
         u = rng.normal(size=(1, 4, 3, 3))
         s = np.zeros(4)
         s[2] = 1.0
-        out = scale(u, s)
+        out = scale(u, s[None])
         np.testing.assert_array_equal(out[:, 2], u[:, 2])
         assert (np.delete(out, 2, axis=1) == 0).all()
 
     def test_channel_sum_linear_in_gate(self, rng):
         u = rng.normal(size=(1, 3, 4, 4))
         s = rng.uniform(0.1, 0.9, size=3)
-        base = scale(u, s).sum(axis=(2, 3))
+        base = scale(u, s[None]).sum(axis=(2, 3))
         s2 = s.copy()
         s2[1] *= 2.0
-        doubled = scale(u, s2).sum(axis=(2, 3))
+        doubled = scale(u, s2[None]).sum(axis=(2, 3))
         assert doubled[0, 1] == pytest.approx(2 * base[0, 1], rel=1e-6)
         assert doubled[0, 0] == pytest.approx(base[0, 0], rel=1e-6)
 
     def test_length_mismatch_raises(self, rng):
         with pytest.raises(StructuralError, match="gate values"):
-            scale(rng.normal(size=(1, 3, 2, 2)), np.ones(5))
+            scale(rng.normal(size=(1, 3, 2, 2)), np.ones((1, 5)))
 
 
 def test_hidden_width_floors_at_one():

@@ -169,6 +169,38 @@ class TestValidate:
         g.node(layer).params[param] = np.zeros(shape, dtype=np.float32)
         assert g.validate() == [message]
 
+    @pytest.mark.parametrize("layer, edit, message", [
+        ("conv2", lambda a: a.update(stride="2"),
+         "layer 'conv2': conv attribute 'stride': expected an integer, got a string"),
+        ("conv1", lambda a: a.update(bias=1),
+         "layer 'conv1': conv attribute 'bias': expected a boolean, got an integer"),
+        ("conv1", lambda a: a.update(in_channels=True),
+         "layer 'conv1': conv attribute 'in_channels': expected an integer, got a boolean"),
+        ("conv1", lambda a: a.update(kernel=(3, 3, 3)),
+         "layer 'conv1': conv attribute 'kernel': expected 2 items, got 3"),
+        ("bn1", lambda a: a.update(eps="1e-5"),
+         "layer 'bn1': batchnorm attribute 'eps': expected a number, got a string"),
+        ("pool1", lambda a: a.pop("kernel"), "layer 'pool1': maxpool lacks attribute 'kernel'"),
+        ("conv1", lambda a: a.pop("stride"), "layer 'conv1': conv lacks attribute 'stride'"),
+        ("gate1", lambda a: a.pop("hidden"), "layer 'gate1': gate lacks attribute 'hidden'"),
+        ("conv1", lambda a: a.update(dilation=1), "layer 'conv1': conv has no attribute 'dilation'"),
+        ("relu1", lambda a: a.update(inplace=True),
+         "layer 'relu1': relu has no attribute 'inplace'"),
+    ], ids=["string-stride", "int-bias", "bool-width", "kernel-length", "string-eps",
+            "maxpool-without-kernel", "conv-without-stride", "gate-without-hidden",
+            "extra-dilation", "relu-attribute"])
+    def test_malformed_attribute_reported_before_shape_inference(self, layer, edit, message):
+        g = build("tiny-vgg", 4, with_gates=True, init=False)
+        edit(g.node(layer).attrs)
+        violations = g.validate()
+        assert message in violations
+        assert not any("shape inference failed" in v for v in violations)
+
+    def test_an_int_passes_for_a_float_attribute(self):
+        g = build("tiny-vgg", 4, init=False)
+        g.node("bn1").attrs["momentum"] = 1
+        assert g.validate() == []
+
 
 class TestStripGates:
     def test_strip_yields_gateless_twin(self):

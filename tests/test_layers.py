@@ -5,7 +5,7 @@ import pytest
 
 from prunekit.builders import initialize_parameters
 from prunekit.graph import ArchitectureGraph, LayerNode
-from prunekit.layers import LAYERS
+from prunekit.layers import LAYERS, checked_attrs
 
 # tiny attrs and per-sample input shape for one node of each kind
 TINY = {
@@ -24,6 +24,13 @@ TINY = {
 
 def test_every_kind_has_a_tiny_case():
     assert set(TINY) == set(LAYERS)
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_tiny_attributes_are_exactly_the_declared_ones(kind):
+    attrs = TINY[kind][0]
+    assert list(attrs) == list(LAYERS[kind].attrs)
+    assert checked_attrs(LayerNode("n", kind, dict(attrs))) == attrs
 
 
 @pytest.mark.parametrize("kind", sorted(TINY))

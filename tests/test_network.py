@@ -160,7 +160,8 @@ def test_a_node_may_read_one_producer_twice(rng):
     nodes = [LayerNode("c", "conv", {"in_channels": 2, "out_channels": 3, "kernel": (3, 3),
                                      "stride": 1, "padding": 1, "bias": False}),
              LayerNode("sum", "add"), LayerNode("gap", "globalavgpool"),
-             LayerNode("fc", "fullyconnected", {"in_features": 3, "out_features": 2}),
+             LayerNode("fc", "fullyconnected", {"in_features": 3, "out_features": 2,
+                                                 "bias": True}),
              LayerNode("softmax", "softmax")]
     edges = [("c", "sum"), ("c", "sum"), ("sum", "gap"), ("gap", "fc"), ("fc", "softmax")]
     g = ArchitectureGraph(nodes, edges, (2, 4, 4))
