@@ -2,21 +2,25 @@
 
 Layout under a bundle directory:
 
-* ``manifest.json`` -- graph structure, a tensor index (name, shape, byte
-  offset, byte length), free-form metadata, and an integrity checksum,
-  written as canonical JSON: sorted keys, no whitespace.
-* ``params.bin`` -- every parameter tensor as little-endian float32,
-  concatenated in manifest index order with no gaps.
+* ``manifest.json`` -- graph structure, free-form metadata and an integrity
+  checksum, written as canonical JSON: sorted keys, no whitespace.
+* ``params.bin`` -- every parameter tensor as little-endian float32, back to
+  back: nodes in graph order, each node's tensors by sorted name.
+
+The manifest holds no tensor index: each kind's ``LayerKind.param_shapes``
+declares its tensors' names and shapes, so the graph alone gives the layout.
+A save checks that every node's tensors are exactly the declared ones before
+it writes anything; a load slices the declared tensors out of the blob in
+that order and rejects a blob that ends before or after them.  A version-1
+manifest also carried the layout as a ``tensors`` index; a load ignores it.
 
 The checksum is sha256 over the parameter blob followed by the canonical
 manifest JSON (checksum field blanked), so corruption of either file is
 detected on load.  The rule reads the manifest's content, not its file
 bytes, so a manifest written indented by older code still loads.  A load
-also checks each manifest field's type, that the tensor index is contiguous
-(each tensor starts where the previous one ended, the last ends at the end of
-the blob), and that each node's attributes and tensors are exactly the ones
-its kind declares (``LayerKind.attrs`` and ``param_shapes``).
-Each file is replaced atomically, one at a time.  Round-trips are bit-exact.
+also checks each manifest field's type and each node's attributes against
+its kind's ``LayerKind.attrs``.  Each file is replaced atomically, one at a
+time.  Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ import numpy as np
 from .errors import BundleIntegrityError, StructuralError
 from .graph import ArchitectureGraph
 from .layers import kind_of
-from .records import Record, decode, read_json, write_bytes
+from .records import decode, read_json, write_bytes
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -48,23 +52,29 @@ class ModelBundle:
         return ModelBundle(self.graph.copy(), dict(self.metadata))
 
 
-@dataclass
-class TensorEntry(Record):
-    """One entry of the tensor index; the load checks its numbers are non-negative ints."""
-    name: str
-    shape: object
-    offset: object
-    nbytes: object
-
-
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _param_items(graph: ArchitectureGraph):
+def _param_bytes(graph: ArchitectureGraph):
+    """Each tensor's name and little-endian float32 bytes, in blob order."""
     for node in graph.nodes:
         for pname in sorted(node.params):
-            yield f"{node.id}/{pname}", node.params[pname]
+            yield (f"{node.id}/{pname}",
+                   np.ascontiguousarray(node.params[pname], dtype="<f4").tobytes())
+
+
+def _check_declared(node) -> None:
+    """Raise unless ``node``'s tensors are exactly the names and shapes its kind declares."""
+    declared = kind_of(node).param_shapes(node.attrs)
+    for pname in sorted(declared.keys() | node.params.keys()):
+        want = declared.get(pname)
+        have = node.params[pname].shape if pname in node.params else None
+        if have != want:
+            raise BundleIntegrityError(f"tensor '{node.id}/{pname}': " + (
+                f"missing, {node.kind} declares shape {want}" if have is None else
+                f"not a parameter of {node.kind}" if want is None else
+                f"shape {have} != declared {want}"))
 
 
 def _checksum(blob: bytes, canonical: bytes) -> str:
@@ -76,20 +86,12 @@ def _checksum(blob: bytes, canonical: bytes) -> str:
 
 def save_bundle(bundle: ModelBundle, path: str) -> str:
     """Write manifest + blob into directory ``path``; returns the checksum."""
-    os.makedirs(path, exist_ok=True)
-    index, chunks, offset = [], [], 0
-    for name, arr in _param_items(bundle.graph):
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        index.append({"name": name, "shape": list(arr.shape),
-                      "offset": offset, "nbytes": len(data)})
-        chunks.append(data)
-        offset += len(data)
-    blob = b"".join(chunks)
-
+    for node in bundle.graph.nodes:
+        _check_declared(node)
+    blob = b"".join(data for _, data in _param_bytes(bundle.graph))
     manifest = {
         "format_version": FORMAT_VERSION,
         "graph": bundle.graph.to_manifest(),
-        "tensors": index,
         "metadata": bundle.metadata,
         "checksum": "",
     }
@@ -98,6 +100,7 @@ def save_bundle(bundle: ModelBundle, path: str) -> str:
     # "checksum" sorts first of the top-level keys, so its blank value opens
     # the text; filling it in gives the canonical form of the signed manifest
     head = b'{"checksum":"'
+    os.makedirs(path, exist_ok=True)
     write_bytes(blob, os.path.join(path, BLOB_NAME))
     write_bytes(head + checksum.encode() + canonical[len(head):],
                 os.path.join(path, MANIFEST_NAME))
@@ -107,7 +110,7 @@ def save_bundle(bundle: ModelBundle, path: str) -> str:
 def load_bundle(path: str) -> ModelBundle:
     """Read and verify a bundle directory written by :func:`save_bundle`."""
     manifest = decode(dict, read_json(os.path.join(path, MANIFEST_NAME)), MANIFEST_NAME)
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if manifest.get("format_version") not in (1, FORMAT_VERSION):   # 1 adds an index
         raise BundleIntegrityError(
             f"unsupported bundle format {manifest.get('format_version')}")
     with open(os.path.join(path, BLOB_NAME), "rb") as f:
@@ -118,55 +121,33 @@ def load_bundle(path: str) -> ModelBundle:
 
     try:
         graph = ArchitectureGraph.from_manifest(manifest.get("graph"))
-        index = decode(list[TensorEntry], manifest.get("tensors"), "manifest.tensors")
     except (ValueError, StructuralError) as exc:
         raise BundleIntegrityError(str(exc)) from None
-    end = 0      # save writes the tensors back to back in index order
-    for entry in index:
-        name, shape, start, nbytes = entry.name, entry.shape, entry.offset, entry.nbytes
-        if type(shape) is not list or not all(
-                type(v) is int and v >= 0 for v in (start, nbytes, *shape)):
-            raise BundleIntegrityError(
-                f"tensor '{name}': offset, byte length and shape must be "
-                f"non-negative integers")
-        shape = tuple(shape)
-        if start != end:
-            raise BundleIntegrityError(
-                f"tensor '{name}': offset {start}, but the previous tensor ends at {end}")
-        expect = math.prod(shape) * 4
-        if nbytes != expect:
-            raise BundleIntegrityError(
-                f"tensor '{name}': manifest declares {nbytes} bytes, "
-                f"shape {shape} needs {expect}")
-        end = start + nbytes
-        if end > len(blob):
-            raise BundleIntegrityError(
-                f"tensor '{name}': blob truncated ({end} > {len(blob)})")
-        node_id, _, pname = name.rpartition("/")
-        if not graph.has_node(node_id):
-            raise BundleIntegrityError(f"tensor '{name}': no such node in manifest")
-        graph.node(node_id).params[pname] = np.frombuffer(
-            blob, "<f4", nbytes // 4, start).reshape(shape).copy()
-    if end != len(blob):
-        raise BundleIntegrityError(
-            f"{BLOB_NAME} holds {len(blob)} bytes, but the tensor index ends at {end}")
+    end = 0
     for node in graph.nodes:
         declared = kind_of(node).param_shapes(node.attrs)
-        for pname in sorted(declared.keys() | node.params.keys()):
-            want = declared.get(pname)
-            have = node.params[pname].shape if pname in node.params else None
-            if have != want:
-                raise BundleIntegrityError(f"tensor '{node.id}/{pname}': " + (
-                    f"missing, {node.kind} declares shape {want}" if have is None else
-                    f"not a parameter of {node.kind}" if want is None else
-                    f"shape {have} != declared {want}"))
+        for pname in sorted(declared):
+            shape, start = declared[pname], end
+            if min(shape, default=0) < 0:
+                raise BundleIntegrityError(
+                    f"tensor '{node.id}/{pname}': declared shape {shape} has a negative dimension")
+            end += 4 * math.prod(shape)
+            if end > len(blob):
+                raise BundleIntegrityError(
+                    f"tensor '{node.id}/{pname}': declared shape {shape} runs past "
+                    f"the end of {BLOB_NAME} ({end} > {len(blob)} bytes)")
+            node.params[pname] = np.frombuffer(
+                blob, "<f4", (end - start) // 4, start).reshape(shape).copy()
+    if end != len(blob):
+        raise BundleIntegrityError(
+            f"{BLOB_NAME} holds {len(blob)} bytes, but the declared tensors end at {end}")
     return ModelBundle(graph, dict(manifest.get("metadata", {})))
 
 
 def bundle_fingerprint(bundle: ModelBundle) -> str:
     """Content hash of a bundle (structure + parameters), for provenance."""
     h = hashlib.sha256(_canonical_json(bundle.graph.to_manifest()))
-    for name, arr in _param_items(bundle.graph):
+    for name, data in _param_bytes(bundle.graph):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        h.update(data)
     return h.hexdigest()

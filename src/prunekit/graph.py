@@ -242,6 +242,12 @@ class ArchitectureGraph:
             for nid in b.node_ids:
                 if not self.has_node(nid):
                     v.append(f"block '{b.id}': member node '{nid}' does not exist")
+            for handle in ("first_conv", "middle_conv", "last_conv", "shortcut_conv"):
+                nid = getattr(b, handle)
+                kind = self.node(nid).kind if self.has_node(nid) else None
+                if nid is not None and kind != "conv":
+                    v.append(f"block '{b.id}': {handle} '{nid}' " + (
+                        f"is a {kind}, not a conv" if kind else "does not exist"))
         for st in self.stages:
             for bid in st.block_ids:
                 if bid not in block_ids:

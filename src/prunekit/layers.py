@@ -5,12 +5,13 @@ backward, what shape it outputs, which widths it must agree with, what it
 costs, how pruning narrows it, and which parameters it has.  That last rule,
 ``param_shapes``, is the one statement of a kind's parameters: the parameter
 count, the initialization, the shape check of graph validation, the tensor
-check of a bundle load and the names of ``backward``'s parameter gradients
+layout of a bundle's blob and the names of ``backward``'s parameter gradients
 all derive from it.  ``attrs``, ``{name: type}``, is the one statement of a
 kind's attributes, all required: :func:`checked_attrs` holds built graphs and
-loaded manifests to it, so no rule reads a default.  The executor, graph,
-accounting, rewriter, bundle and builders look rules up here rather than
-branching on the kind themselves, so a new kind touches this file only.
+loaded manifests to it and to :data:`ATTR_MINIMUM`, so no rule reads a default
+or divides by a zero stride.  The executor, graph, accounting, rewriter,
+bundle and builders look rules up here rather than branching on the kind
+themselves, so a new kind touches this file only.
 
 Rules call ``ops`` and ``gate`` through the module attribute at call time,
 so a wrapper installed on those functions (a profiler, say) sees every call.
@@ -267,10 +268,15 @@ def kind_of(node) -> LayerKind:
         raise StructuralError(f"layer '{node.id}': unknown kind '{node.kind}'") from None
 
 
+# the least value of an attribute, whichever kind declares it; per axis for a kernel
+ATTR_MINIMUM = {"kernel": 1, "stride": 1, "padding": 0, "reduction": 1}
+
+
 def checked_attrs(node) -> dict:
     """``node.attrs`` decoded against its kind's ``attrs`` by ``records.decode``.
 
-    A missing, extra or mistyped attribute raises StructuralError naming the layer.
+    A missing, extra or mistyped attribute, or one below its :data:`ATTR_MINIMUM`,
+    raises StructuralError naming the layer.
     """
     declared, where = kind_of(node).attrs, f"layer '{node.id}': {node.kind}"
     for name in declared:
@@ -280,7 +286,13 @@ def checked_attrs(node) -> dict:
         if name not in declared:
             raise StructuralError(f"{where} has no attribute '{name}'")
     try:
-        return {name: decode(hint, node.attrs[name], f"{where} attribute '{name}'")
-                for name, hint in declared.items()}
+        attrs = {name: decode(hint, node.attrs[name], f"{where} attribute '{name}'")
+                 for name, hint in declared.items()}
     except ValueError as exc:
         raise StructuralError(str(exc)) from None
+    for name, least in ATTR_MINIMUM.items():
+        value = attrs.get(name, least)
+        if (min(value) if isinstance(value, tuple) else value) < least:
+            raise StructuralError(
+                f"{where} attribute '{name}' must be at least {least}, got {attrs[name]}")
+    return attrs

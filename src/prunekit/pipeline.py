@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from .accounting import report as make_report
 from .builders import build
-from .bundle import ModelBundle, bundle_fingerprint, load_bundle, save_bundle
+from .bundle import ModelBundle, bundle_fingerprint, save_bundle
 from .data import DatasetSpec, load_dataset
 from .errors import StageFailure
 from .planner import PruneConfig, make_plan
@@ -219,7 +219,3 @@ def run_sweep(config: PipelineConfig, variants: list[tuple[str, int]]) -> list[d
         })
     write_json(rows, os.path.join(config.out, "sweep.json"))
     return rows
-
-
-def load_stage_bundle(out_dir: str, stage: str) -> ModelBundle:
-    return load_bundle(os.path.join(out_dir, STAGE_DIRS[stage]))

@@ -2,9 +2,9 @@
 
 A score record holds, per scored convolution, the arithmetic mean and the
 standard deviation of the gate vector over every sample seen, plus
-per-block and per-stage aggregates used when choosing stage-uniform
-targets.  The record is the file contract between scoring and planning:
-third-party trainers can produce the same JSON.
+per-block and per-stage aggregates kept for inspection: planning reads only
+the per-layer entries.  The record is the file contract between scoring and
+planning: third-party trainers can produce the same JSON.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written as plain scalar loops, deliberately sharing no
-code with the package: these are the second route of every dual-route
-check.
+Everything here deliberately shares no code with the package: these are the
+second route of every dual-route check.  The numeric references are plain
+scalar loops; :func:`resign` restates the bundle checksum rule.
 """
 
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 
@@ -222,3 +225,20 @@ def penalized_loss_loops(probs, onehot, weights, weight_decay, variant):
                 sq += float(val) ** 2
         total += weight_decay / (2.0 * count) * sq
     return total
+
+
+def resign(path, edit):
+    """Apply ``edit`` to a bundle's manifest and re-sign it with the checksum rule
+    (sha256 of the blob, then the sorted-key, whitespace-free manifest with the
+    checksum blank), so the check under test is the one that fires."""
+    mpath = os.path.join(path, "manifest.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    edit(manifest)
+    with open(os.path.join(path, "params.bin"), "rb") as f:
+        blob = f.read()
+    manifest["checksum"] = ""
+    canon = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    manifest["checksum"] = hashlib.sha256(blob + canon).hexdigest()
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)

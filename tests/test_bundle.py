@@ -1,7 +1,6 @@
 """Bundle serialization: bit-exact round trips and corruption detection."""
 
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -18,6 +17,8 @@ from prunekit.bundle import BLOB_NAME, MANIFEST_NAME, _canonical_json, bundle_fi
 from prunekit.cli import main
 from prunekit.errors import BundleIntegrityError
 from prunekit.layers import LAYERS
+
+from oracles import resign
 
 
 @pytest.fixture
@@ -51,25 +52,14 @@ def test_truncated_blob_names_problem(bundle, tmp_path):
         load_bundle(path)
 
 
-def resign(path, edit):
-    """Apply ``edit`` to a bundle's manifest and re-sign it, so the checksum
-    passes and the check under test is the one that fires."""
-    mpath = os.path.join(path, MANIFEST_NAME)
-    manifest = json.load(open(mpath))
-    edit(manifest)
-    blob = open(os.path.join(path, BLOB_NAME), "rb").read()
-    manifest["checksum"] = ""
-    canon = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    manifest["checksum"] = hashlib.sha256(blob + canon).hexdigest()
-    json.dump(manifest, open(mpath, "w"))
-
-
 def test_length_mismatch_names_tensor(bundle, tmp_path):
+    """A width that declares more floats than the blob holds names the tensor
+    that runs past its end."""
     path = str(tmp_path / "model")
     save_bundle(bundle, path)
-    resign(path, lambda m: m["tensors"][0].update(nbytes=m["tensors"][0]["nbytes"] - 4))
-    name = json.load(open(os.path.join(path, MANIFEST_NAME)))["tensors"][0]["name"]
-    with pytest.raises(BundleIntegrityError, match=name.split("/")[0]):
+    resign(path, lambda m: _node(m, "fc")["attrs"].update(out_features=5))
+    with pytest.raises(BundleIntegrityError, match=re.escape(
+            "tensor 'fc/weight': declared shape (5, 32) runs past the end of params.bin")):
         load_bundle(path)
 
 
@@ -126,12 +116,13 @@ def _misshape(graph):
     (_misshape, "fc/weight", r"shape \(4, 31\) != declared \(4, 32\)"),
 ], ids=["missing-fc-bias", "missing-conv-weight", "missing-gate-w2", "extra", "misshaped"])
 def test_tensors_must_match_the_declaration(bundle, tmp_path, edit, named, reason):
-    """A load rejects a node whose tensors are not exactly its kind's declared ones."""
+    """A save rejects a node whose tensors are not exactly its kind's declared
+    ones, before it writes anything."""
     edit(bundle.graph)
     path = str(tmp_path / "model")
-    save_bundle(bundle, path)
     with pytest.raises(BundleIntegrityError, match=f"tensor '{named}': {reason}"):
-        load_bundle(path)
+        save_bundle(bundle, path)
+    assert not os.path.exists(path)
 
 
 def _node(manifest, node_id):
@@ -151,8 +142,15 @@ def _node(manifest, node_id):
      "layer 'conv1': conv lacks attribute 'stride'"),
     (lambda m: _node(m, "conv1")["attrs"].update(dilation=1),
      "layer 'conv1': conv has no attribute 'dilation'"),
+    (lambda m: _node(m, "conv2")["attrs"].update(stride=0),
+     "layer 'conv2': conv attribute 'stride' must be at least 1, got 0"),
+    (lambda m: _node(m, "pool1")["attrs"].update(kernel=0, stride=0),
+     "layer 'pool1': maxpool attribute 'kernel' must be at least 1, got 0"),
+    (lambda m: _node(m, "conv1")["attrs"].update(padding=-5),
+     "layer 'conv1': conv attribute 'padding' must be at least 0, got -5"),
 ], ids=["unknown-kind", "gate-without-hidden", "string-stride", "maxpool-without-kernel",
-        "conv-without-stride", "extra-dilation"])
+        "conv-without-stride", "extra-dilation", "zero-stride", "zero-maxpool-window",
+        "negative-padding"])
 def test_malformed_manifest_exits_2_naming_the_layer(bundle, tmp_path, capsys, edit, message):
     path = str(tmp_path / "model")
     save_bundle(bundle, path)
@@ -164,18 +162,11 @@ def test_malformed_manifest_exits_2_naming_the_layer(bundle, tmp_path, capsys, e
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda m: m["tensors"][0].pop("offset"),
-     "manifest.tensors[0]: missing required field 'offset'"),
-    (lambda m: m["tensors"][0].update(shape=3),
-     "tensor 'conv1/weight': offset, byte length and shape must be non-negative integers"),
     (lambda m: m["graph"].pop("edges"), "graph: missing required field 'edges'"),
     (lambda m: m["graph"].pop("input_shape"), "graph: missing required field 'input_shape'"),
     (lambda m: m["graph"]["nodes"][0].pop("attrs"),
      "graph.nodes[0]: missing required field 'attrs'"),
-    (lambda m: m["tensors"][0].update(name="conv1weight"),
-     "tensor 'conv1weight': no such node in manifest"),
-], ids=["tensor-without-offset", "scalar-shape", "graph-without-edges",
-        "graph-without-input-shape", "node-without-attrs", "tensor-name-without-node"])
+], ids=["graph-without-edges", "graph-without-input-shape", "node-without-attrs"])
 def test_malformed_manifest_field_exits_2_naming_it(bundle, tmp_path, capsys, edit, message):
     path = str(tmp_path / "model")
     save_bundle(bundle, path)
@@ -239,11 +230,61 @@ def test_any_malformed_attribute_exits_2_naming_the_layer(data):
     assert f"layer '{node.id}'" in err.getvalue()
 
 
+WIDTHS = ("in_channels", "out_channels", "channels", "hidden", "in_features", "out_features")
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_layout_mismatch_exits_2_naming_a_tensor_or_the_blob(data):
+    """Set one width attribute to another value, or cut or extend the blob by a
+    few floats, and re-sign: the declared layout no longer fits the blob, so the
+    CLI exits 2 naming a tensor or the blob, never 1 (a crash) or 3."""
+    graph = build("tiny-vgg", 4, with_gates=True, seed=0)
+    with tempfile.TemporaryDirectory() as path:
+        save_bundle(ModelBundle(graph), path)
+        if data.draw(st.booleans()):
+            node = data.draw(st.sampled_from([n for n in graph.nodes if WIDTHS & n.attrs.keys()]))
+            name = data.draw(st.sampled_from(sorted(WIDTHS & node.attrs.keys())))
+            value = data.draw(st.integers(-2, 64).filter(lambda v: v != node.attrs[name]))
+            change = (node.id, name, value)
+            resign(path, lambda m: _node(m, node.id)["attrs"].update({name: value}))
+        else:
+            words = data.draw(st.integers(1, 8)) * data.draw(st.sampled_from([-1, 1]))
+            change = ("blob", words)
+            with open(os.path.join(path, BLOB_NAME), "r+b") as f:
+                f.truncate(os.fstat(f.fileno()).st_size + 4 * words)
+            resign(path, lambda m: None)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["count", "--model", path])
+    assert code == 2, (change, err.getvalue())
+    assert "tensor '" in err.getvalue() or BLOB_NAME in err.getvalue(), (change, err.getvalue())
+
+
+def _v1_index(graph):
+    """The tensor index a version-1 manifest carried: name, shape, offset, bytes."""
+    index, offset = [], 0
+    for node in graph.nodes:
+        for pname in sorted(node.params):
+            arr = node.params[pname]
+            index.append({"name": f"{node.id}/{pname}", "shape": list(arr.shape),
+                          "offset": offset, "nbytes": 4 * arr.size})
+            offset += 4 * arr.size
+    return index
+
+
 def test_checksum_is_pinned(tmp_path):
     """The checksum is sha256(blob || canonical manifest with a blank checksum),
-    whatever the layout of the manifest file, so this digest must not move."""
-    checksum = save_bundle(ModelBundle(build("tiny-vgg", 4, seed=0)), str(tmp_path))
-    assert checksum == "25d52b8f63d19cf73e1492af0c11325a99b03e8078913bf86437e0de00c1351b"
+    whatever the layout of the manifest file, so these digests must not move.
+    The same bundle as version 1, with its tensor index, keeps its old digest
+    and still loads to the same content."""
+    bundle = ModelBundle(build("tiny-vgg", 4, seed=0))
+    checksum = save_bundle(bundle, str(tmp_path))
+    assert checksum == "76f02b3413a6e88e83efeba9081777f6e7402647b8d24c0699be972885b1a413"
+    resign(str(tmp_path), lambda m: m.update(format_version=1, tensors=_v1_index(bundle.graph)))
+    v1 = json.loads((tmp_path / MANIFEST_NAME).read_bytes())
+    assert v1["checksum"] == "25d52b8f63d19cf73e1492af0c11325a99b03e8078913bf86437e0de00c1351b"
+    assert bundle_fingerprint(load_bundle(str(tmp_path))) == bundle_fingerprint(bundle)
 
 
 def test_manifest_is_written_canonical(bundle, tmp_path):
@@ -261,26 +302,14 @@ def test_indented_manifest_of_older_bundles_loads(bundle, tmp_path):
     assert bundle_fingerprint(load_bundle(str(tmp_path))) == bundle_fingerprint(bundle)
 
 
-@pytest.mark.parametrize("index, offset, message", [
-    (0, -4, "must be non-negative integers"),
-    (1, 0, "offset 0, but the previous tensor ends at"),
-    (0, 0.0, "must be non-negative integers"),
-], ids=["negative-offset", "aliased-offset", "float-offset"])
-def test_tensor_index_must_be_contiguous(bundle, tmp_path, capsys, index, offset, message):
-    """Only the layout save writes loads: each tensor starts where the last one ended."""
+def test_blob_longer_than_the_declaration_is_rejected(bundle, tmp_path):
     path = str(tmp_path / "model")
     save_bundle(bundle, path)
-    resign(path, lambda m: m["tensors"][index].update(offset=offset))
-    name = json.load(open(os.path.join(path, MANIFEST_NAME)))["tensors"][index]["name"]
-    with pytest.raises(BundleIntegrityError, match=f"tensor '{name}': .*{message}"):
-        load_bundle(path)
-    assert main(["count", "--model", path]) == 2
-    assert message in capsys.readouterr().err
-
-
-def test_blob_longer_than_the_index_is_rejected(bundle, tmp_path):
-    path = str(tmp_path / "model")
-    save_bundle(bundle, path)
-    resign(path, lambda m: m["tensors"].pop())
-    with pytest.raises(BundleIntegrityError, match="tensor index ends at"):
+    blob_path = os.path.join(path, BLOB_NAME)
+    size = os.path.getsize(blob_path)
+    with open(blob_path, "ab") as f:
+        f.write(bytes(4))
+    resign(path, lambda m: None)
+    with pytest.raises(BundleIntegrityError, match=re.escape(
+            f"params.bin holds {size + 4} bytes, but the declared tensors end at {size}")):
         load_bundle(path)

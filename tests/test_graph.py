@@ -186,15 +186,36 @@ class TestValidate:
         ("conv1", lambda a: a.update(dilation=1), "layer 'conv1': conv has no attribute 'dilation'"),
         ("relu1", lambda a: a.update(inplace=True),
          "layer 'relu1': relu has no attribute 'inplace'"),
+        ("conv2", lambda a: a.update(stride=0),
+         "layer 'conv2': conv attribute 'stride' must be at least 1, got 0"),
+        ("pool1", lambda a: a.update(kernel=0, stride=0),
+         "layer 'pool1': maxpool attribute 'kernel' must be at least 1, got 0"),
+        ("conv1", lambda a: a.update(padding=-5),
+         "layer 'conv1': conv attribute 'padding' must be at least 0, got -5"),
+        ("conv1", lambda a: a.update(kernel=(3, 0)),
+         "layer 'conv1': conv attribute 'kernel' must be at least 1, got (3, 0)"),
+        ("gate1", lambda a: a.update(reduction=0),
+         "layer 'gate1': gate attribute 'reduction' must be at least 1, got 0"),
     ], ids=["string-stride", "int-bias", "bool-width", "kernel-length", "string-eps",
             "maxpool-without-kernel", "conv-without-stride", "gate-without-hidden",
-            "extra-dilation", "relu-attribute"])
+            "extra-dilation", "relu-attribute", "zero-stride", "zero-maxpool-window",
+            "negative-padding", "zero-kernel-axis", "zero-reduction"])
     def test_malformed_attribute_reported_before_shape_inference(self, layer, edit, message):
         g = build("tiny-vgg", 4, with_gates=True, init=False)
         edit(g.node(layer).attrs)
         violations = g.validate()
         assert message in violations
         assert not any("shape inference failed" in v for v in violations)
+
+    @pytest.mark.parametrize("handle, node_id, message", [
+        ("first_conv", "s1.b1.relu1",
+         "block 's1.b1': first_conv 's1.b1.relu1' is a relu, not a conv"),
+        ("last_conv", "nope", "block 's1.b1': last_conv 'nope' does not exist"),
+    ], ids=["first-conv-not-a-conv", "last-conv-missing"])
+    def test_block_handle_that_is_not_a_conv_is_reported(self, handle, node_id, message):
+        g = build("tiny-resnet", 4, init=False)
+        setattr(g.blocks[0], handle, node_id)
+        assert g.validate() == [message]
 
     def test_an_int_passes_for_a_float_attribute(self):
         g = build("tiny-vgg", 4, init=False)

@@ -8,11 +8,13 @@ import pytest
 
 from prunekit import (DatasetSpec, ModelBundle, PruneConfig, TrainConfig, build,
                       count_params, identity_plan, load_bundle, report, save_bundle)
-from prunekit.bundle import bundle_fingerprint
+from prunekit.bundle import BLOB_NAME, bundle_fingerprint
 from prunekit.cli import main
 from prunekit.errors import StageFailure
-from prunekit.pipeline import (ExperimentManifest, PipelineConfig, run_pipeline,
-                               run_sweep)
+from prunekit.pipeline import (STAGE_DIRS, ExperimentManifest, PipelineConfig,
+                               run_pipeline, run_sweep)
+
+from oracles import resign
 
 
 def small_config(out, seed=0, epochs=3):
@@ -89,12 +91,11 @@ class TestPipeline:
         assert rec["spec"]["source"] == "synthetic-planted"
         assert "normalization" in rec and rec["train_samples"] == 128
 
-    def test_load_stage_bundle_helper(self, completed):
-        from prunekit.pipeline import load_stage_bundle
+    def test_stage_bundles_load_from_their_directories(self, completed):
         out, _ = completed
-        compact = load_stage_bundle(out, "apply")
+        compact = load_bundle(os.path.join(out, STAGE_DIRS["apply"]))
         assert compact.graph.nodes_of_kind("gate") == []
-        retrained = load_stage_bundle(out, "retrain")
+        retrained = load_bundle(os.path.join(out, STAGE_DIRS["retrain"]))
         assert retrained.metadata["epochs_seen"] >= 1
 
 
@@ -238,15 +239,18 @@ class TestCli:
         assert f"{manifest}: not valid JSON" in capsys.readouterr().err
 
     def test_bundle_missing_a_declared_tensor_exits_2_naming_it(self, tmp_path, capsys):
+        """A blob cut short, re-signed so the checksum passes, lacks the last tensor."""
         model = str(tmp_path / "m")
         assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--with-gates",
                      "--out", model]) == 0
-        bundle = load_bundle(model)
-        del bundle.graph.node("conv1").params["weight"]
-        save_bundle(bundle, model)
+        blob_path = os.path.join(model, BLOB_NAME)
+        with open(blob_path, "r+b") as f:
+            f.truncate(os.path.getsize(blob_path) - 4)
+        resign(model, lambda m: None)
         capsys.readouterr()
         assert main(["count", "--model", model]) == 2
-        assert "tensor 'conv1/weight': missing" in capsys.readouterr().err
+        assert "tensor 'fc/weight': declared shape (4, 32) runs past the end of " \
+            "params.bin" in capsys.readouterr().err
 
     def test_retrain_reproduces_the_pipeline_retrain(self, completed, tmp_path):
         out, _ = completed
