@@ -49,18 +49,16 @@ def node_flop_count(node, in_shape, out_shape, convention: str) -> int:
     return count(node.attrs, in_shape, out_shape)
 
 
-def count_flops(graph: ArchitectureGraph, input_shape=None,
-                convention: str = "mac") -> int:
+def count_flops(graph: ArchitectureGraph, convention: str = "mac") -> int:
     """Per-sample FLOPs for a whole graph under the given convention."""
-    return sum(r["flops"] for r in breakdown(graph, input_shape, convention))
+    return sum(r["flops"] for r in breakdown(graph, convention))
 
 
-def breakdown(graph: ArchitectureGraph, input_shape=None,
-              convention: str = "mac") -> list[dict]:
+def breakdown(graph: ArchitectureGraph, convention: str = "mac") -> list[dict]:
     """Per-node params/FLOPs rows; the totals equal the sums exactly."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown FLOP convention '{convention}'")
-    io = graph.io_shapes(input_shape)
+    io = graph.io_shapes()
     rows = []
     for node in graph.nodes:
         ins, out = io[node.id]
@@ -152,7 +150,7 @@ class CompressionReport(Record):
         return "\n".join(lines)
 
 
-def report(before: ArchitectureGraph, after: ArchitectureGraph, input_shape=None,
+def report(before: ArchitectureGraph, after: ArchitectureGraph,
            base_epochs: int | None = None, epoch_mode: str = "flop-matched",
            convention: str = "mac") -> CompressionReport:
     """Compare two graphs structurally and budget the retraining epochs.
@@ -164,7 +162,7 @@ def report(before: ArchitectureGraph, after: ArchitectureGraph, input_shape=None
     missing from ``after`` reads 0.
     """
     def rows(graph):
-        return [r for r in breakdown(graph, input_shape, convention) if r["kind"] != "gate"]
+        return [r for r in breakdown(graph, convention) if r["kind"] != "gate"]
 
     rows_before, rows_after = rows(before), rows(after)
     after_by_id = {r["id"]: r for r in rows_after}

@@ -19,8 +19,10 @@ manifest JSON (checksum field blanked), so corruption of either file is
 detected on load.  The rule reads the manifest's content, not its file
 bytes, so a manifest written indented by older code still loads.  A load
 also checks each manifest field's type and each node's attributes against
-its kind's ``LayerKind.attrs``.  Each file is replaced atomically, one at a
-time.  Round-trips are bit-exact.
+its kind's ``LayerKind.attrs``, and, once the tensors are sliced, runs
+``ArchitectureGraph.validate``, so a loaded graph holds every invariant a
+built one does.  Each file is replaced atomically, one at a time.
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BundleIntegrityError, StructuralError
+from .errors import BundleIntegrityError, GraphValidationError, StructuralError
 from .graph import ArchitectureGraph
 from .layers import kind_of
 from .records import decode, read_json, write_bytes
@@ -141,6 +143,10 @@ def load_bundle(path: str) -> ModelBundle:
     if end != len(blob):
         raise BundleIntegrityError(
             f"{BLOB_NAME} holds {len(blob)} bytes, but the declared tensors end at {end}")
+    try:
+        graph.check_valid()
+    except GraphValidationError as exc:
+        raise BundleIntegrityError(str(exc)) from None
     return ModelBundle(graph, dict(manifest.get("metadata", {})))
 
 

@@ -159,12 +159,13 @@ class ArchitectureGraph:
 
     # -- shape inference ----------------------------------------------------
 
-    def io_shapes(self, input_shape=None) -> dict[str, tuple[list, tuple]]:
+    def io_shapes(self) -> dict[str, tuple[list, tuple]]:
         """Per node in topological order: (producers' output shapes, own output shape).
 
-        Shapes are per-sample (channels, height, width); the entry node reads the input.
+        Shapes are per-sample (channels, height, width); the entry node reads
+        ``input_shape``.
         """
-        entry = [tuple(input_shape or self.input_shape)]
+        entry = [self.input_shape]
         prods = self.producer_map()
         io: dict[str, tuple[list, tuple]] = {}
         for nid in self.topo_order():
@@ -189,6 +190,8 @@ class ArchitectureGraph:
         if v:
             return v
 
+        if min(self.input_shape) < 1:
+            v.append(f"input_shape {self.input_shape} must be at least 1 in every dimension")
         entries = self.entry_nodes()
         if len(entries) != 1:
             v.append(f"expected exactly one entry node, found {entries}")

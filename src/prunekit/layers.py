@@ -69,6 +69,15 @@ def _declared_channels(node, in_shapes):
         yield f"{node.kind} '{node.id}': declares {declared} channels but receives {c}"
 
 
+def _bn_check(node, in_shapes):
+    yield from _declared_channels(node, in_shapes)
+    eps, momentum, where = node.attrs["eps"], node.attrs["momentum"], f"layer '{node.id}'"
+    if not eps > 0:
+        yield f"{where}: batchnorm attribute 'eps' must be positive, got {eps}"
+    if not 0 <= momentum <= 1:
+        yield f"{where}: batchnorm attribute 'momentum' must be in [0, 1], got {momentum}"
+
+
 def _weight_bias(weight_shape, bias):
     """A weight and, when ``bias`` is set, one bias per output unit."""
     return {"weight": weight_shape, **({"bias": weight_shape[:1]} if bias else {})}
@@ -207,7 +216,7 @@ LAYERS: dict[str, LayerKind] = {
         opcount=lambda a, i, o: 2 * _elems(o),
         param_shapes=lambda a: dict.fromkeys(
             ("gamma", "beta", "running_mean", "running_var"), (a["channels"],)),
-        check=_declared_channels, narrow=_bn_narrow,
+        check=_bn_check, narrow=_bn_narrow,
         trainable=("gamma", "beta"), ones=("gamma", "running_var"),
         attrs={"channels": int, "eps": float, "momentum": float}),
     "relu": LayerKind(

@@ -1,9 +1,14 @@
 """End-to-end orchestration: train, score, plan, rewrite, retrain, report.
 
-Every stage persists its artifact under the experiment directory and logs a
-manifest row holding the stage name, wall time, and content hashes; each
-stage's input hash is the previous stage's output hash, so a manifest is a
-verifiable chain.  A failing stage persists the partial manifest before the
+Each stage is a function that computes its artifact, a model bundle or a
+record, from the config and the artifacts before it, and writes only its
+side files (``data.json``, the training histories, ``final.json``).  One
+runner, :func:`_run_stages`, saves every artifact at its path in
+:data:`STAGES`, hashes it and appends the stage's manifest row: name, wall
+time, input and output hash.  A stage's input hash is the previous stage's
+output hash, and build's is the content hash of the config without ``out``,
+so a manifest is a verifiable chain that does not depend on where the
+experiment lives.  A failing stage persists the partial manifest before the
 failure propagates.
 """
 
@@ -23,11 +28,6 @@ from .records import Record, content_hash, write_json
 from .rewriter import REWRITE_MODES, RewriteOptions, apply
 from .scoring import collect_scores
 from .trainer import TrainConfig, evaluate, retrain, train
-
-PIPELINE_STAGES = ("build", "train", "score", "plan", "apply", "report", "retrain")
-# stages whose artifact is a model bundle, and the directory it is saved in
-STAGE_DIRS = {"build": "model-gated", "train": "model-trained",
-              "apply": "model-compact", "retrain": "model-retrained"}
 
 
 @dataclass
@@ -81,110 +81,108 @@ class ExperimentManifest:
         write_json(self.to_dict(), path)
 
 
+def stage_build(config: PipelineConfig, state: dict) -> ModelBundle:
+    graph = build(config.arch, config.num_classes, with_gates=True,
+                  gate_placement=config.gate_placement, reduction=config.reduction,
+                  input_shape=(config.data.channels, config.data.image_size,
+                               config.data.image_size)
+                  if config.data.source.startswith("synthetic") else None,
+                  seed=config.seed)
+    return ModelBundle(graph, {"arch": config.arch, "seed": config.seed})
+
+
+def stage_train(config: PipelineConfig, state: dict) -> ModelBundle:
+    train_data = load_dataset(config.data)
+    eval_data = load_dataset(replace(config.data, split="eval"))
+    state["train_data"], state["eval_data"] = train_data, eval_data
+    write_json({"spec": config.data.to_dict(),
+                "normalization": train_data.normalization,
+                "train_samples": train_data.size,
+                "eval_samples": eval_data.size}, os.path.join(config.out, "data.json"))
+    trained, history = train(state["build"], train_data, eval_data, config.train)
+    write_json(history, os.path.join(config.out, "history.json"))
+    return trained
+
+
+def stage_score(config: PipelineConfig, state: dict) -> Record:
+    return collect_scores(state["train"], state["train_data"].batches(config.train.batch_size),
+                          max_batches=config.score_batches)
+
+
+def stage_plan(config: PipelineConfig, state: dict) -> Record:
+    return make_plan(state["score"], state["train"].graph, config.prune)
+
+
+def stage_apply(config: PipelineConfig, state: dict) -> ModelBundle:
+    opts = RewriteOptions(mode=config.rewrite_mode, strip_gates=True,
+                          seed=config.seed + 1
+                          if config.rewrite_mode == "architecture-only" else None)
+    return apply(state["train"], state["plan"], opts)
+
+
+def stage_report(config: PipelineConfig, state: dict) -> Record:
+    return make_report(state["train"].graph, state["apply"].graph,
+                       base_epochs=config.train.epochs)
+
+
+def stage_retrain(config: PipelineConfig, state: dict) -> ModelBundle:
+    rep = state["report"]
+    retrained, history = retrain(state["apply"], state["train_data"],
+                                 state["eval_data"], config.train, rep)
+    write_json(history, os.path.join(config.out, "retrain-history.json"))
+    write_json({"eval_acc": evaluate(retrained, state["eval_data"]),
+                "epochs": rep.epoch_recommendation}, os.path.join(config.out, "final.json"))
+    return retrained
+
+
+# every stage in run order: the function computing its artifact, and the
+# artifact's path under the experiment directory (a directory for a bundle)
+STAGES = {
+    "build": (stage_build, "model-gated"), "train": (stage_train, "model-trained"),
+    "score": (stage_score, "scores.json"), "plan": (stage_plan, "plan.json"),
+    "apply": (stage_apply, "model-compact"), "report": (stage_report, "report.json"),
+    "retrain": (stage_retrain, "model-retrained"),
+}
+PIPELINE_STAGES = tuple(STAGES)
+
+
+def _save(artifact, path: str) -> str:
+    """Persist a stage's artifact, a bundle or a record, at ``path``; returns its hash."""
+    if isinstance(artifact, ModelBundle):
+        save_bundle(artifact, path)
+        return bundle_fingerprint(artifact)
+    artifact.save(path)
+    return artifact.fingerprint()
+
+
 def _run_stages(config: PipelineConfig, names, state: dict):
     """Run the named stages in order, persisting artifacts under ``config.out``.
 
-    ``state`` maps each stage name to its in-memory artifact (plus the loaded
-    datasets); passing the state one call returns into another continues the
-    run from there.  Returns the manifest of the stages run here and the state.
+    ``state`` maps each stage name to its in-memory artifact, ``"hash"`` to
+    the last stage's output hash, and holds the loaded datasets; passing the
+    state one call returns into another continues the run and its chain from
+    there.  Returns the manifest of the stages run here and the state.
     """
     os.makedirs(config.out, exist_ok=True)
     manifest = ExperimentManifest(config)
     manifest_path = os.path.join(config.out, "manifest.json")
-
-    def out(name):
-        return os.path.join(config.out, name)
-
-    def run_stage(name, fn):
+    for name in names:
+        fn, artifact = STAGES[name]
+        path = os.path.join(config.out, artifact)
+        # the chain starts at the config; ``out`` is left out, so a moved run keeps its hashes
+        input_hash = state["hash"] if name != "build" else content_hash(
+            {k: v for k, v in config.to_dict().items() if k != "out"})
         start = time.monotonic()
         try:
-            input_hash, output_hash, path = fn()
+            state[name] = fn(config, state)
+            state["hash"] = _save(state[name], path)
         except Exception as exc:
             manifest.rows.append({"stage": name, "error": str(exc),
                                   "error_type": type(exc).__name__})
             manifest.save(manifest_path)
             raise StageFailure(name, exc) from exc
-        manifest.record(name, input_hash, output_hash, path, time.monotonic() - start)
+        manifest.record(name, input_hash, state["hash"], path, time.monotonic() - start)
         manifest.save(manifest_path)
-
-    def save_stage_bundle(stage, bundle, input_hash):
-        """Keep and persist a stage's model; returns the stage's manifest fields."""
-        state[stage] = bundle
-        path = out(STAGE_DIRS[stage])
-        save_bundle(bundle, path)
-        return input_hash, bundle_fingerprint(bundle), path
-
-    def stage_build():
-        graph = build(config.arch, config.num_classes, with_gates=True,
-                      gate_placement=config.gate_placement, reduction=config.reduction,
-                      input_shape=(config.data.channels, config.data.image_size,
-                                   config.data.image_size)
-                      if config.data.source.startswith("synthetic") else None,
-                      seed=config.seed)
-        bundle = ModelBundle(graph, {"arch": config.arch, "seed": config.seed})
-        return save_stage_bundle("build", bundle, content_hash(config.to_dict()))
-
-    def stage_train():
-        ih = bundle_fingerprint(state["build"])
-        train_data = load_dataset(config.data)
-        eval_data = load_dataset(replace(config.data, split="eval"))
-        state["train_data"], state["eval_data"] = train_data, eval_data
-        write_json({"spec": config.data.to_dict(),
-                    "normalization": train_data.normalization,
-                    "train_samples": train_data.size,
-                    "eval_samples": eval_data.size}, out("data.json"))
-        trained, history = train(state["build"], train_data, eval_data, config.train)
-        fields = save_stage_bundle("train", trained, ih)
-        write_json(history, out("history.json"))
-        return fields
-
-    def stage_score():
-        ih = bundle_fingerprint(state["train"])
-        record = collect_scores(state["train"],
-                                state["train_data"].batches(config.train.batch_size),
-                                max_batches=config.score_batches)
-        state["score"] = record
-        record.save(out("scores.json"))
-        return ih, record.fingerprint(), out("scores.json")
-
-    def stage_plan():
-        plan = make_plan(state["score"], state["train"].graph, config.prune)
-        state["plan"] = plan
-        plan.save(out("plan.json"))
-        return state["score"].fingerprint(), plan.fingerprint(), out("plan.json")
-
-    def stage_apply():
-        opts = RewriteOptions(mode=config.rewrite_mode, strip_gates=True,
-                              seed=config.seed + 1
-                              if config.rewrite_mode == "architecture-only" else None)
-        compact = apply(state["train"], state["plan"], opts)
-        return save_stage_bundle("apply", compact, state["plan"].fingerprint())
-
-    def stage_report():
-        rep = make_report(state["train"].graph, state["apply"].graph,
-                          base_epochs=config.train.epochs)
-        state["report"] = rep
-        rep.save(out("report.json"))
-        return bundle_fingerprint(state["apply"]), rep.fingerprint(), out("report.json")
-
-    def stage_retrain():
-        rep = state["report"]
-        retrained, history = retrain(state["apply"], state["train_data"],
-                                     state["eval_data"], config.train, rep)
-        fields = save_stage_bundle("retrain", retrained, rep.fingerprint())
-        write_json(history, out("retrain-history.json"))
-        final_acc = evaluate(retrained, state["eval_data"])
-        write_json({"eval_acc": final_acc, "epochs": rep.epoch_recommendation},
-                   out("final.json"))
-        return fields
-
-    stage_fns = {
-        "build": stage_build, "train": stage_train, "score": stage_score,
-        "plan": stage_plan, "apply": stage_apply, "report": stage_report,
-        "retrain": stage_retrain,
-    }
-    for name in names:
-        run_stage(name, stage_fns[name])
     return manifest, state
 
 

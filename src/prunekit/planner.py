@@ -87,13 +87,12 @@ def select_channels(scores: np.ndarray, config: PruneConfig) -> np.ndarray:
     kept = np.flatnonzero(scores >= thre)
     floor = min(config.min_channels, c)
     if kept.size < floor:
-        # top scores win; ties resolved to the lower index by stable sort
-        order = np.argsort(-scores, kind="stable")
-        kept = np.sort(order[:floor])
+        kept = _top_k(scores, floor)
     return kept
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` top-scoring indices, sorted; ties go to the lower index."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     return np.sort(order[:k])
 

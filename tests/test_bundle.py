@@ -75,15 +75,14 @@ def test_tampered_manifest_fails_checksum(bundle, tmp_path):
 
 
 def test_divergent_stage_annotations_fail_validation(tmp_path):
-    """A bundle written with inconsistent stage widths loads but won't validate."""
+    """A bundle written with inconsistent stage widths fails graph validation on load."""
     g = build("tiny-resnet", 4, with_gates=False, seed=1)
     g.stages[1].width = 8    # actual blocks emit 16
-    b = ModelBundle(g)
     path = str(tmp_path / "model")
-    save_bundle(b, path)
-    loaded = load_bundle(path)
-    violations = loaded.graph.validate()
-    assert any("stage 2" in v for v in violations)
+    save_bundle(ModelBundle(g), path)
+    with pytest.raises(BundleIntegrityError, match="stage 2: block 's2.b1' output width 16 "
+                                                   "!= stage width 8"):
+        load_bundle(path)
 
 
 def test_fingerprint_tracks_parameters(bundle):
@@ -156,6 +155,35 @@ def test_malformed_manifest_exits_2_naming_the_layer(bundle, tmp_path, capsys, e
     save_bundle(bundle, path)
     resign(path, edit)
     with pytest.raises(BundleIntegrityError, match=message):
+        load_bundle(path)
+    assert main(["count", "--model", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["graph"]["edges"].append(["stem.relu", "nope"]),
+     "edge (stem.relu -> nope) references unknown node"),
+    (lambda m: m["graph"]["blocks"][0].update(last_conv="nope"),
+     "block 's1.b1': last_conv 'nope' does not exist"),
+    (lambda m: m["graph"]["stages"][0].update(width=99),
+     "stage 1: block 's1.b1' output width 8 != stage width 99"),
+    (lambda m: m["graph"]["edges"].remove(["stem.relu", "s1.b1.add"]),
+     "add node 's1.b1.add' has 1 inputs, needs exactly 2"),
+    (lambda m: m["graph"].update(input_shape=[8, 0, 16]),
+     "input_shape (8, 0, 16) must be at least 1 in every dimension"),
+    (lambda m: _node(m, "stem.bn")["attrs"].update(eps=-1.0),
+     "layer 'stem.bn': batchnorm attribute 'eps' must be positive, got -1.0"),
+    (lambda m: _node(m, "stem.bn")["attrs"].update(momentum=2.0),
+     "layer 'stem.bn': batchnorm attribute 'momentum' must be in [0, 1], got 2.0"),
+], ids=["edge-to-unknown-node", "block-handle-missing", "stage-width", "add-with-one-input",
+        "zero-input-extent", "negative-eps", "momentum-above-1"])
+def test_invalid_graph_exits_2_naming_the_violation(tmp_path, capsys, edit, message):
+    """A re-signed manifest that breaks a graph invariant fails the load's graph
+    validation: the CLI exits 2 naming it, not 1 (a crash), 3 or 0."""
+    path = str(tmp_path / "model")
+    save_bundle(ModelBundle(build("tiny-resnet", 4, seed=0)), path)
+    resign(path, edit)
+    with pytest.raises(BundleIntegrityError, match=re.escape(message)):
         load_bundle(path)
     assert main(["count", "--model", path]) == 2
     assert message in capsys.readouterr().err

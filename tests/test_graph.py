@@ -217,6 +217,19 @@ class TestValidate:
         setattr(g.blocks[0], handle, node_id)
         assert g.validate() == [message]
 
+    @pytest.mark.parametrize("attr, value, message", [
+        ("eps", -1.0, "layer 'bn1': batchnorm attribute 'eps' must be positive, got -1.0"),
+        ("eps", 0, "layer 'bn1': batchnorm attribute 'eps' must be positive, got 0"),
+        ("momentum", 2.0,
+         "layer 'bn1': batchnorm attribute 'momentum' must be in [0, 1], got 2.0"),
+        ("momentum", -0.1,
+         "layer 'bn1': batchnorm attribute 'momentum' must be in [0, 1], got -0.1"),
+    ], ids=["negative-eps", "zero-eps", "momentum-above-1", "negative-momentum"])
+    def test_batchnorm_range_reported_naming_layer_and_attribute(self, attr, value, message):
+        g = build("tiny-vgg", 4, init=False)
+        g.node("bn1").attrs[attr] = value
+        assert g.validate() == [message]
+
     def test_an_int_passes_for_a_float_attribute(self):
         g = build("tiny-vgg", 4, init=False)
         g.node("bn1").attrs["momentum"] = 1

@@ -11,8 +11,9 @@ from prunekit import (DatasetSpec, ModelBundle, PruneConfig, TrainConfig, build,
 from prunekit.bundle import BLOB_NAME, bundle_fingerprint
 from prunekit.cli import main
 from prunekit.errors import StageFailure
-from prunekit.pipeline import (STAGE_DIRS, ExperimentManifest, PipelineConfig,
-                               run_pipeline, run_sweep)
+from prunekit.pipeline import (STAGES, ExperimentManifest, PipelineConfig, run_pipeline,
+                               run_sweep)
+from prunekit.records import content_hash, read_json
 
 from oracles import resign
 
@@ -61,11 +62,24 @@ class TestPipeline:
         assert compact.graph.nodes_of_kind("gate") == []
 
     def test_identical_seeds_give_identical_hashes(self, completed, tmp_path):
+        """Every input and output hash, build's input included: the chain
+        starts at the config without ``out``, so another directory keeps it."""
         out1, manifest1 = completed
         out2 = str(tmp_path / "again")
         manifest2 = run_pipeline(small_config(out2))
-        assert [r["output"] for r in manifest1.rows] == \
-            [r["output"] for r in manifest2.rows]
+        assert [(r["input"], r["output"]) for r in manifest1.rows] == \
+            [(r["input"], r["output"]) for r in manifest2.rows]
+
+    def test_each_artifact_is_at_its_table_path(self, completed):
+        """Each row's path is its stage's path in ``STAGES``, and the artifact
+        saved there hashes to the row's output hash."""
+        out, manifest = completed
+        for row in manifest.rows:
+            path = os.path.join(out, STAGES[row["stage"]][1])
+            assert row["path"] == path
+            saved = (bundle_fingerprint(load_bundle(path)) if os.path.isdir(path)
+                     else content_hash(read_json(path)))
+            assert saved == row["output"], row["stage"]
 
     def test_failure_persists_partial_manifest(self, tmp_path):
         out = str(tmp_path / "fail")
@@ -93,9 +107,9 @@ class TestPipeline:
 
     def test_stage_bundles_load_from_their_directories(self, completed):
         out, _ = completed
-        compact = load_bundle(os.path.join(out, STAGE_DIRS["apply"]))
+        compact = load_bundle(os.path.join(out, STAGES["apply"][1]))
         assert compact.graph.nodes_of_kind("gate") == []
-        retrained = load_bundle(os.path.join(out, STAGE_DIRS["retrain"]))
+        retrained = load_bundle(os.path.join(out, STAGES["retrain"][1]))
         assert retrained.metadata["epochs_seen"] >= 1
 
 
