@@ -252,7 +252,7 @@ def initialize_parameters(graph: ArchitectureGraph, seed: int,
 
 def strip_gates(graph: ArchitectureGraph) -> ArchitectureGraph:
     """Remove every gate node, splicing its producer to its consumers."""
-    producers = graph.producer_map()
+    producers = graph.topology.producers
     redirect = {n.id: producers[n.id] for n in graph.nodes if n.kind == "gate"}
     if not redirect:
         return graph.copy()

@@ -18,11 +18,11 @@ The checksum is sha256 over the parameter blob followed by the canonical
 manifest JSON (checksum field blanked), so corruption of either file is
 detected on load.  The rule reads the manifest's content, not its file
 bytes, so a manifest written indented by older code still loads.  A load
-also checks each manifest field's type and each node's attributes against
-its kind's ``LayerKind.attrs``, and, once the tensors are sliced, runs
-``ArchitectureGraph.validate``, so a loaded graph holds every invariant a
-built one does.  Each file is replaced atomically, one at a time.
-Round-trips are bit-exact.
+also checks each manifest field's type, and ``from_manifest`` runs graph
+validation's attribute phase, holding each node to ``LayerKind.attrs``.
+Once the tensors are sliced, ``validate_structure`` runs the structure
+phase, so a loaded graph holds every invariant a built one does.  Each
+file is replaced atomically, one at a time.  Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -143,10 +143,9 @@ def load_bundle(path: str) -> ModelBundle:
     if end != len(blob):
         raise BundleIntegrityError(
             f"{BLOB_NAME} holds {len(blob)} bytes, but the declared tensors end at {end}")
-    try:
-        graph.check_valid()
-    except GraphValidationError as exc:
-        raise BundleIntegrityError(str(exc)) from None
+    violations = graph.validate_structure()
+    if violations:
+        raise BundleIntegrityError(str(GraphValidationError(violations)))
     return ModelBundle(graph, dict(manifest.get("metadata", {})))
 
 

@@ -2,14 +2,17 @@
 
 The graph is the object every other module operates on: builders emit it,
 the network executor walks it, the planner reads its annotations, the
-rewriter produces a new one, and the accounting module counts it.  Graphs
-are treated as immutable after construction; transformations copy.
+rewriter produces a new one, and the accounting module counts it.  Nodes
+and edges are tuples fixed at construction, so a graph works out its
+:class:`Topology` once and its copies share it.  Node attributes may still
+be narrowed in place, as the rewriter does, so shapes are inferred per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Optional
+from functools import cached_property
+from typing import Any, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -76,17 +79,42 @@ class GraphManifest(Record):
     arch: str = "custom"
 
 
+class Topology(NamedTuple):
+    """Declaration-stable Kahn order (None on a cycle); producers, consumers in edge order."""
+    order: Optional[tuple[str, ...]]
+    producers: dict[str, list[str]]
+    consumers: dict[str, list[str]]
+
+
 class ArchitectureGraph:
     def __init__(self, nodes: Iterable[LayerNode], edges: Iterable[tuple[str, str]],
                  input_shape: tuple[int, int, int], blocks=None, stages=None,
                  arch: str = "custom"):
-        self.nodes: list[LayerNode] = list(nodes)
-        self.edges: list[tuple[str, str]] = [tuple(e) for e in edges]
+        self.nodes: tuple[LayerNode, ...] = tuple(nodes)
+        self.edges: tuple[tuple[str, str], ...] = tuple(tuple(e) for e in edges)
         self.input_shape = tuple(input_shape)   # (channels, height, width)
         self.blocks: list[BlockInfo] = list(blocks or [])
         self.stages: list[StageInfo] = list(stages or [])
         self.arch = arch
         self._index = {n.id: n for n in self.nodes}
+
+    @cached_property
+    def topology(self) -> Topology:
+        """The dataflow of the fixed ``nodes`` and ``edges``, worked out on first use."""
+        prods: dict[str, list[str]] = {nid: [] for nid in self._index}
+        cons: dict[str, list[str]] = {nid: [] for nid in self._index}
+        for s, d in self.edges:
+            prods.setdefault(d, []).append(s)
+            cons.setdefault(s, []).append(d)
+        indeg = {nid: len(p) for nid, p in prods.items()}
+        order = [nid for nid, k in indeg.items() if k == 0]
+        for nid in order:   # a FIFO queue: a node joins once its last producer has
+            for c in cons.get(nid, ()):
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    order.append(c)
+        # a cycle, or an edge from an unknown node, leaves some node out
+        return Topology(tuple(order) if len(order) == len(indeg) else None, prods, cons)
 
     # -- structure access ---------------------------------------------------
 
@@ -97,21 +125,13 @@ class ArchitectureGraph:
         return node_id in self._index
 
     def producers(self, node_id: str) -> list[str]:
-        return [s for s, d in self.edges if d == node_id]
-
-    def producer_map(self) -> dict[str, list[str]]:
-        """Producers of every node in edge order; rebuilt per call, as edges may change."""
-        prods: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for s, d in self.edges:
-            prods.setdefault(d, []).append(s)
-        return prods
+        return list(self.topology.producers.get(node_id, ()))
 
     def consumers(self, node_id: str) -> list[str]:
-        return [d for s, d in self.edges if s == node_id]
+        return list(self.topology.consumers.get(node_id, ()))
 
     def entry_nodes(self) -> list[str]:
-        have_in = {d for _, d in self.edges}
-        return [n.id for n in self.nodes if n.id not in have_in]
+        return [n.id for n in self.nodes if not self.topology.producers[n.id]]
 
     def nodes_of_kind(self, kind: str) -> list[LayerNode]:
         return [n for n in self.nodes if n.kind == kind]
@@ -124,38 +144,25 @@ class ArchitectureGraph:
 
     def upstream_conv(self, node_id: str) -> Optional[str]:
         """Nearest convolution strictly upstream along first producers; None at the entry."""
-        nid = node_id
-        while True:
-            prods = self.producers(nid)
-            if not prods:
-                return None
-            nid = prods[0]
+        prods, nid = self.topology.producers, node_id
+        while prods.get(nid):
+            nid = prods[nid][0]
             if self.node(nid).kind == "conv":
                 return nid
+        return None
 
-    def topo_order(self) -> list[str]:
-        """Kahn's algorithm, stable w.r.t. node declaration order."""
-        indeg = {n.id: 0 for n in self.nodes}
-        consumers: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for s, d in self.edges:
-            indeg[d] += 1
-            consumers.setdefault(s, []).append(d)
-        order, ready = [], [n.id for n in self.nodes if indeg[n.id] == 0]
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            for c in consumers[nid]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if len(order) != len(self.nodes):
+    def topo_order(self) -> tuple[str, ...]:
+        """The topology's order; a graph with none raises GraphValidationError."""
+        if self.topology.order is None:
             raise GraphValidationError(["graph contains a cycle"])
-        return order
+        return self.topology.order
 
     def copy(self) -> "ArchitectureGraph":
-        return ArchitectureGraph(
-            [n.copy() for n in self.nodes], list(self.edges), self.input_shape,
+        g = ArchitectureGraph(
+            [n.copy() for n in self.nodes], self.edges, self.input_shape,
             [b.copy() for b in self.blocks], [s.copy() for s in self.stages], self.arch)
+        g.topology = self.topology   # same ids and edges, so the same dataflow
+        return g
 
     # -- shape inference ----------------------------------------------------
 
@@ -165,28 +172,39 @@ class ArchitectureGraph:
         Shapes are per-sample (channels, height, width); the entry node reads
         ``input_shape``.
         """
-        entry = [self.input_shape]
-        prods = self.producer_map()
+        prods = self.topology.producers
         io: dict[str, tuple[list, tuple]] = {}
         for nid in self.topo_order():
             node = self.node(nid)
-            ins = [io[p][1] for p in prods[nid]] or entry
+            ins = [io[p][1] for p in prods[nid]] or [self.input_shape]
             io[nid] = (ins, kind_of(node).out_shape(node, ins))
         return io
 
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Every invariant violation, as human-readable strings; [] means ok."""
+        """Every invariant violation, as human-readable strings; [] means ok.
+
+        The attribute phase checks each node's kind and ``checked_attrs``; only
+        a graph that passes it goes on to :meth:`validate_structure`.
+        """
         v: list[str] = []
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            v.append("duplicate node ids")
-            return v
-        known = set(ids)
-        for s, d in self.edges:
-            if s not in known or d not in known:
-                v.append(f"edge ({s} -> {d}) references unknown node")
+        for n in self.nodes:
+            if n.kind not in LAYERS:
+                v.append(f"node '{n.id}': unknown kind '{n.kind}'")
+                continue
+            try:
+                checked_attrs(n)
+            except StructuralError as exc:
+                v.append(str(exc))
+        return v or self.validate_structure()
+
+    def validate_structure(self) -> list[str]:
+        """:meth:`validate`'s structure phase, for nodes that passed its attribute phase."""
+        if len(self._index) != len(self.nodes):
+            return ["duplicate node ids"]
+        v = [f"edge ({s} -> {d}) references unknown node" for s, d in self.edges
+             if s not in self._index or d not in self._index]
         if v:
             return v
 
@@ -195,33 +213,24 @@ class ArchitectureGraph:
         entries = self.entry_nodes()
         if len(entries) != 1:
             v.append(f"expected exactly one entry node, found {entries}")
-        try:
-            self.topo_order()
-        except GraphValidationError:
+        if self.topology.order is None:
             v.append("graph contains a cycle")
             return v
 
         sinks = [n for n in self.nodes if n.kind == "softmax"]
         if len(sinks) != 1:
             v.append(f"expected exactly one softmax sink, found {len(sinks)}")
-        elif self.consumers(sinks[0].id):
+        elif self.topology.consumers[sinks[0].id]:
             v.append(f"softmax node '{sinks[0].id}' is not a sink")
 
-        prods = self.producer_map()
+        prods = self.topology.producers
         for n in self.nodes:
-            if n.kind not in LAYERS:
-                v.append(f"node '{n.id}': unknown kind '{n.kind}'")
-                continue
             arity, np_in = LAYERS[n.kind].arity, len(prods[n.id])
             if arity > 1 and np_in != arity:
                 v.append(f"{n.kind} node '{n.id}' has {np_in} inputs, needs exactly {arity}")
             if arity == 1 and np_in > 1:
                 v.append(f"node '{n.id}' has {np_in} inputs, at most 1 allowed")
-            try:
-                checked_attrs(n)
-            except StructuralError as exc:
-                v.append(str(exc))
-        if v:   # shape rules may read only known kinds and well-formed attributes
+        if v:   # shape rules may read only well-wired nodes
             return v
 
         try:

@@ -41,10 +41,9 @@ class Network:
 
     def __init__(self, graph: ArchitectureGraph):
         self.graph = graph
-        self._topo = graph.topo_order()
-        self._producers = graph.producer_map()
         self._sink = graph.nodes_of_kind("softmax")[0].id
-        self._last_consumer = {p: nid for nid in self._topo for p in self._producers[nid]}
+        prods = graph.topology.producers
+        self._last_consumer = {p: nid for nid in graph.topo_order() for p in prods[nid]}
 
     # -- forward --------------------------------------------------------------
 
@@ -62,9 +61,10 @@ class Network:
                 f"network input has {x.shape[1]} channels, graph declares "
                 f"{self.graph.input_shape[0]}")
         live: dict[str, np.ndarray] = {}
-        for nid in self._topo:
+        topology = self.graph.topology   # acyclic: __init__ read its order
+        for nid in topology.order:
             node = self.graph.node(nid)
-            prods = self._producers[nid]
+            prods = topology.producers[nid]
             src = [live[p] for p in prods] if prods else [x]
             forward = kind_of(node).forward
             try:
@@ -118,7 +118,7 @@ class Network:
             for pname, grad in zip(rules.trainable, grads[rules.arity:]):
                 if grad is not None:
                     tape.accumulate(nid, pname, grad)
-            prods = self._producers[nid]
+            prods = self.graph.topology.producers[nid]
             if not prods:
                 dinput = dxs[0] if dinput is None else dinput + dxs[0]
                 continue

@@ -59,7 +59,7 @@ def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelB
     # compact graph, and the parent's parameters are copied once
     new_graph = strip_gates(graph) if opts.strip_gates else graph.copy()
     # kept channel sets flow in dataflow order; None means every channel survives
-    planned, prods = plan.layer_map(), new_graph.producer_map()
+    planned, prods = plan.layer_map(), new_graph.topology.producers
     out_keep: dict[str, np.ndarray | None] = {}
     for nid in new_graph.topo_order():
         node, lp = new_graph.node(nid), planned.get(nid)

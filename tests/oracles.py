@@ -193,6 +193,24 @@ def conv_mac_loops(graph, input_shape):
     return total
 
 
+def kahn_order(node_ids, edges):
+    """Topological order by Kahn's algorithm: a FIFO queue seeded in declaration order."""
+    indegree = {nid: 0 for nid in node_ids}
+    for _, d in edges:
+        indegree[d] += 1
+    queue = [nid for nid in node_ids if indegree[nid] == 0]
+    order = []
+    while queue:
+        nid = queue.pop(0)
+        order.append(nid)
+        for s, d in edges:
+            if s == nid:
+                indegree[d] -= 1
+                if indegree[d] == 0:
+                    queue.append(d)
+    return order
+
+
 def sgd_recurrence(w0, grads, lr, momentum):
     """Scalar velocity recurrence: v = a*v - lr*g; w += v."""
     w, v = float(w0), 0.0

@@ -341,3 +341,20 @@ def test_blob_longer_than_the_declaration_is_rejected(bundle, tmp_path):
     with pytest.raises(BundleIntegrityError, match=re.escape(
             f"params.bin holds {size + 4} bytes, but the declared tensors end at {size}")):
         load_bundle(path)
+
+
+def test_load_decodes_each_node_once(tmp_path, monkeypatch):
+    """A load runs the attribute phase once, in ``from_manifest``, then the structure phase."""
+    from prunekit import graph as graph_module, layers
+    calls = []
+    original = layers.checked_attrs
+
+    def counted(node):
+        calls.append(node.id)
+        return original(node)
+
+    save_bundle(ModelBundle(build("tiny-resnet", 4, with_gates=True, seed=3)), str(tmp_path))
+    for module in (graph_module, layers):
+        monkeypatch.setattr(module, "checked_attrs", counted)
+    loaded = load_bundle(str(tmp_path))
+    assert sorted(calls) == sorted(n.id for n in loaded.graph.nodes)

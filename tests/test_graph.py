@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from prunekit import ModelBundle, Network, build, count_params, strip_gates
-from prunekit.builders import initialize_parameters
+from prunekit import (ModelBundle, Network, PruneConfig, RewriteOptions, apply, build,
+                      count_params, strip_gates)
+from prunekit.builders import ARCHITECTURES, initialize_parameters
 from prunekit.bundle import bundle_fingerprint
+from prunekit.errors import GraphValidationError
 from prunekit.graph import ArchitectureGraph, LayerNode
+from prunekit.planner import LayerPlan, PruningPlan, plan_stage_uniform
 from prunekit.records import content_hash
+from prunekit.scoring import LayerScore, ScoreRecord
+
+from oracles import kahn_order
 
 VGG19_ORIGINAL = [64, 64, 128, 128, 256, 256, 256, 256,
                   512, 512, 512, 512, 512, 512, 512, 512]
@@ -136,15 +142,34 @@ class TestValidate:
 
     def test_cycle_detected(self):
         g = build("tiny-vgg", 4, init=False)
-        g.edges.append(("relu2", "conv1"))
+        g = ArchitectureGraph(g.nodes, [*g.edges, ("relu2", "conv1")], g.input_shape)
         assert any("cycle" in v for v in g.validate())
 
     def test_missing_softmax_detected(self):
         g = build("tiny-vgg", 4, init=False)
-        g.nodes = [n for n in g.nodes if n.kind != "softmax"]
-        g._index = {n.id: n for n in g.nodes}
-        g.edges = [e for e in g.edges if e[1] != "softmax"]
+        g = ArchitectureGraph([n for n in g.nodes if n.kind != "softmax"],
+                              [e for e in g.edges if e[1] != "softmax"], g.input_shape)
         assert any("softmax" in v for v in g.validate())
+
+    @pytest.mark.parametrize("edit, violations", [
+        (lambda nodes, edges: (nodes + [LayerNode("relu1", "relu")], edges),
+         ["duplicate node ids"]),
+        (lambda nodes, edges: (nodes, edges + [("relu2", "nope")]),
+         ["edge (relu2 -> nope) references unknown node"]),
+        (lambda nodes, edges: (nodes, edges + [("relu2", "conv1")]),
+         ["expected exactly one entry node, found []", "graph contains a cycle"]),
+        (lambda nodes, edges: ([n for n in nodes if n.kind != "softmax"],
+                               [e for e in edges if e[1] != "softmax"]),
+         ["expected exactly one softmax sink, found 0"]),
+    ], ids=["duplicate-id", "unknown-node", "cycle", "no-softmax"])
+    def test_malformed_graph_builds_and_reports(self, edit, violations):
+        g = build("tiny-vgg", 4, init=False)
+        nodes, edges = edit(list(g.nodes), list(g.edges))
+        bad = ArchitectureGraph(nodes, edges, g.input_shape, g.blocks, g.stages, g.arch)
+        assert bad.validate() == violations
+        if "graph contains a cycle" in violations:
+            with pytest.raises(GraphValidationError, match="cycle"):
+                bad.topo_order()
 
     def test_unknown_kind_reported_without_raising(self):
         g = build("tiny-vgg", 4, init=False)
@@ -234,6 +259,46 @@ class TestValidate:
         g = build("tiny-vgg", 4, init=False)
         g.node("bn1").attrs["momentum"] = 1
         assert g.validate() == []
+
+
+def _compact(arch, policy):
+    """``arch`` gated, then rewritten by a hand plan of ``policy``."""
+    graph = build(arch, 10, with_gates=True, reduction=4, seed=1)
+    if policy == "resnet-stage-uniform":
+        record = ScoreRecord([LayerScore(b.last_conv, b.last_conv, st.width,
+                                         np.linspace(1, 0, st.width), np.zeros(st.width), 1)
+                              for st in graph.stages for b in map(graph.block, st.block_ids)])
+        plan = plan_stage_uniform(record, graph, PruneConfig(
+            policy=policy, stage_targets=tuple((st.index, st.width // 2) for st in graph.stages)))
+    else:
+        plan = PruningPlan(PruneConfig(policy=policy), [
+            LayerPlan(b.middle_conv, c, tuple(range(0, c, 3)))
+            for b in graph.blocks for c in [graph.node(b.middle_conv).attrs["out_channels"]]])
+    return apply(ModelBundle(graph), plan, RewriteOptions()).graph
+
+
+TOPOLOGY_CASES = [(arch, form) for arch in ARCHITECTURES for form in ("gated", "stripped")] + [
+    ("tiny-resnet", "resnet-stage-uniform"), ("resnet56", "resnet-stage-uniform"),
+    ("preresnet164", "bottleneck-middle")]
+
+
+@pytest.mark.parametrize("arch, form", TOPOLOGY_CASES,
+                         ids=[f"{a}-{f}" for a, f in TOPOLOGY_CASES])
+def test_topology_agrees_with_the_edge_list(arch, form):
+    """The maps read once per graph equal a direct scan of its edges, in edge order."""
+    if form in ("gated", "stripped"):
+        g = build(arch, 10, with_gates=True, init=False)
+        g = strip_gates(g) if form == "stripped" else g
+    else:
+        g = _compact(arch, form)
+    for n in g.nodes:
+        assert g.producers(n.id) == [s for s, d in g.edges if d == n.id]
+        assert g.consumers(n.id) == [d for s, d in g.edges if s == n.id]
+    order = g.topo_order()
+    assert list(order) == kahn_order([n.id for n in g.nodes], g.edges)
+    position = {nid: i for i, nid in enumerate(order)}
+    assert all(position[s] < position[d] for s, d in g.edges)
+    assert g.copy().topology is g.topology
 
 
 class TestStripGates:
