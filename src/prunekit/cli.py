@@ -24,7 +24,7 @@ from .planner import POLICIES, SIGNS, PruneConfig, PruningPlan, make_plan
 from .records import write_json
 from .rewriter import RewriteOptions, apply as apply_plan
 from .scoring import ScoreRecord, collect_scores
-from .trainer import TrainConfig, evaluate, retrain, train
+from .trainer import TrainConfig, retrain, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -127,9 +127,9 @@ def cmd_retrain(args) -> int:
     rep = CompressionReport.load(args.report)
     bundle = load_bundle(args.model)
     cfg, train_data, eval_data = _training_inputs(args)
-    retrained, _ = retrain(bundle, train_data, eval_data, cfg, rep)
+    retrained, history = retrain(bundle, train_data, eval_data, cfg, rep)
     save_bundle(retrained, args.out)
-    acc = evaluate(retrained, eval_data)
+    acc = history[retrained.metadata["best_epoch"]]["eval_acc"]
     print(f"retrained {rep.epoch_recommendation} epochs; eval acc {acc:.4f} "
           f"-> {args.out}")
     return EXIT_OK

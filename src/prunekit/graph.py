@@ -185,14 +185,12 @@ class ArchitectureGraph:
     def validate(self) -> list[str]:
         """Every invariant violation, as human-readable strings; [] means ok.
 
-        The attribute phase checks each node's kind and ``checked_attrs``; only
-        a graph that passes it goes on to :meth:`validate_structure`.
+        The attribute phase runs ``checked_attrs`` on each node, which also
+        reports an unknown kind; only a graph that passes it goes on to
+        :meth:`validate_structure`.
         """
         v: list[str] = []
         for n in self.nodes:
-            if n.kind not in LAYERS:
-                v.append(f"node '{n.id}': unknown kind '{n.kind}'")
-                continue
             try:
                 checked_attrs(n)
             except StructuralError as exc:

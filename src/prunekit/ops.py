@@ -18,6 +18,9 @@ to the input and the last tile's patch matrix, not the whole batch's: the
 backward walks the tiles last to first, uses the kept patches for the last
 and rebuilds each earlier tile's (recompute over store, Chen et al. 2016).
 
+Batchnorm caches ``(x - mean, gamma, inv_std, None)`` in train mode and
+``(x, gamma, inv_std, running_mean)`` in eval mode.  ReLU caches its output.
+
 Max pooling takes non-overlapping windows only (kernel == stride), cropping
 the rows and columns that do not fill a window.  It takes pairwise maxima of
 strided views, within each window row first, then across rows; a later
@@ -188,50 +191,47 @@ def conv2d_backward(dy, cache):
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var,
                       eps=1e-5, momentum=0.1, training=False):
-    """Per-channel normalization.
-
-    Train mode normalizes with batch statistics (population variance, two
-    passes over the centred input) and returns updated running statistics;
-    eval mode uses the running statistics unchanged, as one scale and shift.
-    The cache is ``(xhat, gamma, inv_std, None)`` in train mode and
-    ``(x, gamma, inv_std, running_mean)`` in eval mode, where the backward
-    forms xhat only if it runs.
-    """
+    """Per-channel normalization; returns (y, cache, running mean, running var).
+    Train mode updates the running statistics; eval mode leaves them unchanged."""
     check_tensor4(x, "batchnorm input")
     n, c = x.shape[:2]
     if gamma.shape[0] != c:
         raise StructuralError(f"batchnorm: input has {c} channels, params have {gamma.shape[0]}")
     x3 = x.reshape(n, c, -1)
-    if not training:
+    if training:
+        m = n * x3.shape[2]
+        mu = np.einsum("ncs->c", x3) / m
+        xc = x3 - mu[:, None]
+        var = np.einsum("ncs,ncs->c", xc, xc) / m
+        inv_std = 1.0 / np.sqrt(var + eps)
+        shift, cache = beta, (xc, gamma, inv_std, None)
+        running_mean = (1.0 - momentum) * running_mean + momentum * mu
+        running_var = (1.0 - momentum) * running_var + momentum * var
+    else:  # x itself is scaled; the shift folds in the running mean
         inv_std = 1.0 / np.sqrt(running_var + eps)
-        scale = gamma * inv_std
-        y = x3 * scale[:, None] + (beta - running_mean * scale)[:, None]
+        xc, shift = x3, beta - running_mean * (gamma * inv_std)
         cache = (x, gamma, inv_std, running_mean)
-        return y.reshape(x.shape).astype(x.dtype, copy=False), cache, running_mean, running_var
-    mu = x3.mean(axis=(0, 2))
-    xhat = x3 - mu[:, None]
-    var = (xhat * xhat).mean(axis=(0, 2))
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std[:, None]
-    y = xhat * gamma[:, None] + beta[:, None]
-    new_mean = (1.0 - momentum) * running_mean + momentum * mu
-    new_var = (1.0 - momentum) * running_var + momentum * var
-    cache = (xhat, gamma, inv_std, None)
-    return y.reshape(x.shape).astype(x.dtype, copy=False), cache, new_mean, new_var
+    y = xc * (gamma * inv_std)[:, None]
+    y += shift[:, None]
+    return y.reshape(x.shape).astype(x.dtype, copy=False), cache, running_mean, running_var
 
 
 def batchnorm_backward(dy, cache):
-    a, gamma, inv_std, running_mean = cache
-    n, c = dy.shape[:2]
-    dy3 = dy.reshape(n, c, -1)
-    training = running_mean is None
-    xhat = a if training else (a.reshape(n, c, -1) - running_mean[:, None]) * inv_std[:, None]
-    dgamma = (dy3 * xhat).sum(axis=(0, 2))
-    dbeta = dy3.sum(axis=(0, 2))
-    if training:  # batch statistics depend on the input; running ones are constants
+    """sum(dy) and sum(dy * xc) are reductions; dx is built in place in one new array."""
+    xc, gamma, inv_std, running_mean = cache
+    dy3 = dy.reshape(*dy.shape[:2], -1)
+    if running_mean is not None:
+        xc = xc.reshape(dy3.shape) - running_mean[:, None]
+    dbeta = np.einsum("ncs->c", dy3)
+    dgamma = np.einsum("ncs,ncs->c", dy3, xc) * inv_std
+    if running_mean is None:  # batch statistics depend on the input; running ones are constants
         m = dy3.shape[0] * dy3.shape[2]
-        dy3 = dy3 - xhat * (dgamma / m)[:, None] - (dbeta / m)[:, None]
-    dx = dy3 * (gamma * inv_std)[:, None]
+        dx = xc * (-inv_std * dgamma / m)[:, None]
+        dx += dy3
+        dx -= (dbeta / m)[:, None]
+        dx *= (gamma * inv_std)[:, None]
+    else:
+        dx = dy3 * (gamma * inv_std)[:, None]
     return dx.reshape(dy.shape).astype(dy.dtype, copy=False), dgamma, dbeta
 
 
@@ -240,11 +240,11 @@ def batchnorm_backward(dy, cache):
 
 def relu_forward(x):
     y = np.maximum(x, 0)
-    return y, (x > 0)
+    return y, y
 
 
-def relu_backward(dy, cache):
-    return dy * cache
+def relu_backward(dy, y):
+    return dy * (y > 0)
 
 
 def _first_max(vals):

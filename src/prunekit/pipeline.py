@@ -27,7 +27,7 @@ from .planner import PruneConfig, make_plan
 from .records import Record, content_hash, write_json
 from .rewriter import REWRITE_MODES, RewriteOptions, apply
 from .scoring import collect_scores
-from .trainer import TrainConfig, evaluate, retrain, train
+from .trainer import TrainConfig, retrain, train
 
 
 @dataclass
@@ -130,7 +130,8 @@ def stage_retrain(config: PipelineConfig, state: dict) -> ModelBundle:
     retrained, history = retrain(state["apply"], state["train_data"],
                                  state["eval_data"], config.train, rep)
     write_json(history, os.path.join(config.out, "retrain-history.json"))
-    write_json({"eval_acc": evaluate(retrained, state["eval_data"]),
+    # train already evaluated the checkpoint it returns, at its best epoch
+    write_json({"eval_acc": history[retrained.metadata["best_epoch"]]["eval_acc"],
                 "epochs": rep.epoch_recommendation}, os.path.join(config.out, "final.json"))
     return retrained
 

@@ -89,6 +89,45 @@ def maxpool_loops(x, kernel, dy):
     return y, dx
 
 
+def batchnorm_loops(x, gamma, beta, running_mean, running_var, eps, momentum,
+                    training, dy):
+    """Batch normalization and its gradient, one channel at a time, in float64.
+
+    Train mode normalizes by the batch mean and population variance and
+    moves the running statistics toward them by ``momentum``; eval mode
+    normalizes by the running statistics and returns them unchanged.
+    Returns (y, new_mean, new_var, dx, dgamma, dbeta); in train mode dx is
+    the textbook (dy - mean(dy) - xhat * mean(dy * xhat)) * gamma / std.
+    """
+    x, dy = np.asarray(x, np.float64), np.asarray(dy, np.float64)
+    y, dx = np.zeros_like(x), np.zeros_like(x)
+    channels = x.shape[1]
+    new_mean, new_var = np.zeros(channels), np.zeros(channels)
+    dgamma, dbeta = np.zeros(channels), np.zeros(channels)
+    for c in range(channels):
+        v, g = x[:, c].ravel(), dy[:, c].ravel()
+        m = v.size
+        if training:
+            mean = math.fsum(v) / m
+            var = math.fsum((v - mean) ** 2) / m
+            new_mean[c] = (1 - momentum) * running_mean[c] + momentum * mean
+            new_var[c] = (1 - momentum) * running_var[c] + momentum * var
+        else:
+            mean, var = float(running_mean[c]), float(running_var[c])
+            new_mean[c], new_var[c] = mean, var
+        std = math.sqrt(var + eps)
+        xhat = (v - mean) / std
+        y[:, c] = (gamma[c] * xhat + beta[c]).reshape(y[:, c].shape)
+        dbeta[c] = math.fsum(g)
+        dgamma[c] = math.fsum(g * xhat)
+        if training:
+            d = (g - dbeta[c] / m - xhat * dgamma[c] / m) * gamma[c] / std
+        else:
+            d = g * gamma[c] / std
+        dx[:, c] = d.reshape(dx[:, c].shape)
+    return y, new_mean, new_var, dx, dgamma, dbeta
+
+
 def squeeze_loops(channel):
     """Mean of absolute values of one (h, w) channel, scalar accumulation."""
     h, w = channel.shape

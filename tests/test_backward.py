@@ -48,6 +48,21 @@ class TestReLU:
         dy = np.array([[[[3.5]]]])
         assert ops.relu_backward(dy, cache)[0, 0, 0, 0] == 0.0
 
+    def test_routes_as_the_input_mask(self):
+        """dy passes exactly where x > 0, as a mask kept from the forward would
+        route it: zero, -0.0, negatives, NaN and -inf block; a non-finite dy
+        at a blocked element gives NaN both ways."""
+        x = np.array([0.0, -0.0, -1.5, np.nan, -np.inf, 2.0, np.inf, 1e-300])
+        dy = np.array([1.5, -2.0, 3.0, -4.0, np.inf, 0.5, -1.0, np.nan])
+        x4, dy4 = x.reshape(1, 1, 2, 4), dy.reshape(1, 1, 2, 4)
+        _, cache = ops.relu_forward(x4)
+        with np.errstate(invalid="ignore"):   # inf * 0 at a blocked element
+            assert ops.relu_backward(dy4, cache).tobytes() == (dy4 * (x4 > 0)).tobytes()
+
+    def test_cache_is_the_output(self, rng):
+        y, cache = ops.relu_forward(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
+        assert cache is y and y.dtype == np.float32
+
 
 @pytest.mark.parametrize("layer", ["conv", "batchnorm", "linear", "gate"])
 def test_layer_gradients_match_finite_differences(layer, rng):

@@ -174,7 +174,7 @@ class TestValidate:
     def test_unknown_kind_reported_without_raising(self):
         g = build("tiny-vgg", 4, init=False)
         g.node("relu1").kind = "mystery"
-        assert "node 'relu1': unknown kind 'mystery'" in g.validate()
+        assert "layer 'relu1': unknown kind 'mystery'" in g.validate()
 
     def test_stage_annotation_mismatch_detected(self):
         g = build("tiny-resnet", 4, init=False)

@@ -101,16 +101,15 @@ def test_eval_forward_does_not_touch_running_stats(rng):
     assert np.abs(g.node("bn1").params["running_mean"] - before).max() > 0
 
 
-def _array_ids(obj, ids):
-    """ids of every array reachable from a cache, with the arrays they view."""
+def _arrays(obj):
+    """Every array reachable from a cache, with the arrays they view."""
     if isinstance(obj, np.ndarray):
         while isinstance(obj, np.ndarray):
-            ids.add(id(obj))
+            yield obj
             obj = obj.base
     elif isinstance(obj, (tuple, list)):
         for item in obj:
-            _array_ids(item, ids)
-    return ids
+            yield from _arrays(item)
 
 
 def test_walk_drops_each_output_after_its_last_consumer(rng):
@@ -129,31 +128,38 @@ def test_walk_drops_each_output_after_its_last_consumer(rng):
 
 
 def test_training_tape_holds_only_what_a_cache_references(rng):
-    g = build("tiny-resnet", 3, with_gates=True, reduction=4, seed=1)
-    net = Network(g)
-    refs, shapes = {}, {}
-    walk = net.walk
+    for arch in ("tiny-resnet", "tiny-vgg"):   # tiny-vgg has max-pools
+        g = build(arch, 3, with_gates=True, reduction=4, seed=1)
+        net = Network(g)
+        refs, shapes = {}, {}
+        walk = net.walk
 
-    def spy(x, training=False):
-        for node, y, cache in walk(x, training):
-            refs[node.id] = weakref.ref(y)
-            shapes[node.id] = y.shape
-            yield node, y, cache
+        def spy(x, training=False):
+            for node, y, cache in walk(x, training):
+                refs[node.id] = weakref.ref(y)
+                shapes[node.id] = y.shape
+                yield node, y, cache
 
-    net.walk = spy
-    tape = GradTape()
-    probs = net.forward(rng.normal(size=(2, 8, 16, 16)).astype(np.float32),
-                        training=True, tape=tape)
-    assert list(refs) == tape.order
-    held = _array_ids(list(tape.caches.values()), set())
-    alive = {nid: ref() for nid, ref in refs.items() if ref() is not None}
-    assert [nid for nid, y in alive.items() if id(y) not in held] == []
-    bn_inputs = [s for s, d in g.edges if g.node(d).kind == "batchnorm"
-                 and g.node(s).kind == "conv"]
-    assert bn_inputs and all(refs[nid]() is None for nid in bn_inputs)
-    # the tape's outputs are shapes, enough for backward's checks
-    assert tape.outputs == shapes
-    assert shapes[tape.order[-1]] == probs.shape + (1, 1)
+        net.walk = spy
+        tape = GradTape()
+        probs = net.forward(rng.normal(size=(2, 8, 16, 16)).astype(np.float32),
+                            training=True, tape=tape)
+        assert list(refs) == tape.order
+        held = {id(a) for a in _arrays(list(tape.caches.values()))}
+        alive = {nid: ref() for nid, ref in refs.items() if ref() is not None}
+        assert [nid for nid, y in alive.items() if id(y) not in held] == []
+        bn_inputs = [s for s, d in g.edges if g.node(d).kind == "batchnorm"
+                     and g.node(s).kind == "conv"]
+        assert bn_inputs and all(refs[nid]() is None for nid in bn_inputs)
+        # a relu keeps its output, not a mask: only max-pool routes are boolean
+        relus = [n.id for n in g.nodes_of_kind("relu")]
+        assert relus and all(tape.caches[nid] is refs[nid]() for nid in relus)
+        masked = {nid for nid, cache in tape.caches.items()
+                  if any(a.dtype == bool for a in _arrays(cache))}
+        assert masked == {n.id for n in g.nodes_of_kind("maxpool")}
+        # the tape's outputs are shapes, enough for backward's checks
+        assert tape.outputs == shapes
+        assert shapes[tape.order[-1]] == probs.shape + (1, 1)
 
 
 def test_a_node_may_read_one_producer_twice(rng):

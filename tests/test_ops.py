@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from prunekit import ops
 from prunekit.errors import StructuralError
 
-from oracles import conv2d_backward_loops, conv2d_loops, maxpool_loops
+from oracles import batchnorm_loops, conv2d_backward_loops, conv2d_loops, maxpool_loops
 
 
 def draw_conv_case(data, max_n=2):
@@ -172,6 +172,56 @@ class TestBatchNorm:
         x = rng.normal(size=(1, 3, 2, 2))
         with pytest.raises(StructuralError, match="3 channels"):
             ops.batchnorm_forward(x, np.ones(5), np.zeros(5), np.zeros(5), np.ones(5))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_loop_oracle(self, data):
+        """Output, running statistics and all three gradients, both modes, float64."""
+        n, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        h, w = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        training = data.draw(st.booleans())
+        eps = data.draw(st.sampled_from([1e-5, 1e-3]))
+        momentum = data.draw(st.floats(0.0, 1.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.normal(rng.uniform(-3, 3), rng.uniform(0.1, 3), size=(n, c, h, w))
+        gamma, beta = rng.normal(1.0, 0.5, size=c), rng.normal(0.0, 0.5, size=c)
+        rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        dy = rng.normal(size=x.shape)
+        y, cache, new_mean, new_var = ops.batchnorm_forward(
+            x, gamma, beta, rm, rv, eps, momentum, training)
+        got = (y, new_mean, new_var, *ops.batchnorm_backward(dy, cache))
+        want = batchnorm_loops(x, gamma, beta, rm, rv, eps, momentum, training, dy)
+        for name, a, b in zip(("y", "mean", "var", "dx", "dgamma", "dbeta"), got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9, err_msg=name)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_float32_error_against_float64(self, n, training, rng):
+        """float32 outputs and gradients within 2e-6 of the float64 run on the
+        same float32 inputs, as max-abs error over max-abs."""
+        x = rng.normal(2.0, 3.0, size=(n, 16, 16, 16)).astype(np.float32)
+        dy = rng.normal(size=x.shape).astype(np.float32)
+        params = [rng.normal(1.0, 0.5, size=16), rng.normal(0.0, 0.5, size=16),
+                  rng.normal(size=16), rng.uniform(0.5, 2.0, size=16)]
+        params = [p.astype(np.float32) for p in params]
+
+        def run(dtype):
+            y, cache, mean, var = ops.batchnorm_forward(
+                x.astype(dtype), *(p.astype(dtype) for p in params), training=training)
+            return (y, mean, var, *ops.batchnorm_backward(dy.astype(dtype), cache))
+
+        for name, lo, hi in zip(("y", "mean", "var", "dx", "dgamma", "dbeta"),
+                                run(np.float32), run(np.float64)):
+            assert np.abs(lo - hi).max() / np.abs(hi).max() <= 2e-6, name
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_float32_stays_float32(self, training, rng):
+        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        ones, zeros = np.ones(3, np.float32), np.zeros(3, np.float32)
+        y, cache, mean, var = ops.batchnorm_forward(x, ones, zeros, zeros, ones,
+                                                    training=training)
+        dx, dgamma, dbeta = ops.batchnorm_backward(np.ones_like(x), cache)
+        assert [a.dtype for a in (y, mean, var, dx, dgamma, dbeta)] == [np.float32] * 6
 
 
 class TestPooling:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from prunekit import (DatasetSpec, ModelBundle, PruneConfig, TrainConfig, build,
                       count_params, identity_plan, load_bundle, report, save_bundle)
 from prunekit.bundle import BLOB_NAME, bundle_fingerprint
 from prunekit.cli import main
+from prunekit.data import load_dataset
 from prunekit.errors import StageFailure
 from prunekit.pipeline import (STAGES, ExperimentManifest, PipelineConfig, run_pipeline,
                                run_sweep)
 from prunekit.records import content_hash, read_json
+from prunekit.trainer import evaluate
 
 from oracles import resign
 
@@ -111,6 +114,15 @@ class TestPipeline:
         assert compact.graph.nodes_of_kind("gate") == []
         retrained = load_bundle(os.path.join(out, STAGES["retrain"][1]))
         assert retrained.metadata["epochs_seen"] >= 1
+
+    def test_final_accuracy_is_the_saved_retrained_models(self, completed):
+        """final.json reuses train's evaluation of the checkpoint it returns;
+        it equals an evaluation of the bundle saved and loaded back."""
+        out, _ = completed
+        final = json.load(open(os.path.join(out, "final.json")))
+        eval_data = load_dataset(replace(small_config(out).data, split="eval"))
+        retrained = load_bundle(os.path.join(out, STAGES["retrain"][1]))
+        assert final["eval_acc"] == evaluate(retrained, eval_data)
 
 
 def saved_manifest(out_dir):
@@ -210,6 +222,8 @@ class TestCli:
                      "--config", train_json, "--report", report,
                      "--out", retrained]) == 0
         assert os.path.exists(os.path.join(retrained, "params.bin"))
+        acc = evaluate(load_bundle(retrained), load_dataset(replace(spec, split="eval")))
+        assert f"eval acc {acc:.4f} -> {retrained}" in capsys.readouterr().out
         assert count_params(load_bundle(compact).graph) < \
             count_params(load_bundle(trained).graph)
 
