@@ -130,9 +130,6 @@ def load_bundle(path: str) -> ModelBundle:
         declared = kind_of(node).param_shapes(node.attrs)
         for pname in sorted(declared):
             shape, start = declared[pname], end
-            if min(shape, default=0) < 0:
-                raise BundleIntegrityError(
-                    f"tensor '{node.id}/{pname}': declared shape {shape} has a negative dimension")
             end += 4 * math.prod(shape)
             if end > len(blob):
                 raise BundleIntegrityError(

@@ -92,8 +92,7 @@ def cmd_apply(args) -> int:
     bundle = load_bundle(args.model)
     plan = PruningPlan.load(args.plan)
     mode = "architecture-only" if args.mode == "scratch" else "inherit-weights"
-    opts = RewriteOptions(mode=mode, strip_gates=not args.keep_gates,
-                          seed=args.seed if mode == "architecture-only" else None)
+    opts = RewriteOptions(mode=mode, strip_gates=not args.keep_gates, seed=args.seed)
     compact = apply_plan(bundle, plan, opts)
     save_bundle(compact, args.out)
     print(f"rewrote model ({args.mode}) -> {args.out}")
@@ -197,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--beta", type=int, default=2)
     pl.add_argument("--sign", choices=SIGNS, default="minus")
     pl.add_argument("--policy", choices=POLICIES, default="vgg-per-layer")
-    pl.add_argument("--stage-targets", default=None, help="e.g. 8,32,32")
+    pl.add_argument("--stage-targets", default=None,
+                    help="per-stage kept widths, e.g. 8,32,32; default: the threshold rule")
     pl.add_argument("--half-rule", choices=("on", "off"), default="off")
     pl.add_argument("--min-channels", type=int, default=1)
     pl.add_argument("--out", required=True)

@@ -96,8 +96,6 @@ def _conv_check(node, in_shapes):
     if a["in_channels"] != c:
         yield (f"conv '{node.id}': declares {a['in_channels']} input "
                f"channels but receives {c}")
-    if a["out_channels"] < 1 or a["in_channels"] < 1:
-        yield f"conv '{node.id}': channel widths must be positive"
 
 
 def _conv_macs(a, in_shape, out_shape):
@@ -278,7 +276,9 @@ def kind_of(node) -> LayerKind:
 
 
 # the least value of an attribute, whichever kind declares it; per axis for a kernel
-ATTR_MINIMUM = {"kernel": 1, "stride": 1, "padding": 0, "reduction": 1}
+ATTR_MINIMUM = {"kernel": 1, "stride": 1, "padding": 0, "reduction": 1, "in_channels": 1,
+                "out_channels": 1, "channels": 1, "hidden": 1, "in_features": 1,
+                "out_features": 1}
 
 
 def checked_attrs(node) -> dict:

@@ -114,10 +114,8 @@ def stage_plan(config: PipelineConfig, state: dict) -> Record:
 
 
 def stage_apply(config: PipelineConfig, state: dict) -> ModelBundle:
-    opts = RewriteOptions(mode=config.rewrite_mode, strip_gates=True,
-                          seed=config.seed + 1
-                          if config.rewrite_mode == "architecture-only" else None)
-    return apply(state["train"], state["plan"], opts)
+    return apply(state["train"], state["plan"],
+                 RewriteOptions(mode=config.rewrite_mode, strip_gates=True, seed=config.seed + 1))
 
 
 def stage_report(config: PipelineConfig, state: dict) -> Record:

@@ -179,22 +179,25 @@ def plan_stage_uniform(record: ScoreRecord, graph: ArchitectureGraph,
                        config: PruneConfig) -> PruningPlan:
     """One shared kept-index set per stage, applied to every member block.
 
-    Per-channel importance is the mean of the member blocks' score vectors;
-    the top ``target`` indices survive (ties to the lower index).  The kept
-    set rewrites every block's output conv, the stage's shortcut convs, and
-    the stem feeding the first stage; intermediate block channels are left
-    untouched.
+    Per-channel importance is the mean of the member blocks' score vectors.
+    A stage with a target in ``config.stage_targets`` keeps its top ``target``
+    indices (ties to the lower index); any other stage thresholds the mean
+    vector by :func:`select_channels`, floor and half-cut rule included.  The
+    kept set rewrites every block's output conv, the stage's shortcut convs,
+    and the stem feeding the first stage; intermediate block channels are
+    left untouched.
     """
     targets = config.stage_target_map
     if not graph.stages:
         raise PlanError("graph has no stage annotations")
+    unknown = sorted(targets.keys() - {st.index for st in graph.stages})
+    if unknown:
+        raise PlanError(f"target width for stage {unknown[0]}, which the graph lacks")
     plan = PruningPlan(config, score_fingerprint=record.fingerprint())
     scores = record.layer_map()
     for st in sorted(graph.stages, key=lambda s: s.index):
-        if st.index not in targets:
-            raise PlanError(f"no target width for stage {st.index}")
-        target = targets[st.index]
-        if not (1 <= target <= st.width):
+        target = targets.get(st.index)
+        if target is not None and not (1 <= target <= st.width):
             raise PlanError(f"stage {st.index}: target {target} exceeds width {st.width}")
         votes = []
         for bid in st.block_ids:
@@ -209,8 +212,10 @@ def plan_stage_uniform(record: ScoreRecord, graph: ArchitectureGraph,
                 raise PlanError(f"block '{bid}': scores cover {ls.channels} channels, "
                                 f"stage width is {st.width}")
             votes.append(ls.mean)
-        kept = tuple(int(i) for i in _top_k(np.mean(votes, axis=0), target))
-        plan.stages.append(StagePlan(st.index, target, kept, tuple(st.block_ids)))
+        importance = np.mean(votes, axis=0)
+        kept = tuple(int(i) for i in (select_channels(importance, config) if target is None
+                                      else _top_k(importance, target)))
+        plan.stages.append(StagePlan(st.index, len(kept), kept, tuple(st.block_ids)))
         for bid in st.block_ids:
             b = graph.block(bid)
             plan.layers.append(LayerPlan(b.last_conv, st.width, kept))

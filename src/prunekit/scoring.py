@@ -1,10 +1,9 @@
-"""Collection and aggregation of gate scores into score records.
+"""Collection of gate scores into score records.
 
 A score record holds, per scored convolution, the arithmetic mean and the
-standard deviation of the gate vector over every sample seen, plus
-per-block and per-stage aggregates kept for inspection: planning reads only
-the per-layer entries.  The record is the file contract between scoring and
-planning: third-party trainers can produce the same JSON.
+standard deviation of the gate vector over every sample seen, plus free-form
+metadata.  The record is the file contract between scoring and planning:
+third-party trainers can produce the same JSON.
 """
 
 from __future__ import annotations
@@ -29,13 +28,24 @@ class LayerScore(Record):
     std: np.ndarray
     samples: int
 
+    def __post_init__(self):
+        for name, vector in (("mean", self.mean), ("std", self.std)):
+            if len(vector) != self.channels:
+                raise ValueError(f"layer '{self.layer_id}': {name} has {len(vector)} "
+                                 f"entries for {self.channels} channels")
+
 
 @dataclass
 class ScoreRecord(Record):
     layers: list[LayerScore]
-    blocks: list[dict] = field(default_factory=list)
-    stages: list[dict] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_dict(cls, d) -> "ScoreRecord":
+        """Decode strictly, dropping the ``blocks``/``stages`` summaries older files carry."""
+        if isinstance(d, dict):
+            d = {k: v for k, v in d.items() if k not in ("blocks", "stages")}
+        return super().from_dict(d)
 
     def layer_map(self) -> dict[str, LayerScore]:
         return {ls.layer_id: ls for ls in self.layers}
@@ -92,41 +102,11 @@ def collect_scores(bundle: ModelBundle, batches, max_batches: int | None = None,
         layers.append(LayerScore(gate_to_conv[g.id], g.id, g.attrs["channels"],
                                  mean, np.sqrt(var), seen))
 
-    record = ScoreRecord(layers, metadata={
+    return ScoreRecord(layers, metadata={
         "model": bundle_fingerprint(bundle),
         "samples": seen,
         "mode": "train" if training else "eval",
     })
-    _aggregate_blocks(record, graph)
-    return record
-
-
-def _aggregate_blocks(record: ScoreRecord, graph: ArchitectureGraph) -> None:
-    by_layer = record.layer_map()
-    for b in graph.blocks:
-        ls = None
-        for conv_id in (b.last_conv, b.middle_conv, b.first_conv):
-            if conv_id is not None and conv_id in by_layer:
-                ls = by_layer[conv_id]
-                break
-        if ls is None:
-            continue
-        record.blocks.append({
-            "block_id": b.id, "stage": b.stage, "layer_id": ls.layer_id,
-            "mean": float(ls.mean.mean()), "min": float(ls.mean.min()),
-            "max": float(ls.mean.max()), "mean_std": float(ls.std.mean()),
-        })
-    for st in graph.stages:
-        rows = [r for r in record.blocks if r["stage"] == st.index]
-        if not rows:
-            continue
-        record.stages.append({
-            "index": st.index, "width": st.width, "blocks": len(rows),
-            "mean": float(np.mean([r["mean"] for r in rows])),
-            "min": float(min(r["min"] for r in rows)),
-            "max": float(max(r["max"] for r in rows)),
-            "mean_std": float(np.mean([r["mean_std"] for r in rows])),
-        })
 
 
 def attribute_scored_channels(bundle: ModelBundle, x_normal: np.ndarray,

@@ -266,7 +266,8 @@ WIDTHS = ("in_channels", "out_channels", "channels", "hidden", "in_features", "o
 def test_any_layout_mismatch_exits_2_naming_a_tensor_or_the_blob(data):
     """Set one width attribute to another value, or cut or extend the blob by a
     few floats, and re-sign: the declared layout no longer fits the blob, so the
-    CLI exits 2 naming a tensor or the blob, never 1 (a crash) or 3."""
+    CLI exits 2 naming a tensor or the blob, never 1 (a crash) or 3.  A width
+    below 1 fails the attribute check first, naming the layer."""
     graph = build("tiny-vgg", 4, with_gates=True, seed=0)
     with tempfile.TemporaryDirectory() as path:
         save_bundle(ModelBundle(graph), path)
@@ -285,8 +286,13 @@ def test_any_layout_mismatch_exits_2_naming_a_tensor_or_the_blob(data):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["count", "--model", path])
-    assert code == 2, (change, err.getvalue())
-    assert "tensor '" in err.getvalue() or BLOB_NAME in err.getvalue(), (change, err.getvalue())
+    message = err.getvalue()
+    assert code == 2, (change, message)
+    if change[0] != "blob" and change[2] < 1:
+        assert f"layer '{change[0]}'" in message and "must be at least 1" in message, \
+            (change, message)
+    else:
+        assert "tensor '" in message or BLOB_NAME in message, (change, message)
 
 
 def _v1_index(graph):

@@ -159,6 +159,24 @@ class TestSweep:
         assert (variant_cfg.prune.sign, variant_cfg.prune.beta) == ("plus", 8)
 
 
+class TestStageUniformWithoutTargets:
+    """Basic-block nets plan from the threshold rule when no stage has a hand target."""
+
+    def config(self, out):
+        return replace(small_config(out, epochs=1), arch="tiny-resnet",
+                       prune=PruneConfig(beta=1, sign="minus", policy="resnet-stage-uniform"))
+
+    def test_pipeline_completes(self, tmp_path):
+        manifest = run_pipeline(self.config(str(tmp_path / "exp")))
+        assert manifest.verify_chain() and manifest.rows[-1]["stage"] == "retrain"
+
+    def test_sweep_compression_monotone_along_variant_order(self, tmp_path):
+        rows = run_sweep(self.config(str(tmp_path / "sweep")),
+                         [("minus", 2), ("minus", 8), ("plus", 8), ("plus", 2)])
+        flops = [r["pruned_flops_pct"] for r in rows]
+        assert flops == sorted(flops) and flops[0] < flops[-1]
+
+
 class TestCli:
     def test_build_and_count(self, tmp_path, capsys):
         out = str(tmp_path / "m")
@@ -345,6 +363,10 @@ class TestCli:
         ("plan", "--scores", {"layers": [{"layer_id": "conv1", "channels": 1, "mean": [0.5],
                                           "std": [0.0], "samples": 1}]},
          "ScoreRecord.layers[0]: missing required field 'gate_id'"),
+        ("plan", "--scores", {"layers": [{"layer_id": "conv1", "gate_id": "gate1",
+                                          "channels": 16, "mean": [0.5] * 8,
+                                          "std": [0.0] * 16, "samples": 1}]},
+         "layer 'conv1': mean has 8 entries for 16 channels"),
         ("apply", "--plan", {"config": {}, "layers": [{"layer_id": "conv1", "kept": [0]}]},
          "PruningPlan.layers[0]: missing required field 'original'"),
         ("retrain", "--report", {**REPORT, "bogus": 1}, "CompressionReport: unknown field 'bogus'"),
@@ -363,10 +385,11 @@ class TestCli:
         ("retrain", "--report", {**REPORT, "base_epochs": 1, "convention": "flops"},
          "convention must be one of"),
     ], ids=["pipeline-unknown", "data-unknown", "data-list", "config-lr", "scores-gate_id",
-            "plan-original", "report-unknown", "pipeline-epochs-0", "pipeline-batch-0",
-            "pipeline-samples-0", "pipeline-classes-mismatch", "report-params-before-0",
-            "report-params-after-negative", "report-flops-before-0", "report-flops-after-0",
-            "report-base-epochs-negative", "report-epoch-mode", "report-convention"])
+            "scores-short-mean", "plan-original", "report-unknown", "pipeline-epochs-0",
+            "pipeline-batch-0", "pipeline-samples-0", "pipeline-classes-mismatch",
+            "report-params-before-0", "report-params-after-negative", "report-flops-before-0",
+            "report-flops-after-0", "report-base-epochs-negative", "report-epoch-mode",
+            "report-convention"])
     def test_malformed_json_input_exits_2(self, tmp_path, capsys, command, flag, content, named):
         model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
         assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0

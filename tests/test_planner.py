@@ -226,6 +226,36 @@ class TestStageUniformPolicy:
                 b = graph.block(bid)
                 assert tuple(plan.layer(b.last_conv).kept) == sp.kept
 
+    def test_stage_without_target_thresholds_its_mean_vote(self, rng):
+        """Stage 2 keeps its hand target; stages 1 and 3 take the threshold rule."""
+        graph = build("tiny-resnet", 4, init=False)
+        widths = {b.last_conv: graph.node(b.last_conv).attrs["out_channels"]
+                  for b in graph.blocks}
+        scores = {conv: rng.uniform(0.05, 0.95, c) for conv, c in widths.items()}
+        cfg = PruneConfig(beta=1, sign="plus", policy="resnet-stage-uniform",
+                          stage_targets=((2, 5),))
+        plan = plan_stage_uniform(record_for(graph, scores), graph, cfg)
+        for st_info, sp in zip(sorted(graph.stages, key=lambda s: s.index), plan.stages):
+            votes = np.mean([scores[graph.block(bid).last_conv]
+                             for bid in st_info.block_ids], axis=0)
+            want = (sorted(np.argsort(-votes, kind="stable")[:5]) if st_info.index == 2
+                    else select_channels_reference(votes, cfg.beta, cfg.sign))
+            assert list(sp.kept) == want
+            assert sp.target == len(sp.kept)
+
+    def test_plateau_stage_without_target_is_halved(self):
+        graph, record = self.build_scored_resnet("tiny-resnet", 4, descending=False)
+        plan = plan_stage_uniform(record, graph, PruneConfig(
+            policy="resnet-stage-uniform", half_rule=True))
+        assert [sp.kept for sp in plan.stages] == [tuple(range(w // 2)) for w in (8, 16, 32)]
+
+    def test_target_for_a_missing_stage_rejected(self):
+        """Stages without a target take the threshold rule, so a mistyped index must not pass."""
+        graph, record = self.build_scored_resnet("tiny-resnet", 4)
+        cfg = PruneConfig(policy="resnet-stage-uniform", stage_targets=((4, 8),))
+        with pytest.raises(PlanError, match="target width for stage 4, which the graph lacks"):
+            plan_stage_uniform(record, graph, cfg)
+
     def test_target_exceeding_width_rejected(self):
         graph, record = self.build_scored_resnet("tiny-resnet", 4)
         cfg = PruneConfig(policy="resnet-stage-uniform",

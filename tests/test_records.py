@@ -81,8 +81,7 @@ def layer_scores(draw):
 
 
 score_records = st.builds(ScoreRecord, layers=st.lists(layer_scores(), max_size=3),
-                          blocks=st.lists(json_dicts, max_size=2),
-                          stages=st.lists(json_dicts, max_size=2), metadata=json_dicts)
+                          metadata=json_dicts)
 
 compression_reports = st.builds(
     CompressionReport, params_before=st.integers(1, 10**6), params_after=small,

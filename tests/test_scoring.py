@@ -1,14 +1,15 @@
-"""Score collection semantics: means, stds, determinism, aggregates, memory."""
+"""Score collection semantics: means, stds, determinism, memory, the record file."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from prunekit import (DatasetSpec, ModelBundle, Network, build, collect_scores,
-                      load_dataset)
+from prunekit import (DatasetSpec, ModelBundle, Network, PruneConfig, build, collect_scores,
+                      load_dataset, make_plan)
 from prunekit.errors import PrunekitError
-from prunekit.scoring import ScoreRecord, scored_conv_for_gate
+from prunekit.scoring import LayerScore, ScoreRecord, scored_conv_for_gate
 
 from oracles import excite_loops, squeeze_loops
 
@@ -102,15 +103,35 @@ class TestCollect:
 
 
 class TestAggregatesAndIO:
-    def test_block_and_stage_rows_for_resnet(self, planted_spec):
-        bundle = ModelBundle(build("tiny-resnet", 4, with_gates=True,
-                                   reduction=4, seed=5))
-        data = load_dataset(planted_spec)
-        record = collect_scores(bundle, data.batches(32), max_batches=2)
-        assert len(record.blocks) == 6
-        assert [row["index"] for row in record.stages] == [1, 2, 3]
-        for row in record.blocks:
-            assert row["min"] <= row["mean"] <= row["max"]
+    def test_record_holds_only_layers_and_metadata(self, tiny_gated_bundle, planted):
+        record = collect_scores(tiny_gated_bundle, planted.batches(16), max_batches=1)
+        assert list(record.to_dict()) == ["layers", "metadata"]
+
+    def test_older_file_with_aggregates_loads_and_plans_the_same(self, planted, tmp_path):
+        """Older versions also wrote per-block and per-stage summaries; a load drops them."""
+        bundle = ModelBundle(build("tiny-resnet", 4, with_gates=True, reduction=4, seed=5))
+        record = collect_scores(bundle, planted.batches(32), max_batches=2)
+        summary = {"mean": 0.5, "min": 0.4, "max": 0.6, "mean_std": 0.01}
+        new = record.to_dict()
+        old = {"layers": new["layers"],
+               "blocks": [{"block_id": b.id, "stage": b.stage, "layer_id": b.last_conv,
+                           **summary} for b in bundle.graph.blocks],
+               "stages": [{"index": st.index, "width": st.width,
+                           "blocks": len(st.block_ids), **summary}
+                          for st in bundle.graph.stages],
+               "metadata": new["metadata"]}
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps(old, indent=1))
+        loaded = ScoreRecord.load(str(path))
+        assert loaded.fingerprint() == record.fingerprint()
+        config = PruneConfig(beta=1, sign="plus", policy="resnet-stage-uniform")
+        plans = [make_plan(r, bundle.graph, config) for r in (loaded, record)]
+        assert [lp.kept for lp in plans[0].layers] == [lp.kept for lp in plans[1].layers]
+
+    def test_std_vector_must_cover_every_channel(self):
+        """The CLI test of malformed input covers a short ``mean``."""
+        with pytest.raises(ValueError, match="layer 'conv1': std has 17 entries for 16"):
+            LayerScore("conv1", "gate1", 16, np.full(16, 0.5), np.zeros(17), 1)
 
     def test_json_roundtrip(self, tiny_gated_bundle, planted, tmp_path):
         record = collect_scores(tiny_gated_bundle, planted.batches(16), max_batches=2)
