@@ -71,8 +71,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    record = ScoreRecord.load(args.scores)
-    bundle = load_bundle(args.model)
     targets = None
     if args.stage_targets:
         widths = [int(t) for t in args.stage_targets.split(",")]
@@ -81,7 +79,8 @@ def cmd_plan(args) -> int:
                       min_channels=args.min_channels,
                       half_rule=args.half_rule == "on",
                       stage_targets=targets)
-    plan = make_plan(record, bundle.graph, cfg)
+    record = ScoreRecord.load(args.scores)
+    plan = make_plan(record, load_bundle(args.model).graph, cfg)
     plan.save(args.out)
     pruned = sum(lp.original - len(lp.kept) for lp in plan.layers)
     print(f"planned {len(plan.layers)} layers, {pruned} channels pruned -> {args.out}")

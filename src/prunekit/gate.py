@@ -29,7 +29,8 @@ def hidden_width(channels: int, reduction: int) -> int:
 def squeeze(u: np.ndarray) -> np.ndarray:
     """Per-channel mean of absolute values: (n,c,h,w) -> (n,c)."""
     check_tensor4(u, "squeeze input")
-    return np.abs(u).mean(axis=(2, 3))
+    n, c, h, w = u.shape
+    return np.einsum("ncs->nc", np.abs(u).reshape(n, c, -1)) / (h * w)
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
@@ -80,8 +81,8 @@ def gate_backward(dy, cache):
     # the bottleneck is recomputed rather than kept on the tape
     h = np.maximum(z @ w1.T, 0)
 
-    ds = (dy * u).sum(axis=(2, 3))
-    du = dy * s[:, :, None, None]
+    n, c = s.shape
+    ds = np.einsum("ncs,ncs->nc", dy.reshape(n, c, -1), u.reshape(n, c, -1))
 
     da2 = ds * s * (1.0 - s)
     dw2 = da2.T @ h
@@ -91,5 +92,7 @@ def gate_backward(dy, cache):
     dz = da1 @ w1
 
     # d|u|/du is sign(u); sign(0) = 0 is the subgradient choice
-    du = du + (dz[:, :, None, None] / hw) * np.sign(u)
+    du = np.sign(u)
+    du *= (dz / hw)[:, :, None, None]
+    du += dy * s[:, :, None, None]
     return du, dw1, dw2

@@ -18,6 +18,14 @@ to the input and the last tile's patch matrix, not the whole batch's: the
 backward walks the tiles last to first, uses the kept patches for the last
 and rebuilds each earlier tile's (recompute over store, Chen et al. 2016).
 
+A 1x1 kernel with padding 0 skips im2col (as Caffe's ``is_1x1_`` does): its
+patch matrix is the input itself, so the conv is one batched GEMM
+``W (cout, cin) @ xs (n, cin, ho*wo)`` written straight into the output.
+``xs`` is a view of ``x`` at stride 1 and one strided copy otherwise; the
+cache keeps it where the general path keeps the last tile's patches.  The
+backward sums the per-sample products ``dy_n @ xs_n.T`` for the weight and
+scatters ``W.T @ dy_n`` onto the stride grid for the input.
+
 Batchnorm caches ``(x - mean, gamma, inv_std, None)`` in train mode and
 ``(x, gamma, inv_std, running_mean)`` in eval mode.  ReLU caches its output.
 
@@ -105,7 +113,8 @@ def conv2d_forward(x, weight, bias, stride=1, padding=0):
     """Cross-correlation of x (n,cin,h,w) with weight (cout,cin,kh,kw).
 
     The cache is ``(x, cols, weight, has_bias, stride, padding)``: ``cols``
-    is the last tile's patch matrix, ``x`` the input itself.
+    is the last tile's patch matrix, or a 1x1 conv's ``xs`` (n, cin, ho*wo),
+    and ``x`` the input itself.
     """
     check_tensor4(x, "conv input")
     n, cin, h, w = x.shape
@@ -114,6 +123,8 @@ def conv2d_forward(x, weight, bias, stride=1, padding=0):
         raise StructuralError(f"conv: input has {cin} channels, kernel expects {cin_w}")
     ho = conv_output_size(h, kh, stride, padding)
     wo = conv_output_size(w, kw, stride, padding)
+    if (kh, kw) == (1, 1) and not padding:
+        return _conv1x1_forward(x, weight, bias, stride, ho, wo)
 
     rows, pixels = cin * kh * kw, ho * wo
     tile = _tile(n, rows * pixels * x.itemsize)
@@ -146,6 +157,8 @@ def conv2d_backward(dy, cache):
     padding > k-1.
     """
     x, last, weight, has_bias, stride, padding = cache
+    if weight.shape[2:] == (1, 1) and not padding:
+        return _conv1x1_backward(dy, cache)
     n, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
     _, _, ho, wo = dy.shape
@@ -183,6 +196,35 @@ def conv2d_backward(dy, cache):
         src = _stage(dy, s, s + tile, dd, (kh - 1, kw - 1), stride)[:, :, p:, p:]
         dcols = _patches(src, kh, kw, 1, h, w, dbuf)
         dx[s:s + tile] = (wt @ dcols).reshape(cin, -1, h, w).transpose(1, 0, 2, 3)
+    return dx, dw, db
+
+
+def _conv1x1_forward(x, weight, bias, stride, ho, wo):
+    """A 1x1, padding-0 conv as one batched GEMM on the (n, cin, ho*wo) input."""
+    n, cin = x.shape[:2]
+    cout = weight.shape[0]
+    xs = x[:, :, ::stride, ::stride].reshape(n, cin, ho * wo)  # a view at stride 1
+    y = np.empty((n, cout, ho, wo), dtype=np.result_type(x, weight))
+    np.matmul(weight.reshape(cout, cin), xs, out=y.reshape(n, cout, ho * wo))
+    if bias is not None:
+        y += bias[:, None, None]
+    return y, (x, xs, weight, bias is not None, stride, 0)
+
+
+def _conv1x1_backward(dy, cache):
+    """(dx, dweight, dbias) of ``_conv1x1_forward`` from its cache."""
+    x, xs, weight, has_bias, stride, _ = cache
+    n, cin = x.shape[:2]
+    cout = weight.shape[0]
+    dy3 = dy.reshape(n, cout, -1)
+    # the per-sample products, summed in sample order
+    dw = np.matmul(dy3, xs.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+    db = dy.sum(axis=(0, 2, 3)) if has_bias else None
+    dxs = np.matmul(weight.reshape(cout, cin).T, dy3).reshape(n, cin, *dy.shape[2:])
+    if stride == 1:
+        return dxs, dw, db
+    dx = np.zeros(x.shape, dtype=dxs.dtype)
+    dx[:, :, ::stride, ::stride] = dxs
     return dx, dw, db
 
 

@@ -53,6 +53,13 @@ class PruneConfig(Record):
             raise ValueError(f"policy must be one of {POLICIES}, got '{self.policy}'")
         if self.min_channels < 1:
             raise ValueError("min_channels must be >= 1")
+        listed = set()
+        for stage, target in self.stage_targets or ():
+            if stage in listed:
+                raise ValueError(f"stage_targets: stage {stage} is listed twice")
+            if target < 1:
+                raise ValueError(f"stage_targets: stage {stage}: target {target} is below 1")
+            listed.add(stage)
 
     @property
     def stage_target_map(self) -> dict[int, int]:
@@ -197,7 +204,7 @@ def plan_stage_uniform(record: ScoreRecord, graph: ArchitectureGraph,
     scores = record.layer_map()
     for st in sorted(graph.stages, key=lambda s: s.index):
         target = targets.get(st.index)
-        if target is not None and not (1 <= target <= st.width):
+        if target is not None and target > st.width:
             raise PlanError(f"stage {st.index}: target {target} exceeds width {st.width}")
         votes = []
         for bid in st.block_ids:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import prunekit
-from prunekit import (DatasetSpec, ModelBundle, Network, PruneConfig,
+from prunekit import (DatasetSpec, GradTape, ModelBundle, Network, PruneConfig,
                       RewriteOptions, TrainConfig, apply, build, collect_scores,
                       count_params, load_bundle, load_dataset, make_plan)
 from prunekit.pipeline import PipelineConfig, run_pipeline
@@ -66,6 +66,23 @@ def test_bottleneck_middle_chain_on_preresnet(rng):
     x = rng.normal(size=(1, 3, 32, 32)).astype(np.float32)
     probs = Network(compact.graph).forward(x)
     assert abs(probs.sum() - 1.0) < 1e-5
+
+
+def test_conv_caches_keep_the_slots_the_benchmark_tracer_reads(rng):
+    """perfbench's tracer reads ``cache[1].nbytes`` and the weight ``cache[2]`` of
+    every conv, on the batched-GEMM 1x1 path and the im2col k x k path alike."""
+    graph = build("tiny-resnet", 4, with_gates=True, seed=0)
+    tape = GradTape()
+    x = rng.normal(size=(2, *graph.input_shape)).astype(np.float32)
+    Network(graph).forward(x, training=True, tape=tape)
+    convs = graph.nodes_of_kind("conv")
+    assert {(c.attrs["kernel"], c.attrs["stride"]) for c in convs} >= {
+        ((1, 1), 2), ((3, 3), 1), ((3, 3), 2)}
+    for conv in convs:
+        cache = tape.caches[conv.id]
+        assert len(cache) == 6, conv.id
+        assert isinstance(cache[1], np.ndarray) and cache[1].nbytes > 0, conv.id
+        assert cache[2] is conv.params["weight"], conv.id
 
 
 def test_untrained_deep_net_saturation_is_a_loud_error():

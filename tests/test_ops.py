@@ -146,6 +146,58 @@ class TestConvBackward:
             assert (has_bias, stride, padding) == (False, 2, 1)
 
 
+class TestConv1x1:
+    """A 1x1 kernel with padding 0 runs as one batched GEMM on the input."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_loop_oracles(self, rng, stride, with_bias, n, dtype, tol):
+        # 5x6 leaves a trailing column that no stride-2 window covers
+        x = rng.normal(size=(n, 3, 5, 6))
+        wt = rng.normal(size=(4, 3, 1, 1))
+        b = rng.normal(size=4) if with_bias else None
+        y, cache = ops.conv2d_forward(x.astype(dtype), wt.astype(dtype),
+                                      None if b is None else b.astype(dtype), stride, 0)
+        ref = conv2d_loops(x, wt, b, stride=stride)
+        assert y.dtype == dtype and y.shape == ref.shape
+        np.testing.assert_allclose(y, ref, rtol=tol, atol=tol)
+
+        dy = rng.normal(size=y.shape)
+        dx, dw, db = ops.conv2d_backward(dy.astype(dtype), cache)
+        ref_dx, ref_dw, ref_db = conv2d_backward_loops(x, wt, dy, stride=stride)
+        for got, want in ((dx, ref_dx), (dw, ref_dw)):
+            assert got.dtype == dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+        if with_bias:
+            np.testing.assert_allclose(db, ref_db, rtol=tol, atol=tol)
+        else:
+            assert db is None
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_cache_holds_the_gemm_input(self, rng, stride):
+        x = rng.normal(size=(3, 4, 6, 6)).astype(np.float32)
+        w = rng.normal(size=(5, 4, 1, 1)).astype(np.float32)
+        y, cache = ops.conv2d_forward(x, w, None, stride, 0)
+        x_in, xs, weight, has_bias, cached_stride, padding = cache
+        assert xs.shape == (3, 4, y.shape[2] * y.shape[3])
+        assert x_in is x and weight is w
+        assert (has_bias, cached_stride, padding) == (False, stride, 0)
+        # stride 1 reads x itself; stride 2 copies the strided pixels once
+        assert np.shares_memory(xs, x) == (stride == 1)
+        np.testing.assert_array_equal(xs.reshape(y.shape[0], 4, *y.shape[2:]),
+                                      x[:, :, ::stride, ::stride])
+
+    def test_padded_1x1_takes_the_general_path(self, rng):
+        x = rng.normal(size=(2, 3, 4, 5))
+        wt, b = rng.normal(size=(2, 3, 1, 1)), rng.normal(size=2)
+        y, cache = ops.conv2d_forward(x, wt, b, 1, 1)
+        assert cache[1].shape == (3, 2 * 6 * 7)   # the patch matrix of the padded input
+        np.testing.assert_allclose(y, conv2d_loops(x, wt, b, padding=1), rtol=1e-9, atol=1e-9)
+        check_backward_against_oracle(x, wt, b, stride=1, padding=1)
+
+
 class TestBatchNorm:
     def test_eval_identity_statistics(self, rng):
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)

@@ -196,6 +196,14 @@ class TestCli:
         assert main(["build", "--arch", "tiny-vgg", "--classes", "1",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_plan_with_a_zero_stage_target_exits_2_naming_the_stage(self, tmp_path, capsys):
+        # the config rejects the target before the scores or model are read
+        missing = str(tmp_path / "missing")
+        assert main(["plan", "--scores", missing, "--model", missing,
+                     "--policy", "resnet-stage-uniform", "--stage-targets", "0,8,16",
+                     "--out", str(tmp_path / "plan.json")]) == 2
+        assert "stage 1: target 0 is below 1" in capsys.readouterr().err
+
     def test_retrain_report_missing_field_exits_2(self, tmp_path, capsys):
         model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
         assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0

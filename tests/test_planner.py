@@ -260,8 +260,17 @@ class TestStageUniformPolicy:
         graph, record = self.build_scored_resnet("tiny-resnet", 4)
         cfg = PruneConfig(policy="resnet-stage-uniform",
                           stage_targets=((1, 99), (2, 16), (3, 32)))
-        with pytest.raises(PlanError, match="exceeds width"):
+        with pytest.raises(PlanError, match="stage 1: target 99 exceeds width 8"):
             plan_stage_uniform(record, graph, cfg)
+
+    @pytest.mark.parametrize("targets, message", [
+        (((1, 0), (2, 16)), "stage 1: target 0 is below 1"),
+        (((2, -3),), "stage 2: target -3 is below 1"),
+        (((1, 8), (3, 4), (1, 4)), "stage 1 is listed twice"),
+    ])
+    def test_bad_targets_rejected_when_the_config_is_built(self, targets, message):
+        with pytest.raises(ValueError, match=message):
+            PruneConfig(policy="resnet-stage-uniform", stage_targets=targets)
 
 
 class TestBottleneckPolicy:

@@ -58,7 +58,8 @@ pipeline_configs = small.flatmap(lambda num_classes: st.builds(
         PruneConfig, beta=st.integers(1, 9), sign=st.sampled_from(SIGNS),
         policy=st.sampled_from(POLICIES), min_channels=st.integers(1, 8),
         half_rule=st.booleans(), half_rule_tolerance=unit,
-        stage_targets=st.none() | st.lists(st.tuples(small, small), max_size=3).map(tuple)),
+        stage_targets=st.none() | st.lists(st.tuples(small, counts), max_size=3,
+                                           unique_by=lambda t: t[0]).map(tuple)),
     rewrite_mode=st.sampled_from(REWRITE_MODES), gate_placement=st.none() | names,
     reduction=small, score_batches=st.none() | small, seed=small, out=names))
 
