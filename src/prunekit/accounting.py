@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .graph import ArchitectureGraph
 from .layers import kind_of
-from .records import Record
+from .records import Record, at_least
 
 CONVENTIONS = ("mac", "opcount")
 EPOCH_MODES = ("flop-matched", "literal-fraction")
@@ -84,13 +84,8 @@ class CompressionReport(Record):
     per_layer: list = field(default_factory=list)
 
     def __post_init__(self):
-        for name in ("params_before", "flops_before", "flops_after"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.params_after < 0:
-            raise ValueError(f"params_after must be at least 0, got {self.params_after}")
-        if self.base_epochs is not None and self.base_epochs < 1:
-            raise ValueError(f"base_epochs must be at least 1, got {self.base_epochs}")
+        at_least(self, params_before=1, flops_before=1, flops_after=1, params_after=0,
+                 base_epochs=1)
         if self.epoch_mode not in EPOCH_MODES:
             raise ValueError(f"epoch_mode must be one of {EPOCH_MODES}, got '{self.epoch_mode}'")
         if self.convention not in CONVENTIONS:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .records import Record
+from .records import Record, at_least
 
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2470, 0.2435, 0.2616)
@@ -52,8 +52,7 @@ class DatasetSpec(Record):
             raise DataError(f"unknown source '{self.source}'")
         if not (0.0 < self.subset <= 1.0):
             raise DataError(f"subset fraction must be in (0, 1], got {self.subset}")
-        if self.samples < 1:
-            raise DataError(f"samples must be at least 1, got {self.samples}")
+        at_least(self, DataError, samples=1, channels=1, image_size=1, noise_std=0, seed=0)
         if self.split not in ("train", "eval"):
             raise DataError(f"split must be train or eval, got '{self.split}'")
         if self.source == "synthetic-planted" and self.signal_channels < 1:

@@ -258,7 +258,11 @@ class ArchitectureGraph:
                 if nid is not None and kind != "conv":
                     v.append(f"block '{b.id}': {handle} '{nid}' " + (
                         f"is a {kind}, not a conv" if kind else "does not exist"))
-        for st in self.stages:
+        for i, st in enumerate(self.stages):
+            if any(other.index == st.index for other in self.stages[:i]):
+                v.append(f"stage {st.index} is listed twice")
+            if not st.block_ids:
+                v.append(f"stage {st.index} has no blocks")
             for bid in st.block_ids:
                 if bid not in block_ids:
                     v.append(f"stage {st.index}: block '{bid}' does not exist")

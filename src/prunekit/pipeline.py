@@ -24,7 +24,7 @@ from .bundle import ModelBundle, bundle_fingerprint, save_bundle
 from .data import DatasetSpec, load_dataset
 from .errors import StageFailure
 from .planner import PruneConfig, make_plan
-from .records import Record, content_hash, write_json
+from .records import Record, at_least, content_hash, write_json
 from .rewriter import REWRITE_MODES, RewriteOptions, apply
 from .scoring import collect_scores
 from .trainer import TrainConfig, retrain, train
@@ -45,6 +45,7 @@ class PipelineConfig(Record):
     out: str = "experiment"
 
     def __post_init__(self):
+        at_least(self, num_classes=2, reduction=1, score_batches=1, seed=0)
         if self.data is None:
             self.data = DatasetSpec(source="synthetic-planted", classes=self.num_classes,
                                     seed=self.seed)

@@ -10,12 +10,17 @@ beta is fine control.  Two guards apply after thresholding:
   plateau 0.5 carries no ranking information, so when the rule is enabled
   the layer is cut to the first ``ceil(C/2)`` channels outright.
 
-Three policies produce whole-network plans: ``vgg-per-layer`` thresholds
-every convolution independently and simultaneously; ``resnet-stage-uniform``
-keeps one shared channel index set for all block inputs/outputs in a stage
-(residual adds stay dimensionally consistent, intermediate block channels
-are untouched); ``bottleneck-middle`` thresholds only the middle 3x3 conv of
-each bottleneck, leaving block I/O widths intact.
+A policy is a grouping of convolutions.  Each group's voters average their
+score vectors into one vote, the rule above (or a hand target's top ``k``)
+picks one kept set from it, and every member of the group keeps that set:
+
+* ``vgg-per-layer``: each conv is its own group;
+* ``bottleneck-middle``: each bottleneck's middle 3x3 conv is its own group,
+  so block I/O widths stay intact;
+* ``resnet-stage-uniform``: one group per stage, whose blocks' output convs
+  vote; its members are those convs, the stage's shortcut convs and, where
+  the first block's shortcut is the identity, the stem, so residual adds
+  stay dimensionally consistent.
 """
 
 from __future__ import annotations
@@ -60,10 +65,9 @@ class PruneConfig(Record):
             if target < 1:
                 raise ValueError(f"stage_targets: stage {stage}: target {target} is below 1")
             listed.add(stage)
-
-    @property
-    def stage_target_map(self) -> dict[int, int]:
-        return dict(self.stage_targets or ())
+        if self.stage_targets and self.policy != "resnet-stage-uniform":
+            raise ValueError(f"stage_targets need the resnet-stage-uniform policy, "
+                             f"got '{self.policy}'")
 
 
 def threshold_factor(config: PruneConfig) -> float:
@@ -112,18 +116,10 @@ class LayerPlan(Record):
 
 
 @dataclass
-class StagePlan(Record):
-    index: int
-    target: int
-    kept: tuple[int, ...]
-    block_ids: tuple[str, ...]
-
-
-@dataclass
 class PruningPlan(Record):
+    RETIRED = ("stages",)   # the per-stage echo of older files; ``layers`` holds every set
     config: PruneConfig
     layers: list[LayerPlan] = field(default_factory=list)
-    stages: list[StagePlan] = field(default_factory=list)
     score_fingerprint: str = ""
 
     def layer(self, layer_id: str) -> LayerPlan:
@@ -154,115 +150,89 @@ class PruningPlan(Record):
 
 
 # ---------------------------------------------------------------------------
-# policies
+# policies: each names the groups of convs that share one kept set
 
-def _threshold_layers(record: ScoreRecord, graph: ArchitectureGraph, config: PruneConfig,
-                      conv_ids, what: str) -> PruningPlan:
-    """Threshold each listed conv's scores independently; errors name the layer."""
-    plan = PruningPlan(config, score_fingerprint=record.fingerprint())
-    scores = record.layer_map()
-    for conv_id in conv_ids:
-        ls = scores.get(conv_id)
-        if ls is None:
-            raise PlanError(f"no score entry for {what} '{conv_id}'")
-        width = graph.node(conv_id).attrs["out_channels"]
-        if ls.channels != width:
-            raise PlanError(f"layer '{conv_id}': scores cover {ls.channels} channels, "
-                            f"layer has {width}")
-        kept = select_channels(ls.mean, config)
-        plan.layers.append(LayerPlan(conv_id, width, tuple(int(i) for i in kept)))
-    plan.validate()
-    return plan
-
-
-def plan_vgg(record: ScoreRecord, graph: ArchitectureGraph,
-             config: PruneConfig) -> PruningPlan:
-    """Threshold every convolution independently, all layers at once."""
-    return _threshold_layers(record, graph, config,
-                             [n.id for n in graph.nodes_of_kind("conv")], "conv layer")
-
-
-def plan_stage_uniform(record: ScoreRecord, graph: ArchitectureGraph,
-                       config: PruneConfig) -> PruningPlan:
-    """One shared kept-index set per stage, applied to every member block.
-
-    Per-channel importance is the mean of the member blocks' score vectors.
-    A stage with a target in ``config.stage_targets`` keeps its top ``target``
-    indices (ties to the lower index); any other stage thresholds the mean
-    vector by :func:`select_channels`, floor and half-cut rule included.  The
-    kept set rewrites every block's output conv, the stage's shortcut convs,
-    and the stem feeding the first stage; intermediate block channels are
-    left untouched.
-    """
-    targets = config.stage_target_map
+def _stage_groups(graph: ArchitectureGraph, config: PruneConfig) -> list:
+    """One group per stage: its blocks' output convs vote, and the kept set also
+    cuts the stage's shortcut convs and, ahead of an identity shortcut, the stem."""
+    targets = dict(config.stage_targets or ())
     if not graph.stages:
         raise PlanError("graph has no stage annotations")
     unknown = sorted(targets.keys() - {st.index for st in graph.stages})
     if unknown:
         raise PlanError(f"target width for stage {unknown[0]}, which the graph lacks")
-    plan = PruningPlan(config, score_fingerprint=record.fingerprint())
-    scores = record.layer_map()
-    for st in sorted(graph.stages, key=lambda s: s.index):
+    groups, stages = [], sorted(graph.stages, key=lambda s: s.index)
+    for st in stages:
         target = targets.get(st.index)
         if target is not None and target > st.width:
             raise PlanError(f"stage {st.index}: target {target} exceeds width {st.width}")
-        votes = []
-        for bid in st.block_ids:
-            b = graph.block(bid)
+        blocks = [graph.block(bid) for bid in st.block_ids]
+        for b in blocks:
             if b.kind != "basic":
                 raise PlanError(f"stage-uniform policy needs basic blocks, "
-                                f"block '{bid}' is {b.kind}")
-            ls = scores.get(b.last_conv)
-            if ls is None:
-                raise PlanError(f"no score entry for block output conv '{b.last_conv}'")
-            if ls.channels != st.width:
-                raise PlanError(f"block '{bid}': scores cover {ls.channels} channels, "
-                                f"stage width is {st.width}")
-            votes.append(ls.mean)
-        importance = np.mean(votes, axis=0)
-        kept = tuple(int(i) for i in (select_channels(importance, config) if target is None
-                                      else _top_k(importance, target)))
-        plan.stages.append(StagePlan(st.index, len(kept), kept, tuple(st.block_ids)))
-        for bid in st.block_ids:
-            b = graph.block(bid)
-            plan.layers.append(LayerPlan(b.last_conv, st.width, kept))
-            if b.shortcut_conv is not None:
-                plan.layers.append(LayerPlan(b.shortcut_conv, st.width, kept))
+                                f"block '{b.id}' is {b.kind}")
+        groups.append(([b.last_conv for b in blocks], [
+            c for b in blocks for c in (b.last_conv, b.shortcut_conv) if c is not None], target))
     # the stem feeds the first stage through an identity shortcut and must
     # share its kept set; with a projection shortcut it may keep full width
-    first = min(graph.stages, key=lambda s: s.index)
-    first_block = graph.block(first.block_ids[0])
-    stem_conv = graph.upstream_conv(first_block.first_conv)
-    if stem_conv is not None and first_block.shortcut_conv is None:
-        stage_plan = plan.stages[0]
-        stem_width = graph.node(stem_conv).attrs["out_channels"]
-        if stem_width != first.width:
-            raise PlanError(f"stem width {stem_width} != first stage width {first.width}")
-        plan.layers.append(LayerPlan(stem_conv, stem_width, stage_plan.kept))
-    plan.validate()
-    return plan
+    first_block = graph.block(stages[0].block_ids[0])
+    stem = graph.upstream_conv(first_block.first_conv)
+    if stem is not None and first_block.shortcut_conv is None:
+        stem_width = graph.node(stem).attrs["out_channels"]
+        if stem_width != stages[0].width:
+            raise PlanError(f"stem width {stem_width} != first stage width {stages[0].width}")
+        groups[0][1].append(stem)
+    return groups
 
 
-def plan_bottleneck(record: ScoreRecord, graph: ArchitectureGraph,
-                    config: PruneConfig) -> PruningPlan:
-    """Threshold only each bottleneck block's middle 3x3 conv channels."""
-    bottlenecks = [b for b in graph.blocks if b.kind in ("bottleneck", "preact-bottleneck")]
-    if not bottlenecks:
-        raise PlanError("graph has no bottleneck blocks")
-    for b in bottlenecks:
-        if b.middle_conv is None:
-            raise PlanError(f"block '{b.id}' has no middle conv")
-    return _threshold_layers(record, graph, config,
-                             [b.middle_conv for b in bottlenecks], "middle conv")
+def _groups(graph: ArchitectureGraph, config: PruneConfig) -> list:
+    """The policy's ``(voters, members, target)`` groups, one per shared kept set."""
+    if config.policy == "resnet-stage-uniform":
+        return _stage_groups(graph, config)
+    if config.policy == "vgg-per-layer":
+        convs = [n.id for n in graph.nodes_of_kind("conv")]
+    else:
+        blocks = [b for b in graph.blocks if b.kind in ("bottleneck", "preact-bottleneck")]
+        if not blocks:
+            raise PlanError("graph has no bottleneck blocks")
+        for b in blocks:
+            if b.middle_conv is None:
+                raise PlanError(f"block '{b.id}' has no middle conv")
+        convs = [b.middle_conv for b in blocks]
+    return [([c], [c], None) for c in convs]
+
+
+def _vote(scores: dict, graph: ArchitectureGraph, conv: str, policy: str) -> np.ndarray:
+    """A voting conv's mean score vector, checked against the conv's width."""
+    ls = scores.get(conv)
+    if ls is None:
+        what = {"vgg-per-layer": "conv layer", "resnet-stage-uniform": "block output conv",
+                "bottleneck-middle": "middle conv"}[policy]
+        raise PlanError(f"no score entry for {what} '{conv}'")
+    width = graph.node(conv).attrs["out_channels"]
+    if ls.channels == width:
+        return ls.mean
+    if policy == "resnet-stage-uniform":    # a stage's voter is named by its block
+        block = next(b.id for b in graph.blocks if b.last_conv == conv)
+        raise PlanError(f"block '{block}': scores cover {ls.channels} channels, "
+                        f"stage width is {width}")
+    raise PlanError(f"layer '{conv}': scores cover {ls.channels} channels, layer has {width}")
 
 
 def make_plan(record: ScoreRecord, graph: ArchitectureGraph,
               config: PruneConfig) -> PruningPlan:
-    if config.policy == "vgg-per-layer":
-        return plan_vgg(record, graph, config)
-    if config.policy == "resnet-stage-uniform":
-        return plan_stage_uniform(record, graph, config)
-    return plan_bottleneck(record, graph, config)
+    """One kept set per policy group, picked from its voters' mean vote, for every member."""
+    plan = PruningPlan(config, score_fingerprint=record.fingerprint())
+    scores = record.layer_map()
+    for voters, members, target in _groups(graph, config):
+        votes = [_vote(scores, graph, conv, config.policy) for conv in voters]
+        vote = votes[0] if len(votes) == 1 else np.mean(votes, axis=0)
+        kept = tuple((select_channels(vote, config) if target is None
+                      else _top_k(vote, target)).tolist())
+        plan.layers.extend(LayerPlan(conv, graph.node(conv).attrs["out_channels"], kept)
+                           for conv in members)
+    plan.validate()
+    return plan
 
 
 def identity_plan(graph: ArchitectureGraph, config: PruneConfig | None = None) -> PruningPlan:

@@ -60,6 +60,14 @@ def read_json(path: str):
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def at_least(record, error=ValueError, **least) -> None:
+    """Raise ``error`` naming the first field below its least value; None passes."""
+    for name, low in least.items():
+        value = getattr(record, name)
+        if value is not None and value < low:
+            raise error(f"{name} must be at least {low}, got {value}")
+
+
 def encode(value):
     """JSON form of a tree of records, arrays, tuples and lists; other values pass as-is."""
     if isinstance(value, Record):
@@ -129,13 +137,21 @@ def decode(hint, value, path: str):
 
 
 class Record:
-    """Mixin for dataclasses persisted as JSON; every method derives from the fields."""
+    """Mixin for dataclasses persisted as JSON; every method derives from the fields.
+
+    A subclass lists in ``RETIRED`` the fields older files carry and it no
+    longer has; a load drops them, and decoding stays strict about the rest.
+    """
+
+    RETIRED = ()
 
     def to_dict(self) -> dict:
         return {f.name: encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, d):
+        if cls.RETIRED and isinstance(d, dict):
+            d = {k: v for k, v in d.items() if k not in cls.RETIRED}
         return decode(cls, d, cls.__name__)
 
     def save(self, path: str) -> None:

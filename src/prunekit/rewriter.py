@@ -23,6 +23,7 @@ from .bundle import ModelBundle, bundle_fingerprint
 from .errors import PlanError
 from .layers import kind_of
 from .planner import PruningPlan
+from .records import at_least
 
 REWRITE_MODES = ("inherit-weights", "architecture-only")
 
@@ -38,6 +39,7 @@ class RewriteOptions:
             raise ValueError(f"unknown rewrite mode '{self.mode}'")
         if self.mode == "architecture-only" and self.seed is None:
             raise ValueError("architecture-only mode requires a seed")
+        at_least(self, seed=0)
 
 
 def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelBundle:

@@ -37,15 +37,9 @@ class LayerScore(Record):
 
 @dataclass
 class ScoreRecord(Record):
+    RETIRED = ("blocks", "stages")   # the per-block and per-stage summaries of older files
     layers: list[LayerScore]
     metadata: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, d) -> "ScoreRecord":
-        """Decode strictly, dropping the ``blocks``/``stages`` summaries older files carry."""
-        if isinstance(d, dict):
-            d = {k: v for k, v in d.items() if k not in ("blocks", "stages")}
-        return super().from_dict(d)
 
     def layer_map(self) -> dict[str, LayerScore]:
         return {ls.layer_id: ls for ls in self.layers}

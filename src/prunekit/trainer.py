@@ -33,7 +33,7 @@ import numpy as np
 from .bundle import ModelBundle
 from .errors import TrainingDiverged
 from .network import GradTape, Network
-from .records import Record
+from .records import Record, at_least
 
 PROB_EPS = 1e-12   # probability clamp; keeps log() finite
 LOSS_VARIANTS = ("softmax-ce", "binary-ce")
@@ -53,12 +53,11 @@ class TrainConfig(Record):
     augment: bool = False   # pad-4 random crop + horizontal flip on train batches
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        at_least(self, epochs=1, batch_size=1, seed=0)
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.lr_gamma <= 0:
+            raise ValueError("lr_gamma must be positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:

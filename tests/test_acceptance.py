@@ -20,7 +20,7 @@ from prunekit.data import load_muted
 from prunekit.gate import excite
 from prunekit.gradcheck import grad_check
 from prunekit.pipeline import PipelineConfig, run_pipeline
-from prunekit.planner import LayerPlan, PruningPlan, plan_vgg
+from prunekit.planner import LayerPlan, PruningPlan, make_plan
 from prunekit.scoring import LayerScore, ScoreRecord, attribute_scored_channels
 
 from oracles import select_channels_reference
@@ -80,7 +80,7 @@ def test_criterion_02_vgg19_pruned_columns():
     for beta, widths, p_want, f_want in [(3, VGG19_PRUNED_3, 68.3, 37.7),
                                          (8, VGG19_PRUNED_8, 81.3, 62.8)]:
         record = engineered_record(graph, widths)
-        plan = plan_vgg(record, graph, PruneConfig(beta=beta, sign="minus"))
+        plan = make_plan(record, graph, PruneConfig(beta=beta, sign="minus"))
         got = [len(plan.layer(n.id).kept) for n in graph.nodes_of_kind("conv")]
         assert got == widths
         compact = apply(ModelBundle(graph), plan,
@@ -103,8 +103,7 @@ def test_criterion_03_stage_uniform_rates():
     for targets, p_want, f_want in [(((1, 8), (2, 32), (3, 32)), 39.6, 33.3),
                                     (((1, 8), (2, 16), (3, 16)), 68.3, 57.6)]:
         cfg = PruneConfig(policy="resnet-stage-uniform", stage_targets=targets)
-        from prunekit.planner import plan_stage_uniform
-        plan = plan_stage_uniform(record, graph, cfg)
+        plan = make_plan(record, graph, cfg)
         compact = apply(ModelBundle(graph), plan,
                         RewriteOptions(mode="architecture-only", seed=1))
         p_red, f_red = reductions(graph, compact.graph)

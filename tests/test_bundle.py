@@ -147,9 +147,13 @@ def _node(manifest, node_id):
      "layer 'pool1': maxpool attribute 'kernel' must be at least 1, got 0"),
     (lambda m: _node(m, "conv1")["attrs"].update(padding=-5),
      "layer 'conv1': conv attribute 'padding' must be at least 0, got -5"),
+    (lambda m: m["graph"]["stages"].append({"index": 1, "width": 8, "block_ids": []}),
+     "stage 1 has no blocks"),
+    (lambda m: m["graph"]["stages"].extend([{"index": 2, "width": 8, "block_ids": []}] * 2),
+     "stage 2 is listed twice"),
 ], ids=["unknown-kind", "gate-without-hidden", "string-stride", "maxpool-without-kernel",
         "conv-without-stride", "extra-dilation", "zero-stride", "zero-maxpool-window",
-        "negative-padding"])
+        "negative-padding", "empty-stage", "duplicate-stage"])
 def test_malformed_manifest_exits_2_naming_the_layer(bundle, tmp_path, capsys, edit, message):
     path = str(tmp_path / "model")
     save_bundle(bundle, path)

@@ -8,8 +8,8 @@ from prunekit import (ModelBundle, Network, PruneConfig, RewriteOptions, apply, 
 from prunekit.builders import ARCHITECTURES, initialize_parameters
 from prunekit.bundle import bundle_fingerprint
 from prunekit.errors import GraphValidationError
-from prunekit.graph import ArchitectureGraph, LayerNode
-from prunekit.planner import LayerPlan, PruningPlan, plan_stage_uniform
+from prunekit.graph import ArchitectureGraph, LayerNode, StageInfo
+from prunekit.planner import LayerPlan, PruningPlan, make_plan
 from prunekit.records import content_hash
 from prunekit.scoring import LayerScore, ScoreRecord
 
@@ -181,6 +181,16 @@ class TestValidate:
         g.stages[0].width = 99
         assert any("stage 1" in v for v in g.validate())
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda stages: stages.append(StageInfo(0, 8, [])), "stage 0 has no blocks"),
+        (lambda stages: stages.append(stages[0].copy()), "stage 1 is listed twice"),
+    ], ids=["empty-stage", "duplicate-stage"])
+    def test_malformed_stage_reported_naming_it(self, edit, message):
+        """Stage-uniform planning needs every stage once and with blocks to vote."""
+        g = build("tiny-resnet", 4, init=False)
+        edit(g.stages)
+        assert g.validate() == [message]
+
     @pytest.mark.parametrize("layer, param, shape, message", [
         ("fc", "weight", (4, 31), "fullyconnected 'fc': weight shape (4, 31) != (4, 32)"),
         ("fc", "bias", (5,), "fullyconnected 'fc': bias shape (5,) != (4,)"),
@@ -268,7 +278,7 @@ def _compact(arch, policy):
         record = ScoreRecord([LayerScore(b.last_conv, b.last_conv, st.width,
                                          np.linspace(1, 0, st.width), np.zeros(st.width), 1)
                               for st in graph.stages for b in map(graph.block, st.block_ids)])
-        plan = plan_stage_uniform(record, graph, PruneConfig(
+        plan = make_plan(record, graph, PruneConfig(
             policy=policy, stage_targets=tuple((st.index, st.width // 2) for st in graph.stages)))
     else:
         plan = PruningPlan(PruneConfig(policy=policy), [

@@ -19,6 +19,7 @@ from prunekit import (DatasetSpec, GradTape, ModelBundle, Network, PruneConfig,
                       RewriteOptions, TrainConfig, apply, build, collect_scores,
                       count_params, load_bundle, load_dataset, make_plan)
 from prunekit.pipeline import PipelineConfig, run_pipeline
+from prunekit.planner import PruningPlan
 
 
 def test_stage_uniform_pipeline_on_tiny_resnet(tmp_path):
@@ -37,9 +38,10 @@ def test_stage_uniform_pipeline_on_tiny_resnet(tmp_path):
     compact = load_bundle(os.path.join(out, "model-compact"))
     assert [s.width for s in compact.graph.stages] == [4, 12, 24]
     assert compact.graph.validate() == []
-    plan = json.load(open(os.path.join(out, "plan.json")))
-    for stage in plan["stages"]:
-        assert len(stage["kept"]) == stage["target"]
+    plan = PruningPlan.load(os.path.join(out, "plan.json"))
+    for st, target in zip(compact.graph.stages, (4, 12, 24)):
+        for bid in st.block_ids:   # every block of a stage keeps the stage's set
+            assert len(plan.layer(compact.graph.block(bid).last_conv).kept) == target
     final = json.load(open(os.path.join(out, "final.json")))
     assert 0.0 <= final["eval_acc"] <= 1.0
 

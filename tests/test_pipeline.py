@@ -392,12 +392,25 @@ class TestCli:
          "epoch_mode must be one of"),
         ("retrain", "--report", {**REPORT, "base_epochs": 1, "convention": "flops"},
          "convention must be one of"),
+        ("pipeline", "--config", {"train": {"lr_gamma": -1}}, "lr_gamma must be positive"),
+        ("pipeline", "--config", {"seed": -1}, "seed must be at least 0, got -1"),
+        ("pipeline", "--config", {"data": {**SPEC, "channels": 0}},
+         "channels must be at least 1, got 0"),
+        ("pipeline", "--config", {"data": {**SPEC, "image_size": 0}},
+         "image_size must be at least 1, got 0"),
+        ("pipeline", "--config", {"data": {**SPEC, "noise_std": -1}},
+         "noise_std must be at least 0, got -1"),
+        ("pipeline", "--config", {"score_batches": 0}, "score_batches must be at least 1, got 0"),
+        ("pipeline", "--config", {"reduction": 0}, "reduction must be at least 1, got 0"),
+        ("pipeline", "--config", {"num_classes": 1}, "num_classes must be at least 2, got 1"),
     ], ids=["pipeline-unknown", "data-unknown", "data-list", "config-lr", "scores-gate_id",
             "scores-short-mean", "plan-original", "report-unknown", "pipeline-epochs-0",
             "pipeline-batch-0", "pipeline-samples-0", "pipeline-classes-mismatch",
             "report-params-before-0", "report-params-after-negative", "report-flops-before-0",
             "report-flops-after-0", "report-base-epochs-negative", "report-epoch-mode",
-            "report-convention"])
+            "report-convention", "pipeline-lr-gamma-negative", "pipeline-seed-negative",
+            "pipeline-channels-0", "pipeline-image-size-0", "pipeline-noise-std-negative",
+            "pipeline-score-batches-0", "pipeline-reduction-0", "pipeline-classes-1"])
     def test_malformed_json_input_exits_2(self, tmp_path, capsys, command, flag, content, named):
         model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
         assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0

@@ -1,6 +1,9 @@
 """Threshold rule, channel selection, and the three planning policies."""
 
+import functools
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -8,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from prunekit import (ModelBundle, PruneConfig, PruningPlan, build, count_flops,
                       count_params, make_plan, select_channels, threshold)
+from prunekit.bundle import BLOB_NAME, MANIFEST_NAME, load_bundle
+from prunekit.cli import main
 from prunekit.errors import PlanError
-from prunekit.planner import (identity_plan, plan_bottleneck, plan_stage_uniform,
-                              plan_vgg, threshold_factor)
+from prunekit.planner import POLICIES, identity_plan, threshold_factor
 from prunekit.rewriter import RewriteOptions, apply
 from prunekit.scoring import LayerScore, ScoreRecord
 
@@ -118,7 +122,7 @@ class TestVggPolicy:
         record = record_for(graph, {
             cid: engineered_scores(keep, graph.node(cid).attrs["out_channels"])
             for cid, keep in zip(convs, column)})
-        plan = plan_vgg(record, graph, PruneConfig(beta=beta, sign="minus"))
+        plan = make_plan(record, graph, PruneConfig(beta=beta, sign="minus"))
         widths = [len(plan.layer(cid).kept) for cid in convs]
         assert widths == column
 
@@ -127,7 +131,7 @@ class TestVggPolicy:
         convs = graph.nodes_of_kind("conv")
         record = record_for(graph, {n.id: np.full(n.attrs["out_channels"], 0.6)
                                     for n in convs})
-        plan = plan_vgg(record, graph, PruneConfig(beta=2, sign="minus"))
+        plan = make_plan(record, graph, PruneConfig(beta=2, sign="minus"))
         for n in convs:
             assert list(plan.layer(n.id).kept) == list(range(n.attrs["out_channels"]))
 
@@ -137,8 +141,8 @@ class TestVggPolicy:
         record = record_for(graph, {
             n.id: rng.uniform(0.05, 0.95, size=n.attrs["out_channels"])
             for n in convs})
-        p1 = plan_vgg(record, graph, PruneConfig(beta=1, sign="minus"))
-        p8 = plan_vgg(record, graph, PruneConfig(beta=8, sign="minus"))
+        p1 = make_plan(record, graph, PruneConfig(beta=1, sign="minus"))
+        p8 = make_plan(record, graph, PruneConfig(beta=8, sign="minus"))
         for n in convs:
             pruned1 = set(range(n.attrs["out_channels"])) - set(p1.layer(n.id).kept)
             pruned8 = set(range(n.attrs["out_channels"])) - set(p8.layer(n.id).kept)
@@ -148,7 +152,7 @@ class TestVggPolicy:
         graph = build("tiny-vgg", 4, init=False)
         record = record_for(graph, {"conv1": np.full(16, 0.5)})
         with pytest.raises(PlanError, match="conv2"):
-            plan_vgg(record, graph, PruneConfig())
+            make_plan(record, graph, PruneConfig())
 
 
 class TestStageUniformPolicy:
@@ -165,8 +169,9 @@ class TestStageUniformPolicy:
         graph, record = self.build_scored_resnet()
         cfg = PruneConfig(policy="resnet-stage-uniform",
                           stage_targets=((1, 8), (2, 32), (3, 32)))
-        plan = plan_stage_uniform(record, graph, cfg)
-        assert [sp.target for sp in plan.stages] == [8, 32, 32]
+        plan = make_plan(record, graph, cfg)
+        assert [len(plan.layer(graph.block(st.block_ids[0]).last_conv).kept)
+                for st in graph.stages] == [8, 32, 32]
         from prunekit.builders import initialize_parameters
         initialize_parameters(graph, 0)
         compact = apply(ModelBundle(graph), plan,
@@ -180,7 +185,7 @@ class TestStageUniformPolicy:
         graph, record = self.build_scored_resnet()
         cfg = PruneConfig(policy="resnet-stage-uniform",
                           stage_targets=((1, 8), (2, 16), (3, 16)))
-        plan = plan_stage_uniform(record, graph, cfg)
+        plan = make_plan(record, graph, cfg)
         from prunekit.builders import initialize_parameters
         initialize_parameters(graph, 0)
         compact = apply(ModelBundle(graph), plan,
@@ -194,9 +199,9 @@ class TestStageUniformPolicy:
         graph, record = self.build_scored_resnet("tiny-resnet", 4)
         cfg = PruneConfig(policy="resnet-stage-uniform",
                           stage_targets=((1, 8), (2, 16), (3, 32)))
-        plan = plan_stage_uniform(record, graph, cfg)
-        for sp in plan.stages:
-            assert list(sp.kept) == list(range(sp.target))
+        plan = make_plan(record, graph, cfg)
+        for lp in plan.layers:
+            assert list(lp.kept) == list(range(lp.original))
 
     def test_kept_set_is_top_k_of_block_mean_by_enumeration(self, rng):
         graph = build("tiny-resnet", 4, init=False)
@@ -207,24 +212,25 @@ class TestStageUniformPolicy:
         record = record_for(graph, scores)
         cfg = PruneConfig(policy="resnet-stage-uniform",
                           stage_targets=((1, 4), (2, 7), (3, 3)))
-        plan = plan_stage_uniform(record, graph, cfg)
-        for st_info, sp in zip(sorted(graph.stages, key=lambda s: s.index),
-                               plan.stages):
+        plan = make_plan(record, graph, cfg)
+        for st_info in graph.stages:
             votes = np.mean([scores[graph.block(bid).last_conv]
                              for bid in st_info.block_ids], axis=0)
-            best = max(itertools.combinations(range(len(votes)), sp.target),
+            target = dict(cfg.stage_targets)[st_info.index]
+            best = max(itertools.combinations(range(len(votes)), target),
                        key=lambda comb: sum(votes[list(comb)]))
-            assert list(sp.kept) == sorted(best)
+            assert list(plan.layer(graph.block(st_info.block_ids[0]).last_conv).kept) \
+                == sorted(best)
 
     def test_one_index_set_per_stage(self):
         graph, record = self.build_scored_resnet("tiny-resnet", 4)
         cfg = PruneConfig(policy="resnet-stage-uniform",
                           stage_targets=((1, 4), (2, 8), (3, 16)))
-        plan = plan_stage_uniform(record, graph, cfg)
-        for sp in plan.stages:
-            for bid in sp.block_ids:
-                b = graph.block(bid)
-                assert tuple(plan.layer(b.last_conv).kept) == sp.kept
+        plan = make_plan(record, graph, cfg)
+        for st_info in graph.stages:
+            blocks = [graph.block(bid) for bid in st_info.block_ids]
+            convs = [c for b in blocks for c in (b.last_conv, b.shortcut_conv) if c]
+            assert len({plan.layer(c).kept for c in convs}) == 1
 
     def test_stage_without_target_thresholds_its_mean_vote(self, rng):
         """Stage 2 keeps its hand target; stages 1 and 3 take the threshold rule."""
@@ -234,34 +240,41 @@ class TestStageUniformPolicy:
         scores = {conv: rng.uniform(0.05, 0.95, c) for conv, c in widths.items()}
         cfg = PruneConfig(beta=1, sign="plus", policy="resnet-stage-uniform",
                           stage_targets=((2, 5),))
-        plan = plan_stage_uniform(record_for(graph, scores), graph, cfg)
-        for st_info, sp in zip(sorted(graph.stages, key=lambda s: s.index), plan.stages):
+        plan = make_plan(record_for(graph, scores), graph, cfg)
+        for st_info in graph.stages:
             votes = np.mean([scores[graph.block(bid).last_conv]
                              for bid in st_info.block_ids], axis=0)
             want = (sorted(np.argsort(-votes, kind="stable")[:5]) if st_info.index == 2
                     else select_channels_reference(votes, cfg.beta, cfg.sign))
-            assert list(sp.kept) == want
-            assert sp.target == len(sp.kept)
+            assert list(plan.layer(graph.block(st_info.block_ids[0]).last_conv).kept) == want
 
     def test_plateau_stage_without_target_is_halved(self):
         graph, record = self.build_scored_resnet("tiny-resnet", 4, descending=False)
-        plan = plan_stage_uniform(record, graph, PruneConfig(
+        plan = make_plan(record, graph, PruneConfig(
             policy="resnet-stage-uniform", half_rule=True))
-        assert [sp.kept for sp in plan.stages] == [tuple(range(w // 2)) for w in (8, 16, 32)]
+        assert [plan.layer(graph.block(st.block_ids[0]).last_conv).kept
+                for st in graph.stages] == [tuple(range(w // 2)) for w in (8, 16, 32)]
 
     def test_target_for_a_missing_stage_rejected(self):
         """Stages without a target take the threshold rule, so a mistyped index must not pass."""
         graph, record = self.build_scored_resnet("tiny-resnet", 4)
         cfg = PruneConfig(policy="resnet-stage-uniform", stage_targets=((4, 8),))
         with pytest.raises(PlanError, match="target width for stage 4, which the graph lacks"):
-            plan_stage_uniform(record, graph, cfg)
+            make_plan(record, graph, cfg)
 
     def test_target_exceeding_width_rejected(self):
         graph, record = self.build_scored_resnet("tiny-resnet", 4)
         cfg = PruneConfig(policy="resnet-stage-uniform",
                           stage_targets=((1, 99), (2, 16), (3, 32)))
         with pytest.raises(PlanError, match="stage 1: target 99 exceeds width 8"):
-            plan_stage_uniform(record, graph, cfg)
+            make_plan(record, graph, cfg)
+
+    @pytest.mark.parametrize("policy", ["vgg-per-layer", "bottleneck-middle"])
+    def test_targets_under_another_policy_rejected(self, policy):
+        """Other policies have no stages to cut, so targets must not pass unread."""
+        with pytest.raises(ValueError, match="stage_targets need the resnet-stage-uniform "
+                                             f"policy, got '{policy}'"):
+            PruneConfig(policy=policy, stage_targets=((1, 2), (2, 3)))
 
     @pytest.mark.parametrize("targets, message", [
         (((1, 0), (2, 16)), "stage 1: target 0 is below 1"),
@@ -283,7 +296,7 @@ class TestBottleneckPolicy:
             c = graph.node(b.middle_conv).attrs["out_channels"]
             scores[b.middle_conv] = engineered_scores(keep_by_stage[b.stage], c)
         record = record_for(graph, scores)
-        plan = plan_bottleneck(record, graph, PruneConfig(beta=2, sign="minus",
+        plan = make_plan(record, graph, PruneConfig(beta=2, sign="minus",
                                                           policy="bottleneck-middle"))
         compact = apply(ModelBundle(graph), plan,
                         RewriteOptions(mode="architecture-only", seed=1))
@@ -300,7 +313,7 @@ class TestBottleneckPolicy:
             graph.node(b.middle_conv).attrs["out_channels"], 0.5)
             for b in graph.blocks}
         record = record_for(graph, scores)
-        plan = plan_bottleneck(record, graph,
+        plan = make_plan(record, graph,
                                PruneConfig(beta=2, policy="bottleneck-middle",
                                            half_rule=True))
         for lp in plan.layers:
@@ -339,6 +352,30 @@ class TestPlanObject:
         path = str(tmp_path / "plan.json")
         plan.save(path)
         assert PruningPlan.load(path).fingerprint() == plan.fingerprint()
+
+    def test_plan_file_with_a_stages_echo_applies_as_without(self, tmp_path):
+        """Older plan files carry a per-stage echo of the kept sets; a load drops it."""
+        model = str(tmp_path / "model")
+        assert main(["build", "--arch", "tiny-resnet", "--classes", "4", "--out", model]) == 0
+        graph = load_bundle(model).graph
+        record = record_for(graph, {b.last_conv: np.linspace(0.9, 0.1, st.width)
+                                    for st in graph.stages for b in map(graph.block, st.block_ids)})
+        plan = make_plan(record, graph, PruneConfig(policy="resnet-stage-uniform",
+                                                    stage_targets=((1, 4), (2, 8))))
+        new, old = str(tmp_path / "plan.json"), str(tmp_path / "old-plan.json")
+        plan.save(new)
+        json.dump({**plan.to_dict(), "stages": [
+            {"index": st.index, "target": len(kept), "kept": kept, "block_ids": st.block_ids}
+            for st in graph.stages
+            for kept in [list(plan.layer(graph.block(st.block_ids[0]).last_conv).kept)]]},
+            open(old, "w"))
+        assert PruningPlan.load(old).fingerprint() == plan.fingerprint()
+        outs = [str(tmp_path / name) for name in ("from-new", "from-old")]
+        for path, out in zip((new, old), outs):
+            assert main(["apply", "--model", model, "--plan", path, "--out", out]) == 0
+        for name in (MANIFEST_NAME, BLOB_NAME):
+            assert (open(os.path.join(outs[0], name), "rb").read()
+                    == open(os.path.join(outs[1], name), "rb").read())
 
     def test_identity_plan_covers_all_convs(self):
         graph = build("tiny-resnet", 4, init=False)
@@ -383,3 +420,62 @@ def test_pruned_count_monotone_along_config_sequence(layer_scores, half_rule):
                      for s in layer_scores)
         totals.append(pruned)
     assert all(a <= b for a, b in zip(totals, totals[1:]))
+
+
+ARCH_OF = {"vgg-per-layer": "tiny-vgg", "resnet-stage-uniform": "tiny-resnet",
+           "bottleneck-middle": "preresnet164"}
+
+
+@functools.cache
+def unscored_graph(arch):
+    return build(arch, 10, init=False)
+
+
+def reference_groups(graph, policy, targets):
+    """(voters, members, target) per kept set, read off the graph without the planner."""
+    if policy == "vgg-per-layer":
+        return [([n.id], [n.id], None) for n in graph.nodes_of_kind("conv")]
+    if policy == "bottleneck-middle":
+        return [([b.middle_conv], [b.middle_conv], None) for b in graph.blocks]
+    groups = []
+    for st_info in graph.stages:
+        blocks = [graph.block(bid) for bid in st_info.block_ids]
+        members = [b.last_conv for b in blocks] + [b.shortcut_conv for b in blocks
+                                                    if b.shortcut_conv is not None]
+        groups.append(([b.last_conv for b in blocks], members, targets.get(st_info.index)))
+    if graph.block(graph.stages[0].block_ids[0]).shortcut_conv is None:
+        # an identity shortcut carries the stem's channels into stage 1
+        groups[0][1].append(graph.nodes_of_kind("conv")[0].id)
+    return groups
+
+
+@settings(max_examples=40, deadline=None)
+@given(policy=st.sampled_from(POLICIES), seed=st.integers(0, 2**32 - 1),
+       beta=st.sampled_from([1, 2, 4, 8]), sign=st.sampled_from(["minus", "plus"]),
+       half_rule=st.booleans(), floor=st.integers(1, 3), data=st.data())
+def test_every_policy_matches_the_reference_group_by_group(policy, seed, beta, sign, half_rule,
+                                                           floor, data):
+    """A group's members all keep the reference selection of its mean vote, or its top k."""
+    graph = unscored_graph(ARCH_OF[policy])
+    rng = np.random.default_rng(seed)
+    scores = {}
+    for n in graph.nodes_of_kind("conv"):
+        c = n.attrs["out_channels"]
+        scores[n.id] = np.full(c, 0.5) if rng.uniform() < 0.2 else rng.uniform(0.01, 0.99, c)
+    targets = None
+    if policy == "resnet-stage-uniform":
+        targets = tuple((st_info.index, k) for st_info in graph.stages
+                        for k in [data.draw(st.none() | st.integers(1, st_info.width))]
+                        if k is not None)
+    cfg = PruneConfig(beta=beta, sign=sign, policy=policy, half_rule=half_rule,
+                      min_channels=floor, stage_targets=targets)
+    plan = make_plan(record_for(graph, scores), graph, cfg)
+    groups = reference_groups(graph, policy, dict(targets or ()))
+    assert sorted(lp.layer_id for lp in plan.layers) == sorted(
+        conv for _, members, _ in groups for conv in members)
+    for voters, members, k in groups:
+        vote = np.mean([scores[conv] for conv in voters], axis=0)
+        want = (select_channels_reference(vote, beta, sign, floor, half_rule) if k is None
+                else sorted(sorted(range(len(vote)), key=lambda j: (-vote[j], j))[:k]))
+        for conv in members:
+            assert list(plan.layer(conv).kept) == want

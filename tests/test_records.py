@@ -17,7 +17,7 @@ from prunekit.accounting import CONVENTIONS, CompressionReport
 from prunekit.data import SOURCES, DatasetSpec
 from prunekit.errors import DataError, PlanError
 from prunekit.pipeline import PipelineConfig
-from prunekit.planner import POLICIES, SIGNS, LayerPlan, PruneConfig, PruningPlan, StagePlan
+from prunekit.planner import POLICIES, SIGNS, LayerPlan, PruneConfig, PruningPlan
 from prunekit.rewriter import REWRITE_MODES
 from prunekit.scoring import LayerScore, ScoreRecord
 from prunekit.trainer import LOSS_VARIANTS, TrainConfig
@@ -30,12 +30,12 @@ json_dicts = st.dictionaries(names, scalars, max_size=3)
 index_sets = st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True).map(
     lambda kept: tuple(sorted(kept)))
 
-counts = st.integers(1, 64)     # epochs, batch size and samples start at 1
+counts = st.integers(1, 64)     # epochs, batch size, samples and widths start at 1
 dataset_specs = st.builds(
     DatasetSpec, source=st.sampled_from(SOURCES), root=st.none() | names,
     split=st.sampled_from(("train", "eval")), subset=st.floats(0.01, 1.0),
-    classes=small, samples=counts, channels=small, signal_channels=st.integers(1, 8),
-    image_size=small, amplitude=unit, noise_std=unit, seed=small)
+    classes=small, samples=counts, channels=counts, signal_channels=st.integers(1, 8),
+    image_size=counts, amplitude=unit, noise_std=unit, seed=small)
 
 
 def with_classes(spec, num_classes):
@@ -45,7 +45,15 @@ def with_classes(spec, num_classes):
     return dataclasses.replace(spec, classes=num_classes)
 
 
-pipeline_configs = small.flatmap(lambda num_classes: st.builds(
+# stage targets only pass with the policy that reads them
+prune_configs = st.sampled_from(POLICIES).flatmap(lambda policy: st.builds(
+    PruneConfig, beta=st.integers(1, 9), sign=st.sampled_from(SIGNS), policy=st.just(policy),
+    min_channels=st.integers(1, 8), half_rule=st.booleans(), half_rule_tolerance=unit,
+    stage_targets=st.none() | (
+        st.lists(st.tuples(small, counts), max_size=3, unique_by=lambda t: t[0]).map(tuple)
+        if policy == "resnet-stage-uniform" else st.nothing())))
+
+pipeline_configs = st.integers(2, 64).flatmap(lambda num_classes: st.builds(
     PipelineConfig,
     arch=names, num_classes=st.just(num_classes),
     data=(st.none() | dataset_specs).map(lambda spec: with_classes(spec, num_classes)),
@@ -53,23 +61,16 @@ pipeline_configs = small.flatmap(lambda num_classes: st.builds(
         TrainConfig, epochs=counts, batch_size=counts, lr=st.floats(1e-4, 1.0),
         momentum=st.floats(0.0, 0.99), weight_decay=unit, seed=small,
         loss_variant=st.sampled_from(LOSS_VARIANTS), lr_milestones=st.tuples(unit, unit),
-        lr_gamma=unit, augment=st.booleans()),
-    prune=st.builds(
-        PruneConfig, beta=st.integers(1, 9), sign=st.sampled_from(SIGNS),
-        policy=st.sampled_from(POLICIES), min_channels=st.integers(1, 8),
-        half_rule=st.booleans(), half_rule_tolerance=unit,
-        stage_targets=st.none() | st.lists(st.tuples(small, counts), max_size=3,
-                                           unique_by=lambda t: t[0]).map(tuple)),
+        lr_gamma=st.floats(0.01, 1.0), augment=st.booleans()),
+    prune=prune_configs,
     rewrite_mode=st.sampled_from(REWRITE_MODES), gate_placement=st.none() | names,
-    reduction=small, score_batches=st.none() | small, seed=small, out=names))
+    reduction=counts, score_batches=st.none() | counts, seed=small, out=names))
 
 pruning_plans = st.builds(
     PruningPlan,
     config=st.builds(PruneConfig, beta=st.integers(1, 9), sign=st.sampled_from(SIGNS)),
     layers=st.lists(st.builds(LayerPlan, layer_id=names, original=st.just(8), kept=index_sets),
                     max_size=4, unique_by=lambda lp: lp.layer_id),
-    stages=st.lists(st.builds(StagePlan, index=small, target=small, kept=index_sets,
-                              block_ids=st.lists(names, max_size=3).map(tuple)), max_size=2),
     score_fingerprint=names)
 
 

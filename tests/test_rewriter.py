@@ -9,7 +9,7 @@ from prunekit.bundle import bundle_fingerprint
 from prunekit.errors import PlanError
 from prunekit.graph import ArchitectureGraph, LayerNode
 from prunekit.builders import initialize_parameters
-from prunekit.planner import LayerPlan, PruningPlan, plan_stage_uniform, plan_vgg
+from prunekit.planner import LayerPlan, PruningPlan, make_plan
 from prunekit.scoring import LayerScore, ScoreRecord
 
 VGG19_PRUNED_3 = [40, 64, 128, 128, 256, 256, 256, 256,
@@ -155,19 +155,18 @@ class TestWeightInheritance:
 
 
 class TestStageUniformRewrite:
-    def make_plan(self, graph, targets):
+    def stage_plan(self, graph, targets):
         scores = {b.last_conv: np.linspace(0.9, 0.1,
                   graph.node(b.last_conv).attrs["out_channels"])
                   for b in graph.blocks}
         record = ScoreRecord([LayerScore(k, k, len(v), v, np.zeros(len(v)), 1)
                               for k, v in scores.items()])
         cfg = PruneConfig(policy="resnet-stage-uniform", stage_targets=targets)
-        from prunekit.planner import plan_stage_uniform
-        return plan_stage_uniform(record, graph, cfg)
+        return make_plan(record, graph, cfg)
 
     def test_rewrites_shortcuts_and_validates(self):
         graph = build("tiny-resnet", 4, with_gates=True, reduction=4, seed=2)
-        plan = self.make_plan(graph, ((1, 4), (2, 8), (3, 16)))
+        plan = self.stage_plan(graph, ((1, 4), (2, 8), (3, 16)))
         out = apply(ModelBundle(graph), plan,
                     RewriteOptions(mode="inherit-weights"))
         assert out.graph.validate() == []
@@ -246,7 +245,7 @@ def _resnet_stage_uniform():
                           for b in graph.blocks
                           for c in [graph.node(b.last_conv).attrs["out_channels"]]])
     cfg = PruneConfig(policy="resnet-stage-uniform", stage_targets=((1, 4), (2, 8), (3, 16)))
-    return graph, plan_stage_uniform(record, graph, cfg)
+    return graph, make_plan(record, graph, cfg)
 
 
 # bundle_fingerprint of each compact net: a gate only passes kept sets through,
