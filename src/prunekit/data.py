@@ -23,11 +23,6 @@ import numpy as np
 from .errors import DataError
 from .records import Record, at_least
 
-CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
-CIFAR10_STD = (0.2470, 0.2435, 0.2616)
-CIFAR100_MEAN = (0.5071, 0.4865, 0.4409)
-CIFAR100_STD = (0.2673, 0.2564, 0.2762)
-
 SOURCES = ("cifar10-binary", "cifar100-binary", "synthetic-planted", "synthetic-random")
 
 
@@ -72,6 +67,8 @@ class Dataset:
 
     def batches(self, batch_size: int, shuffle: bool = False, rng=None):
         """Yield (x, y) mini-batches; order is deterministic given rng state."""
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         idx = np.arange(self.size)
         if shuffle:
             (rng or np.random.default_rng(0)).shuffle(idx)
@@ -111,37 +108,31 @@ def _normalize(pixels: np.ndarray, mean, std) -> np.ndarray:
     return (x - m) / s
 
 
-def _load_cifar10(spec: DatasetSpec) -> Dataset:
+# per source: name in messages, files per split, record length, label offset
+# (CIFAR-100's fine label), classes, per-channel mean and std
+CIFAR_FORMATS = {
+    "cifar10-binary": ("CIFAR-10", {"train": [f"data_batch_{i}.bin" for i in range(1, 6)],
+                                    "eval": ["test_batch.bin"]},
+                       3073, 0, 10, (0.4914, 0.4822, 0.4465), (0.2470, 0.2435, 0.2616)),
+    "cifar100-binary": ("CIFAR-100", {"train": ["train.bin"], "eval": ["test.bin"]},
+                        3074, 1, 100, (0.5071, 0.4865, 0.4409), (0.2673, 0.2564, 0.2762)),
+}
+
+
+def _load_cifar(spec: DatasetSpec) -> Dataset:
+    name, files, record_len, label_offset, classes, mean, std = CIFAR_FORMATS[spec.source]
     if spec.root is None:
-        raise DataError("cifar10-binary needs a root directory")
-    files = ([f"data_batch_{i}.bin" for i in range(1, 6)]
-             if spec.split == "train" else ["test_batch.bin"])
+        raise DataError(f"{spec.source} needs a root directory")
     xs, ys = [], []
-    for name in files:
-        path = os.path.join(spec.root, name)
+    for file in files[spec.split]:
+        path = os.path.join(spec.root, file)
         if not os.path.exists(path):
-            raise DataError(f"missing CIFAR-10 file {path}")
-        px, lb = _read_cifar_records(path, 3073, 0, 10)
+            raise DataError(f"missing {name} file {path}")
+        px, lb = _read_cifar_records(path, record_len, label_offset, classes)
         xs.append(px)
         ys.append(lb)
-    x = _normalize(np.concatenate(xs), CIFAR10_MEAN, CIFAR10_STD)
-    y = np.concatenate(ys)
-    x, y = _apply_subset(x, y, spec.subset)
-    return Dataset(x, y, 10, {"mean": list(CIFAR10_MEAN), "std": list(CIFAR10_STD)})
-
-
-def _load_cifar100(spec: DatasetSpec) -> Dataset:
-    if spec.root is None:
-        raise DataError("cifar100-binary needs a root directory")
-    name = "train.bin" if spec.split == "train" else "test.bin"
-    path = os.path.join(spec.root, name)
-    if not os.path.exists(path):
-        raise DataError(f"missing CIFAR-100 file {path}")
-    # records: coarse label, fine label, pixels; fine label drives the task
-    px, lb = _read_cifar_records(path, 3074, 1, 100)
-    x = _normalize(px, CIFAR100_MEAN, CIFAR100_STD)
-    x, y = _apply_subset(x, lb, spec.subset)
-    return Dataset(x, y, 100, {"mean": list(CIFAR100_MEAN), "std": list(CIFAR100_STD)})
+    px, y = _apply_subset(np.concatenate(xs), np.concatenate(ys), spec.subset)
+    return Dataset(_normalize(px, mean, std), y, classes, {"mean": list(mean), "std": list(std)})
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +170,7 @@ def spatial_template(image_size: int, seed: int) -> np.ndarray:
     return t / t.mean()
 
 
-def _make_planted(spec: DatasetSpec, mute_signal: bool = False) -> Dataset:
+def _make_planted(spec: DatasetSpec) -> Dataset:
     if spec.signal_channels > spec.channels:
         raise DataError("more signal channels than channels")
     split_salt = 0 if spec.split == "train" else 1
@@ -191,14 +182,13 @@ def _make_planted(spec: DatasetSpec, mute_signal: bool = False) -> Dataset:
     y = rng.integers(0, spec.classes, size=n)
     x = rng.normal(0.0, spec.noise_std,
                    size=(n, spec.channels, spec.image_size, spec.image_size))
-    if not mute_signal:
-        per_sample = amps[y]  # (n, signal_channels)
-        x[:, :spec.signal_channels] += per_sample[:, :, None, None] * template
+    per_sample = amps[y]  # (n, signal_channels)
+    x[:, :spec.signal_channels] += per_sample[:, :, None, None] * template
     x = x.astype(np.float32)
     x, y = _apply_subset(x, y.astype(np.int64), spec.subset)
     return Dataset(x, y, spec.classes, {
         "task": "planted", "signal_channels": spec.signal_channels,
-        "amplitude": 0.0 if mute_signal else spec.amplitude,
+        "amplitude": spec.amplitude,
         "noise_std": spec.noise_std,
     })
 
@@ -214,17 +204,9 @@ def _make_random(spec: DatasetSpec) -> Dataset:
 
 
 def load_dataset(spec: DatasetSpec) -> Dataset:
-    if spec.source == "cifar10-binary":
-        return _load_cifar10(spec)
-    if spec.source == "cifar100-binary":
-        return _load_cifar100(spec)
+    if spec.source in CIFAR_FORMATS:
+        return _load_cifar(spec)
     if spec.source == "synthetic-planted":
         return _make_planted(spec)
     return _make_random(spec)
 
-
-def load_muted(spec: DatasetSpec) -> Dataset:
-    """The planted task with signal amplitude zeroed: the ablation probe."""
-    if spec.source != "synthetic-planted":
-        raise DataError("muted probes exist only for synthetic-planted data")
-    return _make_planted(spec, mute_signal=True)

@@ -144,11 +144,3 @@ class Network:
             for pname in kind_of(node).weights:
                 if pname in node.params:
                     yield node.id, pname, node.params[pname]
-
-    def astype(self, dtype) -> "Network":
-        """Copy of the network with every parameter cast to dtype."""
-        g = self.graph.copy()
-        for node in g.nodes:
-            for k in node.params:
-                node.params[k] = node.params[k].astype(dtype)
-        return Network(g)

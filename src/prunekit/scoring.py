@@ -61,6 +61,8 @@ def collect_scores(bundle: ModelBundle, batches, max_batches: int | None = None,
     are merged in batch order, so a fixed data order gives a deterministic
     record.
     """
+    if max_batches is not None and max_batches < 1:
+        raise ValueError(f"max_batches must be at least 1, got {max_batches}")
     graph = bundle.graph
     gates = graph.nodes_of_kind("gate")
     if not gates:

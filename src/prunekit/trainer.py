@@ -20,7 +20,7 @@ Which ``n`` the paper means waits for its full text (see README, "L2
 scale").
 
 :func:`penalized_loss` is the one training step's loss and gradient:
-:func:`train` runs it on every batch, and ``gradcheck`` verifies it.
+:func:`train` runs it on every batch, and ``tests/gradcheck.py`` verifies it.
 """
 
 from __future__ import annotations

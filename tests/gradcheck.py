@@ -1,32 +1,35 @@
-"""Finite-difference verification of the analytic gradients.
+"""Finite-difference check of the analytic gradients, a test oracle beside ``oracles.py``.
 
-Runs the whole loss pipeline in float64 (training numerics stay float32;
-the wider type is what makes a 1e-4 relative tolerance meaningful against
-central differences with a 1e-3 step) and compares every sampled parameter
-entry's analytic gradient against (L(w+h) - L(w-h)) / 2h.
+Runs the production loss, :func:`prunekit.trainer.penalized_loss`, in float64
+(training numerics stay float32; the wider type is what makes a 1e-4 relative
+tolerance meaningful against central differences) and compares every sampled
+parameter entry's analytic gradient against (L(w+h) - L(w-h)) / 2h.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import ModelBundle
-from .layers import kind_of
-from .network import GradTape, Network
-from .trainer import penalized_loss
+from prunekit.bundle import ModelBundle
+from prunekit.layers import kind_of
+from prunekit.network import GradTape, Network
+from prunekit.trainer import penalized_loss
+
+
+def astype(net: Network, dtype) -> Network:
+    """Copy of the network with every parameter cast to dtype."""
+    g = net.graph.copy()
+    for node in g.nodes:
+        for k in node.params:
+            node.params[k] = node.params[k].astype(dtype)
+    return Network(g)
 
 
 @dataclass
 class GradCheckReport:
-    threshold: float
-    step: float
     max_rel_err: float = 0.0
-    worst: tuple | None = None           # (node_id, param, flat_index)
-    per_param: dict = field(default_factory=dict)
+    per_param: dict = field(default_factory=dict)    # "node/param" -> its largest error
     failures: list = field(default_factory=list)
     checked: int = 0
 
@@ -52,10 +55,10 @@ def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
     the truncation term of a central difference the accuracy bottleneck;
     single layers tolerate much larger steps.
     """
-    net = Network(bundle.graph).astype(np.float64)
+    net = astype(Network(bundle.graph), np.float64)
     x = x.astype(np.float64)
     rng = np.random.default_rng(seed)
-    report = GradCheckReport(threshold=threshold, step=step)
+    report = GradCheckReport()
     state = {(n.id, p): a.copy() for n in net.graph.nodes for p, a in n.params.items()
              if p not in kind_of(n).trainable}
 
@@ -77,11 +80,10 @@ def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
         if analytic is None:
             continue
         flat_w = w.reshape(-1)
-        size = flat_w.size
-        if samples_per_tensor is None or samples_per_tensor >= size:
-            idx = np.arange(size)
+        if samples_per_tensor is None or samples_per_tensor >= flat_w.size:
+            idx = np.arange(flat_w.size)
         else:
-            idx = rng.choice(size, size=samples_per_tensor, replace=False)
+            idx = rng.choice(flat_w.size, size=samples_per_tensor, replace=False)
         worst_here = 0.0
         for i in idx:
             orig = flat_w[i]
@@ -94,11 +96,8 @@ def grad_check(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
             a = float(analytic.reshape(-1)[i])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             report.checked += 1
-            if rel > worst_here:
-                worst_here = rel
-            if rel > report.max_rel_err:
-                report.max_rel_err = rel
-                report.worst = (node_id, pname, int(i))
+            worst_here = max(worst_here, rel)
+            report.max_rel_err = max(report.max_rel_err, rel)
             if rel > threshold:
                 report.failures.append(((node_id, pname, int(i)), rel))
         report.per_param[f"{node_id}/{pname}"] = worst_here

@@ -1,11 +1,13 @@
 """Dataset ingestion contracts and the planted-task constructive oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from prunekit import DatasetSpec, Network, load_dataset
 from prunekit.builders import initialize_parameters
-from prunekit.data import class_amplitudes, load_muted, spatial_template
+from prunekit.data import class_amplitudes, spatial_template
 from prunekit.errors import DataError
 from prunekit.graph import ArchitectureGraph, LayerNode
 
@@ -147,7 +149,7 @@ class TestPlantedTask:
         spec = DatasetSpec(source="synthetic-planted", classes=4, samples=64,
                            channels=8, signal_channels=4, seed=3)
         ds = load_dataset(spec)
-        muted = load_muted(spec)
+        muted = load_dataset(replace(spec, amplitude=0.0))
         # noise channels identical, signal channels differ
         np.testing.assert_array_equal(ds.x[:, 4:], muted.x[:, 4:])
         assert np.abs(ds.x[:, :4] - muted.x[:, :4]).max() > 0.1

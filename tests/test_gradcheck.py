@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from prunekit import ModelBundle, build
+from prunekit import ModelBundle, Network, build
 from prunekit.builders import initialize_parameters
 from prunekit.bundle import bundle_fingerprint
-from prunekit.gradcheck import grad_check
 from prunekit.graph import ArchitectureGraph, LayerNode
+
+from gradcheck import astype, grad_check
 
 
 def fc_softmax_graph(classes=3):
@@ -65,9 +66,9 @@ def test_zero_input_zero_weight_conv_gradients_vanish(rng):
     x = np.zeros((2, 2, 6, 6), dtype=np.float32)
     y = rng.integers(0, 3, size=2)
 
-    from prunekit.network import GradTape, Network
+    from prunekit.network import GradTape
     from prunekit.trainer import data_loss_and_grad, _onehot
-    net = Network(g).astype(np.float64)
+    net = astype(Network(g), np.float64)
     tape = GradTape()
     probs = net.forward(x.astype(np.float64), training=True, tape=tape)
     _, dp = data_loss_and_grad(probs, _onehot(y, 3, np.float64), "softmax-ce")
@@ -115,6 +116,13 @@ def test_tiny_resnet_with_gates_passes(rng):
     report = grad_check(bundle, x, y, samples_per_tensor=2)
     assert report.ok
     assert report.max_rel_err < 1e-4
+
+
+def test_astype_copies_without_mutating_original():
+    bundle = ModelBundle(build("tiny-vgg", 4, seed=0))
+    net64 = astype(Network(bundle.graph), np.float64)
+    assert net64.graph.node("conv1").params["weight"].dtype == np.float64
+    assert bundle.graph.node("conv1").params["weight"].dtype == np.float32
 
 
 def test_biased_conv_graph_is_pinned():

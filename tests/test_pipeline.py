@@ -216,6 +216,20 @@ class TestCli:
                      "--report", str(report), "--out", str(tmp_path / "out")]) == 2
         assert "missing required field 'flops_after'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--max-batches", "0", "max_batches"), ("--max-batches", "-1", "max_batches"),
+        ("--batch-size", "0", "batch_size"), ("--batch-size", "-3", "batch_size")])
+    def test_score_batch_argument_below_1_exits_2_naming_it(self, tmp_path, capsys,
+                                                             flag, value, name):
+        model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
+        assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--with-gates",
+                     "--out", model]) == 0
+        json.dump(DatasetSpec(source="synthetic-planted", classes=4, samples=32).to_dict(),
+                  open(data_json, "w"))
+        assert main(["score", "--model", model, "--data", data_json, flag, value,
+                     "--out", str(tmp_path / "scores.json")]) == 2
+        assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
+
     def test_full_cli_cycle(self, tmp_path, capsys):
         d = tmp_path
         model = str(d / "model")

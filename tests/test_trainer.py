@@ -12,6 +12,7 @@ from prunekit.errors import TrainingDiverged
 from prunekit.trainer import (OptimizerState, data_loss_and_grad, lr_at, penalized_loss,
                               penalty_value, retrain)
 
+from gradcheck import astype
 from oracles import penalized_loss_loops, sgd_recurrence
 
 
@@ -229,8 +230,8 @@ class TestL2Scale:
         assert penalty_value([w for _, _, w in net.weight_parameters()], 1e-4)[1] == n
 
     def test_penalty_gradient_is_weight_decay_over_n_times_w(self):
-        net = Network(build("tiny-vgg", 4, with_gates=True, reduction=4, seed=0))
-        net = net.astype(np.float64)
+        net = astype(Network(build("tiny-vgg", 4, with_gates=True, reduction=4, seed=0)),
+                     np.float64)
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(4, 8, 16, 16)), rng.integers(0, 4, size=4)
         grads = {}
