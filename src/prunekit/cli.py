@@ -60,6 +60,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    for name in ("batch_size", "max_batches"):  # fail before any file is read
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     bundle = load_bundle(args.model)
     data = load_dataset(DatasetSpec.load(args.data))
     record = collect_scores(bundle, data.batches(args.batch_size),

@@ -7,14 +7,29 @@ the matching backward consumes ``cache`` and the upstream gradient, so a
 network executor can replay layers in exact reverse order.  A backward
 leaves its cache unchanged, so it can run more than once.
 
-Convolution is im2col + GEMM in both directions, on one channel-major patch
-layout, tiled over the batch.  A tile holds as many whole samples as fit
-their patch matrix in ``TILE_BYTES`` (at least one).  1 MiB is half of a
-2 MiB L2, so a tile's patches, the weight and the tile's GEMM output stay in
-cache from the patch build to the GEMM that reads them; a whole-batch patch
-matrix at batch 256 is 36 MiB and runs from memory.  Each call allocates one
-patch buffer and reuses it for every tile.  The conv cache keeps a reference
-to the input and the last tile's patch matrix, not the whole batch's: the
+Convolution is im2col + GEMM in both directions, tiled over the batch.  A
+k x k conv stages each tile's input once into a zeroed phase-split grid: at
+stride s, phase (a, b) holds the padded input's pixels a::s, b::s, each phase
+plane Wq = ceil(wp/s) wide.  Every patch row (channel, tap) of a sample is
+then one contiguous run of ho*Wq values of one phase, so the patch matrix is
+kh*kw long copies (im2col without short runs) and the GEMM fills a
+(ho, Wq) output grid whose columns past wo are cropped.  The weight gradient
+reads the same patches against dy laid on that grid with zero columns.  The
+input gradient
+runs through the same staging and patch builder as one stride-1
+correlation: dy, padded by ceil(k/s) - 1, against the flipped kernel split
+into its s*s sub-pixel phases (Shi et al. 2016) and stacked as s*s*cin
+output rows.  It computes only the plane rows and columns that hold input
+pixels, and un-staging, the inverse of staging, writes them to dx; no
+zero-dilated dy is built or multiplied.
+
+A tile holds as many whole samples as fit their patch matrix in
+``TILE_BYTES`` (at least one).  1 MiB is half of a 2 MiB L2, so a tile's
+patches, the weight and the tile's GEMM output stay in cache from the patch
+build to the GEMM that reads them; a whole-batch patch matrix at batch 256
+is 36 MiB and runs from memory.  Each pass over the tiles allocates one
+grid and one patch buffer and reuses them for every tile.  The conv cache keeps a reference to
+the input and the last tile's patch matrix, not the whole batch's: the
 backward walks the tiles last to first, uses the kept patches for the last
 and rebuilds each earlier tile's (recompute over store, Chen et al. 2016).
 
@@ -65,56 +80,100 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # ---------------------------------------------------------------------------
 # convolution
 #
-# Both directions are im2col + GEMM (Chellapilla et al. 2006) on one
-# channel-major patch layout: a (c, m, hp, wp) view of a tile of m samples
-# is cut into a (c*kh*kw, m*ho*wo) matrix by kh*kw strided slice copies, one
-# per kernel offset.  Its row order (c, u, v) is that of weight.reshape(cout, -1).
+# A k x k conv is im2col + GEMM (Chellapilla et al. 2006) on a phase-split
+# grid.  A tile of m samples is staged once into a zeroed (c, tile, s, s, Hq,
+# Wq) grid whose phase (a, b) holds the padded input's pixels a::s, b::s, so
+# the pixel that tap (u, v) reads for output (i, j) sits at row i + u//s and
+# column j + v//s of phase (u%s, v%s).  With each phase plane flattened, patch
+# row (c, u, v) is one contiguous run of rows*Wq values from (u//s)*Wq + v//s:
+# the GEMM fills a (rows, Wq) output grid and the columns past the output
+# width are cropped.  Row order (c, u, v) is that of weight.reshape(cout, -1).
+#
+# The input gradient stages dy at stride 1 and correlates it with the
+# kernel's s*s phases stacked as one (s*s*cin, cout*ka*kb) matrix: its GEMM
+# yields the gradient's phase planes, and ``_unstage``, the inverse of
+# ``_stage``, scatters their input pixels into dx.
 
 def _tile(n, sample_bytes):
     """Samples per tile: as many as fit their patches in TILE_BYTES, at least one."""
     return min(n, max(1, TILE_BYTES // sample_bytes))
 
 
-def _stage(a, s, e, buf, off, step=1):
-    """Samples s:e of a (n,c,h,w) as a channel-major (c, m, ., .) array.
+def _phases(stride, h, w, pad):
+    """Where an (h, w) image padded by ``pad`` = (ph, pw) sits in a phase grid:
+    per phase (a, b), the image's pixels in it and the plane rows and columns
+    they fill."""
+    def axis(size, p):
+        for a in range(stride):
+            first = (a - p) % stride  # the first image index in phase a
+            start = (first + p) // stride
+            yield a, slice(first, size, stride), slice(start, start + len(range(first, size, stride)))
+    return [((a, b), (ys, xs), (rows, cols))
+            for a, ys, rows in axis(h, pad[0]) for b, xs, cols in axis(w, pad[1])]
 
-    With ``buf`` None this is a view of ``a``.  Otherwise the samples are
-    copied into the zero-bordered buffer (c, tile, ., .), every ``step``-th
-    pixel from offset ``off``; the pixels between are never written, so
-    they stay zero from one tile to the next.
-    """
+
+def _grid(a, tile, stride, pad, wq, reach):
+    """A zeroed phase grid (c, tile, stride, stride, Hq, wq) for samples of a
+    padded by ``pad``; its planes are also at least ``reach`` values long, the
+    end of the farthest patch run."""
+    hq = max(-(-(a.shape[2] + 2 * pad[0]) // stride), -(-reach // wq))
+    return np.zeros((a.shape[1], tile, stride, stride, hq, wq), dtype=a.dtype)
+
+
+def _stage(a, s, e, grid, pad):
+    """Samples s:e of a (n, c, h, w) staged in the phase grid, as flat planes
+    (c, m, stride, stride, Hq*Wq).  Only the image's pixels are written, so the
+    rest of the grid stays zero from one tile to the next."""
     src = a[s:e].transpose(1, 0, 2, 3)
-    if buf is None:
-        return src
-    m, (h, w), (oh, ow) = src.shape[1], a.shape[2:], off
-    buf[:, :m, oh:oh + step * h:step, ow:ow + step * w:step] = src
-    return buf[:, :m]
+    for (pa, pb), (ys, xs), (rows, cols) in _phases(grid.shape[2], *src.shape[2:], pad):
+        grid[:, :src.shape[1], pa, pb, rows, cols] = src[:, :, ys, xs]
+    planes = grid[:, :src.shape[1]]
+    return planes.reshape(*planes.shape[:4], -1)
 
 
-def _patches(src, kh, kw, stride, ho, wo, buf):
-    """(c*kh*kw, m*ho*wo) patch matrix of the channel-major src (c, m, hp, wp), built in buf."""
-    c, m = src.shape[:2]
-    cols = buf[:c * kh * kw * m * ho * wo].reshape(c, kh, kw, m, ho, wo)
+def _unstage(planes, out, s, pad):
+    """The inverse of ``_stage``: samples s:s+m of the (n, c, h, w) ``out`` read
+    from the phase planes (c, m, stride, stride, ., .)."""
+    dst = out[s:s + planes.shape[1]].transpose(1, 0, 2, 3)
+    for (pa, pb), (ys, xs), (rows, cols) in _phases(planes.shape[2], *dst.shape[2:], pad):
+        dst[:, :, ys, xs] = planes[:, :, pa, pb, rows, cols]
+
+
+def _patches(planes, wq, kh, kw, rows, buf):
+    """(c*kh*kw, m*rows*wq) patch matrix of the flat phase planes (c, m, s, s, .),
+    built in buf: row (c, u, v) is the run of rows*wq values from
+    (u//s)*wq + v//s in phase (u%s, v%s)."""
+    c, m, s = planes.shape[:3]
+    run = rows * wq
+    cols = buf[:c * kh * kw * m * run].reshape(c, kh, kw, m, run)
     for u in range(kh):
         for v in range(kw):
-            cols[:, u, v] = src[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
-    return cols.reshape(c * kh * kw, m * ho * wo)
+            at = u // s * wq + v // s
+            cols[:, u, v] = planes[:, :, u % s, v % s, at:at + run]
+    return cols.reshape(c * kh * kw, m * run)
 
 
-def _padded(x, tile, padding):
-    """The zero-bordered staging buffer of a padded conv's input tiles, or None."""
-    if not padding:
-        return None
-    cin, h, w = x.shape[1:]
-    return np.zeros((cin, tile, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+def _reach(kh, kw, stride, wq, rows):
+    """The end of the farthest patch run: that of tap (kh-1, kw-1)."""
+    return ((kh - 1) // stride + rows) * wq + (kw - 1) // stride
+
+
+def _input_tiles(x, kh, kw, stride, padding, ho, wq):
+    """Samples per tile of the forward's patches, with a zeroed phase grid and
+    a patch buffer of one tile."""
+    n, cin = x.shape[:2]
+    size = cin * kh * kw * ho * wq  # one sample's patch values
+    tile = _tile(n, size * x.itemsize)
+    grid = _grid(x, tile, stride, (padding, padding), wq, _reach(kh, kw, stride, wq, ho))
+    return tile, grid, np.empty(size * tile, dtype=x.dtype)
 
 
 def conv2d_forward(x, weight, bias, stride=1, padding=0):
     """Cross-correlation of x (n,cin,h,w) with weight (cout,cin,kh,kw).
 
     The cache is ``(x, cols, weight, has_bias, stride, padding)``: ``cols``
-    is the last tile's patch matrix, or a 1x1 conv's ``xs`` (n, cin, ho*wo),
-    and ``x`` the input itself.
+    is the last tile's patch matrix (cin*kh*kw, kept*ho*Wq), or a 1x1 conv's
+    ``xs`` (n, cin, ho*wo), and ``x`` the input itself.
     """
     check_tensor4(x, "conv input")
     n, cin, h, w = x.shape
@@ -126,19 +185,16 @@ def conv2d_forward(x, weight, bias, stride=1, padding=0):
     if (kh, kw) == (1, 1) and not padding:
         return _conv1x1_forward(x, weight, bias, stride, ho, wo)
 
-    rows, pixels = cin * kh * kw, ho * wo
-    tile = _tile(n, rows * pixels * x.itemsize)
-    buf = np.empty(rows * tile * pixels, dtype=x.dtype)
-    xp = _padded(x, tile, padding)
-    w2 = weight.reshape(cout, rows)
+    wq = -(-(w + 2 * padding) // stride)
+    tile, grid, buf = _input_tiles(x, kh, kw, stride, padding, ho, wq)
+    w2 = weight.reshape(cout, -1)
     y = np.empty((n, cout, ho, wo), dtype=np.result_type(x, weight))
     for s in range(0, n, tile):
-        src = _stage(x, s, s + tile, xp, (padding, padding))
-        cols = _patches(src, kh, kw, stride, ho, wo, buf)
+        cols = _patches(_stage(x, s, s + tile, grid, (padding, padding)), wq, kh, kw, ho, buf)
         out = w2 @ cols
         if bias is not None:
             out += bias[:, None]
-        y[s:s + tile] = out.reshape(cout, -1, ho, wo).transpose(1, 0, 2, 3)
+        y[s:s + tile] = out.reshape(cout, -1, ho, wq)[..., :wo].transpose(1, 0, 2, 3)
     return y, (x, cols, weight, bias is not None, stride, padding)
 
 
@@ -147,14 +203,17 @@ def conv2d_backward(dy, cache):
 
     The weight gradient walks the forward's tiles last to first: the last
     uses the kept patch matrix, each earlier tile is rebuilt into one buffer,
-    and the tiles' products are summed in that fixed order.
+    and the tiles' products with dy, laid on the (ho, Wq) output grid with
+    zero columns, are summed in that fixed order.
 
-    The input gradient is a stride-1 correlation through ``_patches``, tiled
-    by the size of its own patches: dy is zero-dilated by the stride and
-    padded by k-1 to cover the padded input, and the kernel is flipped with
-    its in/out channels swapped.  Only the windows over the unpadded input
-    are built, so the same slicing holds for any padding, including
-    padding > k-1.
+    The input gradient is one stride-1 correlation through the same staging
+    and patch builder.  Tap (u, v) = (a + s*i, b + s*j) sends dy[oy, ox] to row
+    oy + i, column ox + j of phase (a, b), so phase (a, b) of the input's
+    gradient correlates dy, padded by ceil(k/s) - 1, with the flipped
+    sub-kernel weight[:, :, a::s, b::s]; the phases stack as s*s*cin rows of
+    one kernel, with zeros for the taps a phase lacks.  Only the plane rows
+    and columns that hold input pixels are computed, and ``_unstage`` writes
+    them to dx.
     """
     x, last, weight, has_bias, stride, padding = cache
     if weight.shape[2:] == (1, 1) and not padding:
@@ -162,20 +221,19 @@ def conv2d_backward(dy, cache):
     n, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
     _, _, ho, wo = dy.shape
-    rows, pixels = cin * kh * kw, ho * wo
 
-    # weight gradient; this orientation ran ~1.8x faster than dy_mat @ cols.T on OpenBLAS
-    tile = _tile(n, rows * pixels * x.itemsize)
-    start = n - last.shape[1] // pixels
-    buf = np.empty(rows * tile * pixels, dtype=x.dtype) if start else None
-    xp = _padded(x, tile, padding) if start else None
+    # weight gradient; cols @ dy.T ran ~1.8x faster than dy @ cols.T on OpenBLAS
+    wq = -(-(w + 2 * padding) // stride)
+    start = n - last.shape[1] // (ho * wq)
+    tile, grid, buf = _input_tiles(x, kh, kw, stride, padding, ho, wq) if start else (n, None, None)
+    dyg = np.zeros((cout, tile, ho, wq), dtype=dy.dtype)
     dwt = None
     for s in [start, *reversed(range(0, start, tile))]:
         e = min(s + tile, n)
         cols = last if s == start else _patches(
-            _stage(x, s, e, xp, (padding, padding)), kh, kw, stride, ho, wo, buf)
-        dy_mat = dy[s:e].transpose(1, 0, 2, 3).reshape(cout, (e - s) * pixels)
-        part = cols @ dy_mat.T
+            _stage(x, s, e, grid, (padding, padding)), wq, kh, kw, ho, buf)
+        dyg[:, :e - s, :, :wo] = dy[s:e].transpose(1, 0, 2, 3)
+        part = cols @ dyg[:, :e - s].reshape(cout, -1).T
         if dwt is None:
             dwt = part
         else:
@@ -183,19 +241,26 @@ def conv2d_backward(dy, cache):
     dw = np.ascontiguousarray(dwt.T).reshape(weight.shape)
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
 
-    # input gradient: dy dilated by the stride at offset k-1 in the padded
-    # input's extent plus k-1; the windows starting at offset p are those
-    # over the unpadded input
-    p = padding
-    tile = _tile(n, cout * kh * kw * h * w * dy.itemsize)
-    dd = np.zeros((cout, tile, h + 2 * p + kh - 1, w + 2 * p + kw - 1), dtype=dy.dtype)
-    dbuf = np.empty(cout * kh * kw * tile * h * w, dtype=dy.dtype)
-    wt = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+    # input gradient: rows r0 = padding//s to r0 + hr of each phase plane hold
+    # input pixels, and likewise columns, so the runs start at (r0, r0).  dy
+    # sits at (ka-1, kb-1) in planes with no right margin: a run read past a
+    # row's end wraps into the next row's kb-1 zero columns.
+    s, ka, kb = stride, -(-kh // stride), -(-kw // stride)
+    r0, hr, wr = padding // s, -(-(padding % s + h) // s), -(-(padding % s + w) // s)
+    wq = max(wo + kb - 1, r0 + wr)
+    at = r0 * wq + r0
+    tile = _tile(n, cout * ka * kb * hr * wq * dy.itemsize)
+    grid = _grid(dy, tile, 1, (ka - 1, kb - 1), wq, at + _reach(ka, kb, 1, wq, hr))
+    buf = np.empty(cout * ka * kb * tile * hr * wq, dtype=dy.dtype)
+    wt = np.zeros((cout, cin, s * ka, s * kb), dtype=weight.dtype)
+    wt[:, :, :kh, :kw] = weight
+    wt = wt.reshape(cout, cin, ka, s, kb, s)[:, :, ::-1, :, ::-1].transpose(1, 3, 5, 0, 2, 4)
+    wt = wt.reshape(cin * s * s, cout * ka * kb)
     dx = np.empty(x.shape, dtype=np.result_type(dy, weight))
-    for s in range(0, n, tile):
-        src = _stage(dy, s, s + tile, dd, (kh - 1, kw - 1), stride)[:, :, p:, p:]
-        dcols = _patches(src, kh, kw, 1, h, w, dbuf)
-        dx[s:s + tile] = (wt @ dcols).reshape(cin, -1, h, w).transpose(1, 0, 2, 3)
+    for t in range(0, n, tile):
+        planes = _stage(dy, t, t + tile, grid, (ka - 1, kb - 1))[..., at:]
+        out = (wt @ _patches(planes, wq, ka, kb, hr, buf)).reshape(cin, s, s, -1, hr, wq)
+        _unstage(out[..., :wr].transpose(0, 3, 1, 2, 4, 5), dx, t, (padding % s, padding % s))
     return dx, dw, db
 
 

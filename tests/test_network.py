@@ -10,9 +10,8 @@ from prunekit import GradTape, ModelBundle, Network, build
 from prunekit.builders import initialize_parameters
 from prunekit.errors import StructuralError
 from prunekit.graph import ArchitectureGraph, LayerNode
-from prunekit.trainer import _onehot, data_loss_and_grad
 
-from gradcheck import astype
+from gradcheck import grad_check
 
 
 def test_structural_error_names_offending_layer(rng):
@@ -45,35 +44,13 @@ def test_upstream_gradient_shape_checked(rng):
 
 def test_residual_fanout_accumulates_both_branch_gradients(rng):
     """The block input feeds both the main path and the shortcut; its
-    gradient must be the sum of both contributions."""
-    g = build("tiny-resnet", 3, seed=1)
-    net = astype(Network(g), np.float64)
+    gradient must be the sum of both contributions.  The stem's output fans
+    out, and a 3x3 stride-2 conv opens stages 2 and 3."""
     x = rng.normal(size=(2, 8, 16, 16))
     y = rng.integers(0, 3, size=2)
-
-    tape = GradTape()
-    probs = net.forward(x, training=True, tape=tape)
-    _, dp = data_loss_and_grad(probs, _onehot(y, 3, np.float64), "softmax-ce")
-    dinput = net.backward(dp, tape)
-    assert dinput.shape == x.shape
-
-    # finite-difference check through the stem, whose output fans out
-    w = net.graph.node("stem.conv").params["weight"]
-    analytic = tape.grads[("stem.conv", "weight")]
-    flat = w.reshape(-1)
-    step = 1e-5
-    for idx in rng.choice(flat.size, size=4, replace=False):
-        orig = flat[idx]
-        losses = []
-        for delta in (step, -step):
-            flat[idx] = orig + delta
-            p2 = net.forward(x, training=True)
-            l2, _ = data_loss_and_grad(p2, _onehot(y, 3, np.float64), "softmax-ce")
-            losses.append(l2)
-        flat[idx] = orig
-        numeric = (losses[0] - losses[1]) / (2 * step)
-        a = analytic.reshape(-1)[idx]
-        assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-8) < 1e-4
+    report = grad_check(ModelBundle(build("tiny-resnet", 3, seed=1)), x, y)
+    assert report.ok, report.failures
+    assert {"stem.conv/weight", "s2.b1.conv1/weight", "s3.b1.conv1/weight"} <= set(report.per_param)
 
 
 def test_weight_parameters_exclude_bn_and_biases():

@@ -11,15 +11,18 @@ from oracles import batchnorm_loops, conv2d_backward_loops, conv2d_loops, maxpoo
 
 
 def draw_conv_case(data, max_n=2):
-    """A random conv problem, float64: n <= max_n, cin, cout, h, w, k <= 3, stride 1-2, padding 0-1."""
+    """A random conv problem, float64: n <= max_n, cin, cout, h, w, k <= 3, stride 1-3, padding 0-2.
+
+    The draws include phases that no kernel tap reads (k < stride), padding
+    past k-1, and padded widths that are not a multiple of the stride."""
     n = data.draw(st.integers(1, max_n))
     cin = data.draw(st.integers(1, 4))
     cout = data.draw(st.integers(1, 4))
     h = data.draw(st.integers(1, 8))
     w = data.draw(st.integers(1, 8))
     k = data.draw(st.integers(1, min(3, h, w)))
-    stride = data.draw(st.integers(1, 2))
-    padding = data.draw(st.integers(0, 1))
+    stride = data.draw(st.integers(1, 3))
+    padding = data.draw(st.integers(0, 2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     return (rng.normal(size=(n, cin, h, w)), rng.normal(size=(cout, cin, k, k)),
             rng.normal(size=cout), stride, padding)
@@ -27,12 +30,13 @@ def draw_conv_case(data, max_n=2):
 
 def small_tiles(data, x, wt, stride, padding):
     """A TILE_BYTES of at most three samples' patches, so a batch of up to 7
-    spans several tiles and the last is often ragged."""
+    spans several tiles and the last is often ragged.  One sample's patches
+    are cin*kh*kw runs of ho*Wq values, Wq = ceil((w + 2*padding) / stride)."""
     n, cin, h, w = x.shape
     _, _, kh, kw = wt.shape
     ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    sample = cin * kh * kw * ho * wo * x.itemsize
+    wq = -(-(w + 2 * padding) // stride)
+    sample = cin * kh * kw * ho * wq * x.itemsize
     return data.draw(st.integers(1, 3 * sample))
 
 
@@ -99,10 +103,12 @@ class TestConvBackward:
     def test_oracle_property_over_random_shapes(self, data):
         check_backward_against_oracle(*draw_conv_case(data))
 
-    # k=1 with padding 1 (padding > k-1), and strides that leave trailing
-    # rows and columns no window covers
+    # k=1 with padding 1 (padding > k-1), strides that leave trailing rows and
+    # columns no window covers, and stride 3, where a kernel of 2 leaves a
+    # phase with no tap
     @pytest.mark.parametrize("k, stride, padding, h, w",
-                             [(1, 1, 1, 4, 3), (1, 2, 1, 5, 4), (3, 2, 0, 6, 7), (2, 2, 1, 5, 6)])
+                             [(1, 1, 1, 4, 3), (1, 2, 1, 5, 4), (3, 2, 0, 6, 7), (2, 2, 1, 5, 6),
+                              (3, 3, 1, 7, 8), (2, 3, 2, 5, 7)])
     def test_oracle_edge_cases(self, rng, k, stride, padding, h, w):
         x = rng.normal(size=(2, 3, h, w))
         check_backward_against_oracle(x, rng.normal(size=(2, 3, k, k)), rng.normal(size=2),
@@ -120,27 +126,32 @@ class TestConvBackward:
         # 5 samples in tiles of 2: the kept last tile holds one, two tiles are rebuilt
         x = rng.normal(size=(5, 3, 6, 6)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        monkeypatch.setattr(ops, "TILE_BYTES", 2 * 3 * 9 * 36 * 4)
-        y, cache = ops.conv2d_forward(x, w, None, stride=1, padding=1)
-        dy = rng.normal(size=y.shape).astype(np.float32)
-        first, second = ops.conv2d_backward(dy, cache), ops.conv2d_backward(dy, cache)
-        assert first[1].tobytes() == second[1].tobytes()
-        assert first[0].tobytes() == second[0].tobytes()
+        for stride in (1, 2):
+            ho, wq = 6 // stride, 8 // stride  # the padded input is 8 wide
+            monkeypatch.setattr(ops, "TILE_BYTES", 2 * 3 * 9 * ho * wq * 4)
+            y, cache = ops.conv2d_forward(x, w, None, stride=stride, padding=1)
+            assert cache[1].shape == (3 * 9, ho * wq)
+            dy = rng.normal(size=y.shape).astype(np.float32)
+            first, second = ops.conv2d_backward(dy, cache), ops.conv2d_backward(dy, cache)
+            assert first[1].tobytes() == second[1].tobytes()
+            assert first[0].tobytes() == second[0].tobytes()
 
     def test_cache_layout(self, rng, monkeypatch):
         # perfbench's tracer reads the kept patch matrix size and the weight from the cache
-        x = rng.normal(size=(5, 3, 7, 6)).astype(np.float32)
+        x = rng.normal(size=(5, 3, 7, 7)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 2)).astype(np.float32)
         (_, cin, _, _), (_, _, kh, kw) = x.shape, w.shape
-        ho, wo = 4, 4
-        sample = cin * kh * kw * ho * wo * x.itemsize
+        # padded to 9x9 and split into stride-2 phases 5 columns wide: the
+        # patches run over a 4x5 output grid whose last column is cropped
+        ho, wo, wq = 4, 4, 5
+        sample = cin * kh * kw * ho * wq * x.itemsize
         # one tile keeps all 5 samples' patches; tiles of 2 leave 1 in the last
         for tile_bytes, kept in ((ops.TILE_BYTES, 5), (2 * sample, 1)):
             monkeypatch.setattr(ops, "TILE_BYTES", tile_bytes)
             y, cache = ops.conv2d_forward(x, w, None, stride=2, padding=1)
             assert y.shape[2:] == (ho, wo)
             x_in, cols, weight, has_bias, stride, padding = cache
-            assert cols.shape == (cin * kh * kw, kept * ho * wo)
+            assert cols.shape == (cin * kh * kw, kept * ho * wq)
             assert cols.nbytes == kept * sample
             assert x_in is x and weight is w
             assert (has_bias, stride, padding) == (False, 2, 1)

@@ -221,12 +221,10 @@ class TestCli:
         ("--batch-size", "0", "batch_size"), ("--batch-size", "-3", "batch_size")])
     def test_score_batch_argument_below_1_exits_2_naming_it(self, tmp_path, capsys,
                                                              flag, value, name):
-        model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
-        assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--with-gates",
-                     "--out", model]) == 0
-        json.dump(DatasetSpec(source="synthetic-planted", classes=4, samples=32).to_dict(),
-                  open(data_json, "w"))
-        assert main(["score", "--model", model, "--data", data_json, flag, value,
+        # neither the model directory nor the data file exists: the argument
+        # is checked before either is read
+        assert main(["score", "--model", str(tmp_path / "missing"),
+                     "--data", str(tmp_path / "missing.json"), flag, value,
                      "--out", str(tmp_path / "scores.json")]) == 2
         assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
 
