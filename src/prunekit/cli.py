@@ -75,14 +75,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    targets = None
-    if args.stage_targets:
-        widths = [int(t) for t in args.stage_targets.split(",")]
-        targets = tuple((i + 1, w) for i, w in enumerate(widths))
     cfg = PruneConfig(beta=args.beta, sign=args.sign, policy=args.policy,
                       min_channels=args.min_channels,
                       half_rule=args.half_rule == "on",
-                      stage_targets=targets)
+                      stage_targets=args.stage_targets)
     record = ScoreRecord.load(args.scores)
     plan = make_plan(record, load_bundle(args.model).graph, cfg)
     plan.save(args.out)
@@ -153,13 +149,29 @@ def cmd_sweep(args) -> int:
     cfg = PipelineConfig.load(args.config)
     if args.out:
         cfg.out = args.out
-    variants = [(sign, int(beta)) for sign, beta in
-                (item.split(":") for item in args.variants.split(","))]
-    rows = run_sweep(cfg, variants)
+    rows = run_sweep(cfg, args.variants)
     for r in rows:
         print(f"({r['sign']},{r['beta']}): {r['pruned_channels']} channels, "
               f"params -{r['pruned_params_pct']}%, flops -{r['pruned_flops_pct']}%")
     return EXIT_OK
+
+
+def _stage_targets(text: str) -> tuple:
+    """``8,32,32`` as ((1, 8), (2, 32), (3, 32)): stage i keeps the i-th width."""
+    try:
+        return tuple((i + 1, int(t)) for i, t in enumerate(text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated widths such as 8,32,32, got '{text}'") from None
+
+
+def _variants(text: str) -> list:
+    """``minus:2,plus:8`` as [("minus", 2), ("plus", 8)]; the config checks the values."""
+    try:
+        return [(sign, int(beta)) for sign, beta in (v.split(":") for v in text.split(","))]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected sign:beta pairs such as minus:2,plus:8, got '{text}'") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--beta", type=int, default=2)
     pl.add_argument("--sign", choices=SIGNS, default="minus")
     pl.add_argument("--policy", choices=POLICIES, default="vgg-per-layer")
-    pl.add_argument("--stage-targets", default=None,
+    pl.add_argument("--stage-targets", type=_stage_targets, default=None,
                     help="per-stage kept widths, e.g. 8,32,32; default: the threshold rule")
     pl.add_argument("--half-rule", choices=("on", "off"), default="off")
     pl.add_argument("--min-channels", type=int, default=1)
@@ -244,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="plan/report across (sign,beta) variants")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--variants", default="minus:2,minus:8,plus:8,plus:2")
+    sw.add_argument("--variants", type=_variants, default="minus:2,minus:8,plus:8,plus:2")
     sw.add_argument("--out", default=None)
     sw.set_defaults(fn=cmd_sweep)
     return p

@@ -9,14 +9,17 @@ leaves its cache unchanged, so it can run more than once.
 
 Convolution is im2col + GEMM in both directions, tiled over the batch.  A
 k x k conv stages each tile's input once into a zeroed phase-split grid: at
-stride s, phase (a, b) holds the padded input's pixels a::s, b::s, each phase
-plane Wq = ceil(wp/s) wide.  Every patch row (channel, tap) of a sample is
-then one contiguous run of ho*Wq values of one phase, so the patch matrix is
-kh*kw long copies (im2col without short runs) and the GEMM fills a
-(ho, Wq) output grid whose columns past wo are cropped.  The weight gradient
-reads the same patches against dy laid on that grid with zero columns.  The
-input gradient
-runs through the same staging and patch builder as one stride-1
+stride s, phase (a, b) holds the padded input's pixels a::s, b::s.  Every
+phase plane has one layout: it holds the image after its top and left
+margins only, and it is Wq = max(cols, ceil((w + pad)/s)) wide for cols
+output columns, so a patch run that reads past a row's end wraps into the
+next row's left margin, which is zero.  Every patch row (channel, tap) of a
+sample is then one contiguous run of rows*Wq values of one phase, so the
+patch matrix is kh*kw long copies (im2col without short runs) and the GEMM
+fills a (rows, Wq) output grid whose columns past the output width are
+cropped.  One tile walker builds the patches of all three GEMMs.  The
+forward multiplies them by the weight, and the weight gradient by dy laid
+on the (ho, Wq) grid with zero columns.  The input gradient is one stride-1
 correlation: dy, padded by ceil(k/s) - 1, against the flipped kernel split
 into its s*s sub-pixel phases (Shi et al. 2016) and stacked as s*s*cin
 output rows.  It computes only the plane rows and columns that hold input
@@ -27,11 +30,12 @@ A tile holds as many whole samples as fit their patch matrix in
 ``TILE_BYTES`` (at least one).  1 MiB is half of a 2 MiB L2, so a tile's
 patches, the weight and the tile's GEMM output stay in cache from the patch
 build to the GEMM that reads them; a whole-batch patch matrix at batch 256
-is 36 MiB and runs from memory.  Each pass over the tiles allocates one
-grid and one patch buffer and reuses them for every tile.  The conv cache keeps a reference to
-the input and the last tile's patch matrix, not the whole batch's: the
-backward walks the tiles last to first, uses the kept patches for the last
-and rebuilds each earlier tile's (recompute over store, Chen et al. 2016).
+is 36 MiB and runs from memory.  Each walk over the tiles allocates one
+grid and one patch buffer and reuses them for every tile.  The conv cache
+keeps a reference to the input and the last tile's patch matrix, not the
+whole batch's: the backward walks the tiles last to first, uses the kept
+patches for the last and rebuilds each earlier tile's (recompute over
+store, Chen et al. 2016).
 
 A 1x1 kernel with padding 0 skips im2col (as Caffe's ``is_1x1_`` does): its
 patch matrix is the input itself, so the conv is one batched GEMM
@@ -53,6 +57,8 @@ that one element.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -84,19 +90,24 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # grid.  A tile of m samples is staged once into a zeroed (c, tile, s, s, Hq,
 # Wq) grid whose phase (a, b) holds the padded input's pixels a::s, b::s, so
 # the pixel that tap (u, v) reads for output (i, j) sits at row i + u//s and
-# column j + v//s of phase (u%s, v%s).  With each phase plane flattened, patch
-# row (c, u, v) is one contiguous run of rows*Wq values from (u//s)*Wq + v//s:
-# the GEMM fills a (rows, Wq) output grid and the columns past the output
-# width are cropped.  Row order (c, u, v) is that of weight.reshape(cout, -1).
+# column j + v//s of phase (u%s, v%s).  A plane holds the image after its top
+# and left margins only, Wq = max(cols, ceil((w + pad)/s)) wide for cols
+# output columns (``_width``): a run that reads past a row's end wraps into
+# the next row's left margin, which is zero.  With each plane flattened,
+# patch row (c, u, v) is one contiguous run of rows*Wq values from
+# (u//s)*Wq + v//s: the GEMM fills a (rows, Wq) output grid and the columns
+# past the output width are cropped.  Row order (c, u, v) is that of
+# weight.reshape(cout, -1).  One walker, ``_tiles``, builds the patches of
+# all three GEMMs.
 #
 # The input gradient stages dy at stride 1 and correlates it with the
 # kernel's s*s phases stacked as one (s*s*cin, cout*ka*kb) matrix: its GEMM
 # yields the gradient's phase planes, and ``_unstage``, the inverse of
 # ``_stage``, scatters their input pixels into dx.
 
-def _tile(n, sample_bytes):
-    """Samples per tile: as many as fit their patches in TILE_BYTES, at least one."""
-    return min(n, max(1, TILE_BYTES // sample_bytes))
+def _width(w, stride, pad, cols):
+    """Plane width: the image after its left margin, at least ``cols`` wide."""
+    return max(cols, -(-(w + pad) // stride))
 
 
 def _phases(stride, h, w, pad):
@@ -110,14 +121,6 @@ def _phases(stride, h, w, pad):
             yield a, slice(first, size, stride), slice(start, start + len(range(first, size, stride)))
     return [((a, b), (ys, xs), (rows, cols))
             for a, ys, rows in axis(h, pad[0]) for b, xs, cols in axis(w, pad[1])]
-
-
-def _grid(a, tile, stride, pad, wq, reach):
-    """A zeroed phase grid (c, tile, stride, stride, Hq, wq) for samples of a
-    padded by ``pad``; its planes are also at least ``reach`` values long, the
-    end of the farthest patch run."""
-    hq = max(-(-(a.shape[2] + 2 * pad[0]) // stride), -(-reach // wq))
-    return np.zeros((a.shape[1], tile, stride, stride, hq, wq), dtype=a.dtype)
 
 
 def _stage(a, s, e, grid, pad):
@@ -139,33 +142,32 @@ def _unstage(planes, out, s, pad):
         dst[:, :, ys, xs] = planes[:, :, pa, pb, rows, cols]
 
 
-def _patches(planes, wq, kh, kw, rows, buf):
-    """(c*kh*kw, m*rows*wq) patch matrix of the flat phase planes (c, m, s, s, .),
-    built in buf: row (c, u, v) is the run of rows*wq values from
-    (u//s)*wq + v//s in phase (u%s, v%s)."""
-    c, m, s = planes.shape[:3]
+def _tiles(a, kh, kw, stride, pad, rows, wq, r0=0, stop=None):
+    """The patch matrices of a (n, c, h, w) padded by ``pad`` = (ph, pw), tile
+    by tile: yields (start, end, cols), cols the (c*kh*kw, m*rows*wq) patches
+    of samples start:end, whose row (c, u, v) is the run of rows*wq values
+    from (r0 + u//s)*wq + r0 + v//s in phase (u%s, v%s).
+
+    The tiles go first to last or, given ``stop``, last to first over those
+    before ``stop``.  One zeroed grid and one patch buffer serve every tile,
+    so each tile's cols is overwritten by the next one's."""
+    n, c, h = a.shape[:3]
     run = rows * wq
-    cols = buf[:c * kh * kw * m * run].reshape(c, kh, kw, m, run)
-    for u in range(kh):
-        for v in range(kw):
-            at = u // s * wq + v // s
-            cols[:, u, v] = planes[:, :, u % s, v % s, at:at + run]
-    return cols.reshape(c * kh * kw, m * run)
-
-
-def _reach(kh, kw, stride, wq, rows):
-    """The end of the farthest patch run: that of tap (kh-1, kw-1)."""
-    return ((kh - 1) // stride + rows) * wq + (kw - 1) // stride
-
-
-def _input_tiles(x, kh, kw, stride, padding, ho, wq):
-    """Samples per tile of the forward's patches, with a zeroed phase grid and
-    a patch buffer of one tile."""
-    n, cin = x.shape[:2]
-    size = cin * kh * kw * ho * wq  # one sample's patch values
-    tile = _tile(n, size * x.itemsize)
-    grid = _grid(x, tile, stride, (padding, padding), wq, _reach(kh, kw, stride, wq, ho))
-    return tile, grid, np.empty(size * tile, dtype=x.dtype)
+    size = c * kh * kw * run  # one sample's patch values
+    tile = min(n, max(1, TILE_BYTES // (size * a.itemsize)))
+    reach = (r0 + (kh - 1) // stride) * wq + r0 + (kw - 1) // stride + run  # the last run's end
+    hq = max(-(-(h + pad[0]) // stride), -(-reach // wq))
+    grid = np.zeros((c, tile, stride, stride, hq, wq), dtype=a.dtype)
+    buf = np.empty(size * tile, dtype=a.dtype)
+    for t in range(0, n, tile) if stop is None else reversed(range(0, stop, tile)):
+        planes = _stage(a, t, t + tile, grid, pad)
+        m = planes.shape[1]
+        cols = buf[:size * m].reshape(c, kh, kw, m, run)
+        for u in range(kh):
+            for v in range(kw):
+                at = (r0 + u // stride) * wq + r0 + v // stride
+                cols[:, u, v] = planes[:, :, u % stride, v % stride, at:at + run]
+        yield t, t + m, cols.reshape(c * kh * kw, m * run)
 
 
 def conv2d_forward(x, weight, bias, stride=1, padding=0):
@@ -185,16 +187,14 @@ def conv2d_forward(x, weight, bias, stride=1, padding=0):
     if (kh, kw) == (1, 1) and not padding:
         return _conv1x1_forward(x, weight, bias, stride, ho, wo)
 
-    wq = -(-(w + 2 * padding) // stride)
-    tile, grid, buf = _input_tiles(x, kh, kw, stride, padding, ho, wq)
+    wq = _width(w, stride, padding, wo)
     w2 = weight.reshape(cout, -1)
     y = np.empty((n, cout, ho, wo), dtype=np.result_type(x, weight))
-    for s in range(0, n, tile):
-        cols = _patches(_stage(x, s, s + tile, grid, (padding, padding)), wq, kh, kw, ho, buf)
+    for s, e, cols in _tiles(x, kh, kw, stride, (padding, padding), ho, wq):
         out = w2 @ cols
         if bias is not None:
             out += bias[:, None]
-        y[s:s + tile] = out.reshape(cout, -1, ho, wq)[..., :wo].transpose(1, 0, 2, 3)
+        y[s:e] = out.reshape(cout, -1, ho, wq)[..., :wo].transpose(1, 0, 2, 3)
     return y, (x, cols, weight, bias is not None, stride, padding)
 
 
@@ -202,12 +202,12 @@ def conv2d_backward(dy, cache):
     """Returns (dx, dweight, dbias); dbias is None when the conv has no bias.
 
     The weight gradient walks the forward's tiles last to first: the last
-    uses the kept patch matrix, each earlier tile is rebuilt into one buffer,
+    uses the kept patch matrix, each earlier tile is rebuilt by ``_tiles``,
     and the tiles' products with dy, laid on the (ho, Wq) output grid with
     zero columns, are summed in that fixed order.
 
-    The input gradient is one stride-1 correlation through the same staging
-    and patch builder.  Tap (u, v) = (a + s*i, b + s*j) sends dy[oy, ox] to row
+    The input gradient is one stride-1 correlation through the same tile
+    walker.  Tap (u, v) = (a + s*i, b + s*j) sends dy[oy, ox] to row
     oy + i, column ox + j of phase (a, b), so phase (a, b) of the input's
     gradient correlates dy, padded by ceil(k/s) - 1, with the flipped
     sub-kernel weight[:, :, a::s, b::s]; the phases stack as s*s*cin rows of
@@ -223,17 +223,15 @@ def conv2d_backward(dy, cache):
     _, _, ho, wo = dy.shape
 
     # weight gradient; cols @ dy.T ran ~1.8x faster than dy @ cols.T on OpenBLAS
-    wq = -(-(w + 2 * padding) // stride)
+    wq = _width(w, stride, padding, wo)
     start = n - last.shape[1] // (ho * wq)
-    tile, grid, buf = _input_tiles(x, kh, kw, stride, padding, ho, wq) if start else (n, None, None)
-    dyg = np.zeros((cout, tile, ho, wq), dtype=dy.dtype)
-    dwt = None
-    for s in [start, *reversed(range(0, start, tile))]:
-        e = min(s + tile, n)
-        cols = last if s == start else _patches(
-            _stage(x, s, e, grid, (padding, padding)), wq, kh, kw, ho, buf)
-        dyg[:, :e - s, :, :wo] = dy[s:e].transpose(1, 0, 2, 3)
-        part = cols @ dyg[:, :e - s].reshape(cout, -1).T
+    earlier = _tiles(x, kh, kw, stride, (padding, padding), ho, wq, stop=start) if start else ()
+    dyg = dwt = None
+    for s, e, cols in chain([(start, n, last)], earlier):
+        if dyg is None or dyg.shape[1] != e - s:  # the kept last tile may be short
+            dyg = np.zeros((cout, e - s, ho, wq), dtype=dy.dtype)
+        dyg[..., :wo] = dy[s:e].transpose(1, 0, 2, 3)
+        part = cols @ dyg.reshape(cout, -1).T
         if dwt is None:
             dwt = part
         else:
@@ -242,24 +240,17 @@ def conv2d_backward(dy, cache):
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
 
     # input gradient: rows r0 = padding//s to r0 + hr of each phase plane hold
-    # input pixels, and likewise columns, so the runs start at (r0, r0).  dy
-    # sits at (ka-1, kb-1) in planes with no right margin: a run read past a
-    # row's end wraps into the next row's kb-1 zero columns.
+    # input pixels, and likewise columns, so the runs start at (r0, r0)
     s, ka, kb = stride, -(-kh // stride), -(-kw // stride)
     r0, hr, wr = padding // s, -(-(padding % s + h) // s), -(-(padding % s + w) // s)
-    wq = max(wo + kb - 1, r0 + wr)
-    at = r0 * wq + r0
-    tile = _tile(n, cout * ka * kb * hr * wq * dy.itemsize)
-    grid = _grid(dy, tile, 1, (ka - 1, kb - 1), wq, at + _reach(ka, kb, 1, wq, hr))
-    buf = np.empty(cout * ka * kb * tile * hr * wq, dtype=dy.dtype)
+    wq = _width(wo, 1, kb - 1, r0 + wr)
     wt = np.zeros((cout, cin, s * ka, s * kb), dtype=weight.dtype)
     wt[:, :, :kh, :kw] = weight
     wt = wt.reshape(cout, cin, ka, s, kb, s)[:, :, ::-1, :, ::-1].transpose(1, 3, 5, 0, 2, 4)
     wt = wt.reshape(cin * s * s, cout * ka * kb)
     dx = np.empty(x.shape, dtype=np.result_type(dy, weight))
-    for t in range(0, n, tile):
-        planes = _stage(dy, t, t + tile, grid, (ka - 1, kb - 1))[..., at:]
-        out = (wt @ _patches(planes, wq, ka, kb, hr, buf)).reshape(cin, s, s, -1, hr, wq)
+    for t, _, cols in _tiles(dy, ka, kb, 1, (ka - 1, kb - 1), hr, wq, r0):
+        out = (wt @ cols).reshape(cin, s, s, -1, hr, wq)
         _unstage(out[..., :wr].transpose(0, 3, 1, 2, 4, 5), dx, t, (padding % s, padding % s))
     return dx, dw, db
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PlanError
 from .graph import ArchitectureGraph
-from .records import Record
+from .records import Record, at_least
 from .scoring import ScoreRecord
 
 POLICIES = ("vgg-per-layer", "resnet-stage-uniform", "bottleneck-middle")
@@ -50,14 +50,11 @@ class PruneConfig(Record):
     stage_targets: tuple[tuple[int, int], ...] | None = None  # ((stage, width), ...)
 
     def __post_init__(self):
-        if self.beta < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
+        at_least(self, beta=1, min_channels=1)
         if self.sign not in SIGNS:
             raise ValueError(f"sign must be one of {SIGNS}, got '{self.sign}'")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got '{self.policy}'")
-        if self.min_channels < 1:
-            raise ValueError("min_channels must be >= 1")
         listed = set()
         for stage, target in self.stage_targets or ():
             if stage in listed:

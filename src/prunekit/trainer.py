@@ -53,15 +53,13 @@ class TrainConfig(Record):
     augment: bool = False   # pad-4 random crop + horizontal flip on train batches
 
     def __post_init__(self):
-        at_least(self, epochs=1, batch_size=1, seed=0)
+        at_least(self, epochs=1, batch_size=1, seed=0, weight_decay=0)
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.lr_gamma <= 0:
             raise ValueError("lr_gamma must be positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
 
@@ -106,15 +104,6 @@ def penalty_value(weights, weight_decay: float):
     return weight_decay / (2.0 * n) * sq, n
 
 
-def add_penalty_grad(net: Network, tape: GradTape, weight_decay: float,
-                     n_weights: int) -> None:
-    """Accumulate the penalty's gradient, (weight_decay / n) * w, on every weight."""
-    if weight_decay > 0.0:
-        scale = weight_decay / n_weights
-        for node_id, pname, w in net.weight_parameters():
-            tape.accumulate(node_id, pname, scale * w)
-
-
 def _onehot(y: np.ndarray, classes: int, dtype) -> np.ndarray:
     out = np.zeros((y.shape[0], classes), dtype=dtype)
     out[np.arange(y.shape[0]), y] = 1
@@ -131,11 +120,15 @@ def penalized_loss(net: Network, x: np.ndarray, y: np.ndarray, variant: str,
     probs = net.forward(x, training=training, tape=tape)
     data_loss, dprobs = data_loss_and_grad(
         probs, _onehot(y, probs.shape[1], probs.dtype), variant)
-    pen, n_weights = penalty_value([w for _, _, w in net.weight_parameters()], weight_decay)
+    params = list(net.weight_parameters())
+    pen, n_weights = penalty_value([w for _, _, w in params], weight_decay)
     value = data_loss + pen
     if tape is not None and math.isfinite(value):
         net.backward(dprobs, tape)
-        add_penalty_grad(net, tape, weight_decay, n_weights)
+        if weight_decay > 0.0:  # the penalty's gradient, (weight_decay / n) * w
+            scale = weight_decay / n_weights
+            for node_id, pname, w in params:
+                tape.accumulate(node_id, pname, scale * w)
     return value, probs
 
 

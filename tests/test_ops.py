@@ -31,11 +31,12 @@ def draw_conv_case(data, max_n=2):
 def small_tiles(data, x, wt, stride, padding):
     """A TILE_BYTES of at most three samples' patches, so a batch of up to 7
     spans several tiles and the last is often ragged.  One sample's patches
-    are cin*kh*kw runs of ho*Wq values, Wq = ceil((w + 2*padding) / stride)."""
+    are cin*kh*kw runs of ho*Wq values, Wq = max(wo, ceil((w + padding) / stride))."""
     n, cin, h, w = x.shape
     _, _, kh, kw = wt.shape
     ho = (h + 2 * padding - kh) // stride + 1
-    wq = -(-(w + 2 * padding) // stride)
+    wo = (w + 2 * padding - kw) // stride + 1
+    wq = max(wo, -(-(w + padding) // stride))
     sample = cin * kh * kw * ho * wq * x.itemsize
     return data.draw(st.integers(1, 3 * sample))
 
@@ -105,10 +106,14 @@ class TestConvBackward:
 
     # k=1 with padding 1 (padding > k-1), strides that leave trailing rows and
     # columns no window covers, and stride 3, where a kernel of 2 leaves a
-    # phase with no tap
+    # phase with no tap; then k=1 with padding 2, where the output is wider
+    # than the image after its left margin and so sets the plane width, and
+    # two shapes whose last output column's run reads past its row's end and
+    # wraps into the next row's left margin
     @pytest.mark.parametrize("k, stride, padding, h, w",
                              [(1, 1, 1, 4, 3), (1, 2, 1, 5, 4), (3, 2, 0, 6, 7), (2, 2, 1, 5, 6),
-                              (3, 3, 1, 7, 8), (2, 3, 2, 5, 7)])
+                              (3, 3, 1, 7, 8), (2, 3, 2, 5, 7), (1, 1, 2, 4, 3), (1, 3, 2, 5, 4),
+                              (3, 2, 1, 7, 7), (4, 3, 2, 6, 7)])
     def test_oracle_edge_cases(self, rng, k, stride, padding, h, w):
         x = rng.normal(size=(2, 3, h, w))
         check_backward_against_oracle(x, rng.normal(size=(2, 3, k, k)), rng.normal(size=2),
@@ -127,7 +132,7 @@ class TestConvBackward:
         x = rng.normal(size=(5, 3, 6, 6)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         for stride in (1, 2):
-            ho, wq = 6 // stride, 8 // stride  # the padded input is 8 wide
+            ho, wq = 6 // stride, -(-7 // stride)  # the left-padded input is 7 wide
             monkeypatch.setattr(ops, "TILE_BYTES", 2 * 3 * 9 * ho * wq * 4)
             y, cache = ops.conv2d_forward(x, w, None, stride=stride, padding=1)
             assert cache[1].shape == (3 * 9, ho * wq)
@@ -138,12 +143,13 @@ class TestConvBackward:
 
     def test_cache_layout(self, rng, monkeypatch):
         # perfbench's tracer reads the kept patch matrix size and the weight from the cache
-        x = rng.normal(size=(5, 3, 7, 7)).astype(np.float32)
-        w = rng.normal(size=(4, 3, 3, 2)).astype(np.float32)
-        (_, cin, _, _), (_, _, kh, kw) = x.shape, w.shape
-        # padded to 9x9 and split into stride-2 phases 5 columns wide: the
-        # patches run over a 4x5 output grid whose last column is cropped
+        x = rng.normal(size=(5, 3, 7, 8)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 2, 3)).astype(np.float32)
+        (_, cin, _, w_in), (_, _, kh, kw) = x.shape, w.shape
+        # left-padded to 9 columns and split into stride-2 phases 5 columns
+        # wide: the patches run over a 4x5 output grid whose last column is cropped
         ho, wo, wq = 4, 4, 5
+        assert wq == max(wo, -(-(w_in + 1) // 2)) != wo
         sample = cin * kh * kw * ho * wq * x.itemsize
         # one tile keeps all 5 samples' patches; tiles of 2 leave 1 in the last
         for tile_bytes, kept in ((ops.TILE_BYTES, 5), (2 * sample, 1)):

@@ -372,6 +372,28 @@ class TestCli:
         assert not os.path.exists(os.path.join(out, "sweep-base", "model-trained"))
         assert not os.path.exists(os.path.join(out, "sweep-base"))   # no stage started
 
+    @pytest.mark.parametrize("variants", ["minus2", "minus:x", "minus:2:3"])
+    def test_malformed_sweep_variants_exit_2_naming_the_argument(self, tmp_path, capsys,
+                                                                 variants):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", missing, "--variants", variants])
+        assert exc.value.code == 2
+        assert f"argument --variants: expected sign:beta pairs such as minus:2,plus:8, " \
+            f"got '{variants}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("targets", ["8,,3", "8,x"])
+    def test_malformed_stage_targets_exit_2_naming_the_argument(self, tmp_path, capsys,
+                                                                targets):
+        missing = str(tmp_path / "missing")
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--scores", missing, "--model", missing,
+                  "--policy", "resnet-stage-uniform", "--stage-targets", targets,
+                  "--out", str(tmp_path / "plan.json")])
+        assert exc.value.code == 2
+        assert f"argument --stage-targets: expected comma-separated widths such as " \
+            f"8,32,32, got '{targets}'" in capsys.readouterr().err
+
     SPEC = {"source": "synthetic-planted", "classes": 4, "samples": 32}
     REPORT = {"params_before": 2, "params_after": 1, "flops_before": 2, "flops_after": 1}
 
@@ -415,6 +437,11 @@ class TestCli:
         ("pipeline", "--config", {"score_batches": 0}, "score_batches must be at least 1, got 0"),
         ("pipeline", "--config", {"reduction": 0}, "reduction must be at least 1, got 0"),
         ("pipeline", "--config", {"num_classes": 1}, "num_classes must be at least 2, got 1"),
+        ("pipeline", "--config", {"prune": {"beta": 0}}, "beta must be at least 1, got 0"),
+        ("pipeline", "--config", {"prune": {"min_channels": 0}},
+         "min_channels must be at least 1, got 0"),
+        ("pipeline", "--config", {"train": {"weight_decay": -1}},
+         "weight_decay must be at least 0, got -1"),
     ], ids=["pipeline-unknown", "data-unknown", "data-list", "config-lr", "scores-gate_id",
             "scores-short-mean", "plan-original", "report-unknown", "pipeline-epochs-0",
             "pipeline-batch-0", "pipeline-samples-0", "pipeline-classes-mismatch",
@@ -422,7 +449,8 @@ class TestCli:
             "report-flops-after-0", "report-base-epochs-negative", "report-epoch-mode",
             "report-convention", "pipeline-lr-gamma-negative", "pipeline-seed-negative",
             "pipeline-channels-0", "pipeline-image-size-0", "pipeline-noise-std-negative",
-            "pipeline-score-batches-0", "pipeline-reduction-0", "pipeline-classes-1"])
+            "pipeline-score-batches-0", "pipeline-reduction-0", "pipeline-classes-1",
+            "pipeline-beta-0", "pipeline-min-channels-0", "pipeline-weight-decay-negative"])
     def test_malformed_json_input_exits_2(self, tmp_path, capsys, command, flag, content, named):
         model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
         assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0

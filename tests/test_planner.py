@@ -386,13 +386,13 @@ class TestPlanObject:
 
 class TestConfigAndHeuristics:
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="beta"):
+        with pytest.raises(ValueError, match="beta must be at least 1, got 0"):
             PruneConfig(beta=0)
         with pytest.raises(ValueError, match="sign"):
             PruneConfig(sign="negative")
         with pytest.raises(ValueError, match="policy"):
             PruneConfig(policy="global")
-        with pytest.raises(ValueError, match="min_channels"):
+        with pytest.raises(ValueError, match="min_channels must be at least 1, got 0"):
             PruneConfig(min_channels=0)
 
     def test_empty_score_vector_rejected(self):

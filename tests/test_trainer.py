@@ -249,7 +249,7 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(momentum=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight_decay must be at least 0, got -0.0001"):
         TrainConfig(weight_decay=-1e-4)
     with pytest.raises(ValueError):
         TrainConfig(loss_variant="hinge")
