@@ -60,10 +60,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    for name in ("batch_size", "max_batches"):  # fail before any file is read
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
     bundle = load_bundle(args.model)
     data = load_dataset(DatasetSpec.load(args.data))
     record = collect_scores(bundle, data.batches(args.batch_size),
@@ -156,6 +152,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def count(text: str) -> int:
+    """A whole number of one or more, checked before any file is read."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _stage_targets(text: str) -> tuple:
     """``8,32,32`` as ((1, 8), (2, 32), (3, 32)): stage i keeps the i-th width."""
     try:
@@ -200,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("score", help="collect gate scores")
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--batch-size", type=int, default=64)
-    s.add_argument("--max-batches", type=int, default=None)
+    s.add_argument("--batch-size", type=count, default=64)
+    s.add_argument("--max-batches", type=count, default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_score)
 

@@ -22,7 +22,7 @@ from .ops import check_tensor4
 def hidden_width(channels: int, reduction: int) -> int:
     """Bottleneck width; never collapses below one unit."""
     if reduction < 1:
-        raise ValueError(f"reduction must be >= 1, got {reduction}")
+        raise ValueError(f"reduction must be at least 1, got {reduction}")
     return max(1, channels // reduction)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import initialize_parameters, strip_gates
-from .bundle import ModelBundle, bundle_fingerprint
+from .bundle import ModelBundle
 from .errors import PlanError
 from .layers import kind_of
 from .planner import PruningPlan
@@ -84,11 +84,7 @@ def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelB
     new_graph.check_valid()
 
     meta = dict(model.metadata)
-    meta.update({
-        "rewrite_mode": opts.mode,
-        "plan": plan.fingerprint(),
-        "parent": bundle_fingerprint(model),
-    })
+    meta.update({"rewrite_mode": opts.mode, "plan": plan.fingerprint()})
     if opts.mode == "architecture-only":
         meta["init"] = {"scheme": "fan-in-gaussian", "seed": opts.seed}
     return ModelBundle(new_graph, meta)

@@ -104,7 +104,7 @@ def test_hidden_width_floors_at_one():
     assert hidden_width(15, 16) == 1
     assert hidden_width(64, 16) == 4
     assert hidden_width(3, 1) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reduction must be at least 1, got 0"):
         hidden_width(4, 0)
 
 

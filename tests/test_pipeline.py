@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,21 @@ class TestPipeline:
                      else content_hash(read_json(path)))
             assert saved == row["output"], row["stage"]
 
+    def test_compact_bundle_reaches_its_parent_through_the_plan_chain(self, completed):
+        """The compact bundle names its plan, the plan its score record and the
+        record the trained model; apply adds no hash of the parent itself."""
+        out, manifest = completed
+        output = {r["stage"]: r["output"] for r in manifest.rows}
+        compact = load_bundle(os.path.join(out, STAGES["apply"][1]))
+        assert compact.metadata["plan"] == output["plan"]
+        plan = read_json(os.path.join(out, STAGES["plan"][1]))
+        assert plan["score_fingerprint"] == output["score"]
+        scores = read_json(os.path.join(out, STAGES["score"][1]))
+        assert scores["metadata"]["model"] == output["train"]
+        trained = load_bundle(os.path.join(out, STAGES["train"][1]))
+        assert set(compact.metadata) == \
+            set(trained.metadata) | {"rewrite_mode", "plan", "init"}
+
     def test_failure_persists_partial_manifest(self, tmp_path):
         out = str(tmp_path / "fail")
         cfg = small_config(out)
@@ -158,6 +174,24 @@ class TestSweep:
         variant_cfg = saved_manifest(os.path.join(out, "plus-8")).config
         assert (variant_cfg.prune.sign, variant_cfg.prune.beta) == ("plus", 8)
 
+    def test_a_variant_does_not_hash_its_parent(self, tmp_path, monkeypatch):
+        """Five model hashes: build, train, the score record's model and one per
+        compact save.  Every module alias of ``bundle_fingerprint`` is counted."""
+        calls = []
+
+        def counted(bundle):
+            calls.append(bundle)
+            return bundle_fingerprint(bundle)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.partition(".")[0] == "prunekit":
+                for alias, value in list(vars(module).items()):
+                    if value is bundle_fingerprint:
+                        monkeypatch.setattr(module, alias, counted)
+        run_sweep(small_config(str(tmp_path / "sweep"), epochs=1),
+                  [("minus", 2), ("plus", 2)])
+        assert len(calls) == 5
+
 
 class TestStageUniformWithoutTargets:
     """Basic-block nets plan from the threshold rule when no stage has a hand target."""
@@ -221,12 +255,16 @@ class TestCli:
         ("--batch-size", "0", "batch_size"), ("--batch-size", "-3", "batch_size")])
     def test_score_batch_argument_below_1_exits_2_naming_it(self, tmp_path, capsys,
                                                              flag, value, name):
-        # neither the model directory nor the data file exists: the argument
-        # is checked before either is read
-        assert main(["score", "--model", str(tmp_path / "missing"),
-                     "--data", str(tmp_path / "missing.json"), flag, value,
-                     "--out", str(tmp_path / "scores.json")]) == 2
-        assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
+        # neither the model directory nor the data file exists: argparse checks
+        # the argument before either is read, and names the flag, not the field
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--model", str(tmp_path / "missing"),
+                  "--data", str(tmp_path / "missing.json"), flag, value,
+                  "--out", str(tmp_path / "scores.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least 1, got {value}" in err
+        assert name not in err
 
     def test_full_cli_cycle(self, tmp_path, capsys):
         d = tmp_path
