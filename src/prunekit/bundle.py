@@ -14,6 +14,11 @@ it writes anything; a load slices the declared tensors out of the blob in
 that order and rejects a blob that ends before or after them.  A version-1
 manifest also carried the layout as a ``tensors`` index; a load ignores it.
 
+Neither direction holds a second copy of the parameters.  A save hands each
+tensor's buffer to the checksum and the file as it is.  A load reads the
+blob once into one writable array, and the tensors are non-overlapping
+views of it; ``ModelBundle.copy`` gives a loaded bundle tensors of its own.
+
 The checksum is sha256 over the parameter blob followed by the canonical
 manifest JSON (checksum field blanked), so corruption of either file is
 detected on load.  The rule reads the manifest's content, not its file
@@ -58,12 +63,15 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _param_bytes(graph: ArchitectureGraph):
-    """Each tensor's name and little-endian float32 bytes, in blob order."""
+def _param_buffers(graph: ArchitectureGraph):
+    """Each tensor's name and little-endian float32 buffer, in blob order.
+
+    A contiguous float32 tensor on a little-endian host is its own buffer,
+    so no bytes are copied.
+    """
     for node in graph.nodes:
         for pname in sorted(node.params):
-            yield (f"{node.id}/{pname}",
-                   np.ascontiguousarray(node.params[pname], dtype="<f4").tobytes())
+            yield f"{node.id}/{pname}", np.ascontiguousarray(node.params[pname], dtype="<f4")
 
 
 def _check_declared(node) -> None:
@@ -79,9 +87,12 @@ def _check_declared(node) -> None:
                 f"shape {have} != declared {want}"))
 
 
-def _checksum(blob: bytes, canonical: bytes) -> str:
-    """sha256 of the blob followed by the canonical manifest, checksum field blank."""
-    h = hashlib.sha256(blob)
+def _checksum(blob, canonical: bytes) -> str:
+    """sha256 of the blob's buffers, back to back, followed by the canonical
+    manifest with its checksum field blank."""
+    h = hashlib.sha256()
+    for buf in blob:
+        h.update(buf)
     h.update(canonical)
     return h.hexdigest()
 
@@ -90,7 +101,7 @@ def save_bundle(bundle: ModelBundle, path: str) -> str:
     """Write manifest + blob into directory ``path``; returns the checksum."""
     for node in bundle.graph.nodes:
         _check_declared(node)
-    blob = b"".join(data for _, data in _param_bytes(bundle.graph))
+    blob = [buf for _, buf in _param_buffers(bundle.graph)]
     manifest = {
         "format_version": FORMAT_VERSION,
         "graph": bundle.graph.to_manifest(),
@@ -104,7 +115,7 @@ def save_bundle(bundle: ModelBundle, path: str) -> str:
     head = b'{"checksum":"'
     os.makedirs(path, exist_ok=True)
     write_bytes(blob, os.path.join(path, BLOB_NAME))
-    write_bytes(head + checksum.encode() + canonical[len(head):],
+    write_bytes([head, checksum.encode(), canonical[len(head):]],
                 os.path.join(path, MANIFEST_NAME))
     return checksum
 
@@ -115,10 +126,9 @@ def load_bundle(path: str) -> ModelBundle:
     if manifest.get("format_version") not in (1, FORMAT_VERSION):   # 1 adds an index
         raise BundleIntegrityError(
             f"unsupported bundle format {manifest.get('format_version')}")
-    with open(os.path.join(path, BLOB_NAME), "rb") as f:
-        blob = f.read()
+    blob = np.fromfile(os.path.join(path, BLOB_NAME), dtype=np.uint8)
     blank = _canonical_json({**manifest, "checksum": ""})
-    if _checksum(blob, blank) != manifest.get("checksum"):
+    if _checksum([blob], blank) != manifest.get("checksum"):
         raise BundleIntegrityError("checksum mismatch: bundle is corrupt")
 
     try:
@@ -135,8 +145,7 @@ def load_bundle(path: str) -> ModelBundle:
                 raise BundleIntegrityError(
                     f"tensor '{node.id}/{pname}': declared shape {shape} runs past "
                     f"the end of {BLOB_NAME} ({end} > {len(blob)} bytes)")
-            node.params[pname] = np.frombuffer(
-                blob, "<f4", (end - start) // 4, start).reshape(shape).copy()
+            node.params[pname] = blob[start:end].view("<f4").reshape(shape)
     if end != len(blob):
         raise BundleIntegrityError(
             f"{BLOB_NAME} holds {len(blob)} bytes, but the declared tensors end at {end}")
@@ -149,7 +158,7 @@ def load_bundle(path: str) -> ModelBundle:
 def bundle_fingerprint(bundle: ModelBundle) -> str:
     """Content hash of a bundle (structure + parameters), for provenance."""
     h = hashlib.sha256(_canonical_json(bundle.graph.to_manifest()))
-    for name, data in _param_bytes(bundle.graph):
+    for name, buf in _param_buffers(bundle.graph):
         h.update(name.encode())
-        h.update(data)
+        h.update(buf)
     return h.hexdigest()

@@ -37,13 +37,16 @@ class LayerKind:
     order; an entry node receives the graph input and keeps every channel.
     A keep set is an index array of surviving channels, or None for all;
     ``narrow`` runs only on nodes with at least one keep set.
+    ``backward``'s ``input_grad`` is False for an entry node, whose input
+    gradient no one reads; a rule may then skip that work and return None
+    in its place, as conv does.
     ``param_shapes`` lists every parameter in draw order.  ``trainable``
     names those counted and updated (the rest are running statistics);
     ``weights`` are drawn from the fan-in Gaussian and ``ones`` start at 1,
     every other parameter at 0.
     """
     forward: Callable    # (node, inputs, training) -> (y, cache)
-    backward: Callable   # (dy, cache) -> (*input grads, *trainable grads or None)
+    backward: Callable   # (dy, cache, input_grad) -> (*input grads, *trainable grads or None)
     opcount: Callable    # (attrs, in_shape, out_shape) -> FLOPs, convention "opcount"
     macs: Callable = lambda attrs, in_shape, out_shape: 0
     param_shapes: Callable = lambda attrs: {}               # {name: shape}
@@ -198,7 +201,7 @@ LAYERS: dict[str, LayerKind] = {
         forward=lambda node, xs, training: ops.conv2d_forward(
             xs[0], node.params["weight"], node.params.get("bias"),
             node.attrs["stride"], node.attrs["padding"]),
-        backward=lambda dy, cache: ops.conv2d_backward(dy, cache),
+        backward=lambda dy, cache, input_grad: ops.conv2d_backward(dy, cache, input_grad),
         macs=_conv_macs,
         opcount=lambda a, i, o: 2 * _conv_macs(a, i, o) + (_elems(o) if a["bias"] else 0),
         param_shapes=lambda a: _weight_bias(
@@ -210,7 +213,7 @@ LAYERS: dict[str, LayerKind] = {
                "stride": int, "padding": int, "bias": bool}),
     "batchnorm": LayerKind(
         forward=_bn_forward,
-        backward=lambda dy, cache: ops.batchnorm_backward(dy, cache),
+        backward=lambda dy, cache, _: ops.batchnorm_backward(dy, cache),
         opcount=lambda a, i, o: 2 * _elems(o),
         param_shapes=lambda a: dict.fromkeys(
             ("gamma", "beta", "running_mean", "running_var"), (a["channels"],)),
@@ -219,23 +222,23 @@ LAYERS: dict[str, LayerKind] = {
         attrs={"channels": int, "eps": float, "momentum": float}),
     "relu": LayerKind(
         forward=lambda node, xs, training: ops.relu_forward(xs[0]),
-        backward=lambda dy, cache: (ops.relu_backward(dy, cache),),
+        backward=lambda dy, cache, _: (ops.relu_backward(dy, cache),),
         opcount=lambda a, i, o: _elems(o)),
     "maxpool": LayerKind(
         forward=lambda node, xs, training: ops.maxpool_forward(
             xs[0], node.attrs["kernel"], node.attrs["stride"]),
-        backward=lambda dy, cache: (ops.maxpool_backward(dy, cache),),
+        backward=lambda dy, cache, _: (ops.maxpool_backward(dy, cache),),
         opcount=lambda a, i, o: _elems(o) * (a["kernel"] * a["kernel"] - 1),
         out_shape=_pool_shape, check=_pool_check, attrs={"kernel": int, "stride": int}),
     "globalavgpool": LayerKind(
         forward=lambda node, xs, training: ops.global_avg_pool_forward(xs[0]),
-        backward=lambda dy, cache: (ops.global_avg_pool_backward(dy, cache),),
+        backward=lambda dy, cache, _: (ops.global_avg_pool_backward(dy, cache),),
         opcount=lambda a, i, o: _elems(i) + o[0],
         out_shape=lambda node, in_shapes: (in_shapes[0][0], 1, 1)),
     "fullyconnected": LayerKind(
         forward=lambda node, xs, training: ops.linear_forward(
             xs[0], node.params["weight"], node.params.get("bias")),
-        backward=lambda dy, cache: ops.linear_backward(dy, cache),
+        backward=lambda dy, cache, _: ops.linear_backward(dy, cache),
         macs=lambda a, i, o: a["in_features"] * a["out_features"],
         opcount=lambda a, i, o: (2 * a["in_features"] * a["out_features"]
                                  + (a["out_features"] if a["bias"] else 0)),
@@ -249,7 +252,7 @@ LAYERS: dict[str, LayerKind] = {
     "gate": LayerKind(
         forward=lambda node, xs, training: gate.gate_forward(
             xs[0], node.params["w1"], node.params["w2"]),
-        backward=lambda dy, cache: gate.gate_backward(dy, cache),
+        backward=lambda dy, cache, _: gate.gate_backward(dy, cache),
         opcount=lambda a, i, o: (2 * _elems(i) + 2 * 2 * a["channels"] * a["hidden"]
                                  + a["channels"]),
         param_shapes=lambda a: {"w1": (a["hidden"], a["channels"]),
@@ -258,11 +261,11 @@ LAYERS: dict[str, LayerKind] = {
         trainable=("w1", "w2"), weights=("w1", "w2"),
         attrs={"channels": int, "reduction": int, "hidden": int}),
     "add": LayerKind(
-        forward=_add_forward, backward=lambda dy, cache: (dy, dy),
+        forward=_add_forward, backward=lambda dy, cache, _: (dy, dy),
         opcount=lambda a, i, o: _elems(o), check=_add_check, out_keep=_add_keep, arity=2),
     "softmax": LayerKind(
         forward=lambda node, xs, training: ops.softmax_forward(xs[0]),
-        backward=lambda dy, cache: (ops.softmax_backward(dy, cache),),
+        backward=lambda dy, cache, _: (ops.softmax_backward(dy, cache),),
         opcount=lambda a, i, o: 3 * _elems(o)),
 }
 

@@ -4,7 +4,8 @@
 and drops each output once its last consumer has run.  A :class:`GradTape`
 keeps each node's cache and output shape, all that ``backward`` reads;
 ``backward`` replays it in exact reverse order, accumulating parameter
-gradients into buffers shaped like the parameters themselves.  Fan-out
+gradients into buffers shaped like the parameters themselves.  It stops at
+the graph input, so an entry conv skips its input-gradient GEMMs.  Fan-out
 points (residual branches) sum their incoming gradients in a fixed edge
 order, so identical seeds give bit-identical results.
 """
@@ -91,18 +92,20 @@ class Network:
 
     # -- backward ---------------------------------------------------------------
 
-    def backward(self, dprobs: np.ndarray, tape: GradTape) -> np.ndarray:
-        """Backpropagate d(loss)/d(probabilities); returns d(loss)/d(input).
+    def backward(self, dprobs: np.ndarray, tape: GradTape) -> None:
+        """Backpropagate d(loss)/d(probabilities) into the parameters.
 
         Parameter gradients accumulate into ``tape.grads`` keyed by
-        ``(node_id, param_name)``.
+        ``(node_id, param_name)``.  The walk stops at the graph input: no
+        caller reads d(loss)/d(input), so an entry node is asked for its
+        parameter gradients only.
         """
         sink_shape = tape.outputs[self._sink]
         if dprobs.shape != sink_shape[:2]:
             raise StructuralError(
                 f"upstream gradient shape {dprobs.shape} != output {sink_shape[:2]}")
         pending: dict[str, np.ndarray] = {self._sink: dprobs[:, :, None, None]}
-        dinput = None
+        producers = self.graph.topology.producers
         for nid in reversed(tape.order):
             dy = pending.pop(nid, None)
             if dy is None:
@@ -112,22 +115,16 @@ class Network:
                 raise StructuralError(
                     f"layer '{nid}': upstream gradient shape {dy.shape} != "
                     f"forward output {tape.outputs[nid]}")
-            rules = kind_of(node)
-            grads = rules.backward(dy, tape.caches[nid])
-            dxs = grads[:rules.arity]
+            rules, prods = kind_of(node), producers[nid]
+            grads = rules.backward(dy, tape.caches[nid], bool(prods))
             for pname, grad in zip(rules.trainable, grads[rules.arity:]):
                 if grad is not None:
                     tape.accumulate(nid, pname, grad)
-            prods = self.graph.topology.producers[nid]
-            if not prods:
-                dinput = dxs[0] if dinput is None else dinput + dxs[0]
-                continue
-            for p, dx in zip(prods, dxs):
+            for p, dx in zip(prods, grads[:rules.arity]):
                 if p in pending:
                     pending[p] += dx
                 else:
                     pending[p] = dx
-        return dinput
 
     # -- parameters ----------------------------------------------------------------
 

@@ -198,8 +198,9 @@ def conv2d_forward(x, weight, bias, stride=1, padding=0):
     return y, (x, cols, weight, bias is not None, stride, padding)
 
 
-def conv2d_backward(dy, cache):
-    """Returns (dx, dweight, dbias); dbias is None when the conv has no bias.
+def conv2d_backward(dy, cache, input_grad=True):
+    """Returns (dx, dweight, dbias); dbias is None when the conv has no bias,
+    and dx is None when ``input_grad`` is False, which skips its GEMMs.
 
     The weight gradient walks the forward's tiles last to first: the last
     uses the kept patch matrix, each earlier tile is rebuilt by ``_tiles``,
@@ -217,7 +218,7 @@ def conv2d_backward(dy, cache):
     """
     x, last, weight, has_bias, stride, padding = cache
     if weight.shape[2:] == (1, 1) and not padding:
-        return _conv1x1_backward(dy, cache)
+        return _conv1x1_backward(dy, cache, input_grad)
     n, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
     _, _, ho, wo = dy.shape
@@ -238,6 +239,8 @@ def conv2d_backward(dy, cache):
             dwt += part
     dw = np.ascontiguousarray(dwt.T).reshape(weight.shape)
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
+    if not input_grad:
+        return None, dw, db
 
     # input gradient: rows r0 = padding//s to r0 + hr of each phase plane hold
     # input pixels, and likewise columns, so the runs start at (r0, r0)
@@ -267,7 +270,7 @@ def _conv1x1_forward(x, weight, bias, stride, ho, wo):
     return y, (x, xs, weight, bias is not None, stride, 0)
 
 
-def _conv1x1_backward(dy, cache):
+def _conv1x1_backward(dy, cache, input_grad):
     """(dx, dweight, dbias) of ``_conv1x1_forward`` from its cache."""
     x, xs, weight, has_bias, stride, _ = cache
     n, cin = x.shape[:2]
@@ -276,6 +279,8 @@ def _conv1x1_backward(dy, cache):
     # the per-sample products, summed in sample order
     dw = np.matmul(dy3, xs.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
     db = dy.sum(axis=(0, 2, 3)) if has_bias else None
+    if not input_grad:
+        return None, dw, db
     dxs = np.matmul(weight.reshape(cout, cin).T, dy3).reshape(n, cin, *dy.shape[2:])
     if stride == 1:
         return dxs, dw, db

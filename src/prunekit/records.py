@@ -4,9 +4,11 @@ A dataclass inheriting :class:`Record` derives to_dict/from_dict/save/load/
 fingerprint from its fields.  Decoding is strict, and an error names the
 field's path: ``PruningPlan.layers[0]: missing required field 'original'``.
 
-Every file goes through :func:`write_bytes`, the one atomic writer.  JSON is
-encoded whole with ``json.dumps`` and written once; the streaming ``json.dump``
-would issue one ``write`` per token, tens of thousands for a large manifest.
+Every file goes through :func:`write_bytes`, the one atomic writer; it takes
+a sequence of buffers, so a bundle's tensors go to the file without being
+joined.  JSON is encoded whole with ``json.dumps`` and written once; the
+streaming ``json.dump`` would issue one ``write`` per token, tens of thousands
+for a large manifest.
 """
 
 from __future__ import annotations
@@ -33,12 +35,18 @@ def content_hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def write_bytes(data: bytes, path: str) -> None:
-    """Write ``data`` by temp file and rename, so a failed write keeps the old file."""
+def write_bytes(buffers, path: str) -> None:
+    """Write a sequence of buffers back to back, by temp file and rename, so a
+    failed write keeps the old file.
+
+    Any object with the buffer protocol serves, a contiguous numpy array
+    included, so a caller passes its data as it holds it and no joined copy
+    is made.
+    """
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            f.writelines(buffers)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,7 +56,7 @@ def write_bytes(data: bytes, path: str) -> None:
 
 def write_json(obj, path: str) -> None:
     """Write indented JSON atomically; the text is encoded whole, then written once."""
-    write_bytes(json.dumps(obj, indent=1).encode(), path)
+    write_bytes([json.dumps(obj, indent=1).encode()], path)
 
 
 def read_json(path: str):

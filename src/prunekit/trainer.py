@@ -21,6 +21,8 @@ scale").
 
 :func:`penalized_loss` is the one training step's loss and gradient:
 :func:`train` runs it on every batch, and ``tests/gradcheck.py`` verifies it.
+Each epoch's evaluation runs at the training batch size, so no pass holds
+more than one training batch of activations.
 """
 
 from __future__ import annotations
@@ -172,8 +174,26 @@ def augment_batch(x: np.ndarray, rng, pad: int = 4) -> np.ndarray:
     return out
 
 
-def evaluate(bundle: ModelBundle, dataset, batch_size: int = 256) -> float:
-    """Top-1 accuracy in eval mode."""
+def _sgd_step(net: Network, opt: OptimizerState, x, y, lr: float, config: TrainConfig):
+    """One penalized SGD step on a batch; returns (loss, correct predictions).
+
+    A non-finite loss leaves the parameters unchanged.  The step's tape dies
+    with the call, so no activations outlive it into the epoch's evaluation.
+    """
+    tape = GradTape()
+    loss, probs = penalized_loss(net, x, y, config.loss_variant, config.weight_decay,
+                                 True, tape)
+    if math.isfinite(loss):
+        opt.step(net.trainable_parameters(), tape.grads, lr, config.momentum)
+    return loss, int((probs.argmax(axis=1) == y).sum())
+
+
+def evaluate(bundle: ModelBundle, dataset, batch_size: int = TrainConfig.batch_size) -> float:
+    """Top-1 accuracy in eval mode.
+
+    Eval-mode outputs are per sample, so the batch size changes only the
+    memory a pass holds; the default is :class:`TrainConfig`'s batch.
+    """
     net = Network(bundle.graph)
     correct = 0
     for x, y in dataset.batches(batch_size):
@@ -198,15 +218,11 @@ def train(bundle: ModelBundle, train_data, eval_data, config: TrainConfig):
                                                        shuffle=True, rng=rng)):
             if config.augment:
                 x = augment_batch(x, rng)
-            tape = GradTape()
-            batch_loss, probs = penalized_loss(net, x, y, config.loss_variant,
-                                               config.weight_decay, True, tape)
+            batch_loss, correct = _sgd_step(net, opt, x, y, lr, config)
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(epoch, bi)
-            opt.step(net.trainable_parameters(), tape.grads, lr, config.momentum)
-
             epoch_loss += batch_loss * x.shape[0]
-            epoch_correct += int((probs.argmax(axis=1) == y).sum())
+            epoch_correct += correct
             seen += x.shape[0]
 
         row = {
@@ -216,7 +232,7 @@ def train(bundle: ModelBundle, train_data, eval_data, config: TrainConfig):
             "train_acc": epoch_correct / seen,
         }
         if eval_data is not None:
-            row["eval_acc"] = evaluate(work, eval_data)
+            row["eval_acc"] = evaluate(work, eval_data, config.batch_size)
             # ties go to the later epoch: of equally accurate checkpoints,
             # keep the most converged one
             if row["eval_acc"] >= best_acc:

@@ -368,3 +368,39 @@ def test_load_decodes_each_node_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "checked_attrs", counted)
     loaded = load_bundle(str(tmp_path))
     assert sorted(calls) == sorted(n.id for n in loaded.graph.nodes)
+
+
+def test_loaded_tensors_are_disjoint_writable_views(bundle, tmp_path):
+    """A load's tensors share one buffer but no bytes: an in-place update to
+    one leaves its neighbours and ``params.bin`` unchanged, and ``copy``
+    detaches them."""
+    save_bundle(bundle, str(tmp_path))
+    blob = (tmp_path / BLOB_NAME).read_bytes()
+    loaded = load_bundle(str(tmp_path))
+    tensors = [n.params[p] for n in loaded.graph.nodes for p in sorted(n.params)]
+    before = [t.copy() for t in tensors]
+    owner = tensors[0].base
+    assert owner is not None and owner.nbytes == len(blob)
+    assert all(t.base is owner for t in tensors)
+    for i, t in enumerate(tensors):
+        assert t.flags.writeable
+        t += 1.0
+        for j, (other, old) in enumerate(zip(tensors, before)):
+            np.testing.assert_array_equal(other, old + 1.0 if j <= i else old)
+    assert (tmp_path / BLOB_NAME).read_bytes() == blob
+    copied = loaded.copy()
+    for node in copied.graph.nodes:
+        for pname, arr in node.params.items():
+            assert not np.shares_memory(arr, loaded.graph.node(node.id).params[pname])
+
+
+def test_save_and_load_hold_no_second_copy_of_the_parameters(tmp_path, traced_peak):
+    """A save hands the tensors to the checksum and the file as they are; a
+    load reads the blob once, into the buffer its tensors view."""
+    bundle = ModelBundle(build("resnet56", 10, with_gates=True, seed=0))
+    blob = sum(a.nbytes for n in bundle.graph.nodes for a in n.params.values())
+    saved, _ = traced_peak(lambda: save_bundle(bundle, str(tmp_path)))
+    loaded, _ = traced_peak(lambda: load_bundle(str(tmp_path)))
+    assert blob == os.path.getsize(tmp_path / BLOB_NAME) > 3_000_000
+    assert saved < blob / 4
+    assert blob <= loaded < 1.5 * blob

@@ -50,7 +50,7 @@ def test_backward_returns_input_then_trainable_grads(kind, rng):
     assert {k: v.shape for k, v in node.params.items()} == rules.param_shapes(attrs)
     x = rng.normal(size=(2, *in_shape))
     y, cache = rules.forward(node, [x] * rules.arity, True)
-    grads = rules.backward(rng.normal(size=y.shape), cache)
+    grads = rules.backward(rng.normal(size=y.shape), cache, True)
     assert len(grads) == rules.arity + len(rules.trainable)
     for dx in grads[:rules.arity]:
         assert dx.shape == x.shape

@@ -53,6 +53,41 @@ def test_residual_fanout_accumulates_both_branch_gradients(rng):
     assert {"stem.conv/weight", "s2.b1.conv1/weight", "s3.b1.conv1/weight"} <= set(report.per_param)
 
 
+@pytest.mark.parametrize("arch", ["tiny-vgg", "tiny-resnet"])
+def test_entry_conv_is_asked_for_parameter_gradients_only(arch, rng, monkeypatch):
+    """The backward stops at the graph input and returns nothing: the entry
+    conv alone skips its input gradient, and its weight and bias gradients
+    are bitwise those of the full backward."""
+    from prunekit import ops
+    from prunekit.trainer import _onehot, data_loss_and_grad
+    graph = build(arch, 4, with_gates=True, reduction=4, seed=2)
+    (entry,) = [nid for nid in graph.topo_order() if not graph.topology.producers[nid]]
+    conv = graph.node(entry)   # given a bias, so both its gradients are compared
+    conv.attrs["bias"] = True
+    conv.params["bias"] = rng.normal(size=conv.attrs["out_channels"]).astype(np.float32)
+    net = Network(graph)
+    x = rng.normal(size=(3, 8, 16, 16)).astype(np.float32)
+    tape = GradTape()
+    probs = net.forward(x, training=True, tape=tape)
+    _, dprobs = data_loss_and_grad(probs, _onehot(np.arange(3) % 4, 4, probs.dtype),
+                                   "softmax-ce")
+    original, calls = ops.conv2d_backward, []
+
+    def spy(dy, cache, input_grad=True):
+        calls.append((dy, cache, input_grad))
+        return original(dy, cache, input_grad)
+
+    monkeypatch.setattr(ops, "conv2d_backward", spy)
+    assert net.backward(dprobs, tape) is None
+    skipped = [(dy, cache) for dy, cache, input_grad in calls if not input_grad]
+    assert len(calls) == len(graph.nodes_of_kind("conv")) and len(skipped) == 1
+    dy, cache = skipped[0]
+    assert cache is tape.caches[entry]
+    _, dw, db = original(dy, cache)
+    assert tape.grads[(entry, "weight")].tobytes() == dw.tobytes()
+    assert tape.grads[(entry, "bias")].tobytes() == db.tobytes()
+
+
 def test_weight_parameters_exclude_bn_and_biases():
     g = build("tiny-vgg", 4, with_gates=True, reduction=4, seed=0)
     net = Network(g)

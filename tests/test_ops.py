@@ -141,6 +141,19 @@ class TestConvBackward:
             assert first[1].tobytes() == second[1].tobytes()
             assert first[0].tobytes() == second[0].tobytes()
 
+    @pytest.mark.parametrize("k, stride, padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
+    def test_parameter_gradients_alone_are_bitwise_the_full_ones(self, rng, k, stride, padding):
+        """``input_grad=False`` skips the input gradient and leaves the rest unchanged."""
+        x = rng.normal(size=(3, 4, 7, 7)).astype(np.float32)
+        w = rng.normal(size=(5, 4, k, k)).astype(np.float32)
+        y, cache = ops.conv2d_forward(x, w, rng.normal(size=5).astype(np.float32),
+                                      stride=stride, padding=padding)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        dx, dw, db = ops.conv2d_backward(dy, cache, input_grad=False)
+        full = ops.conv2d_backward(dy, cache)
+        assert dx is None and full[0].shape == x.shape
+        assert dw.tobytes() == full[1].tobytes() and db.tobytes() == full[2].tobytes()
+
     def test_cache_layout(self, rng, monkeypatch):
         # perfbench's tracer reads the kept patch matrix size and the weight from the cache
         x = rng.normal(size=(5, 3, 7, 8)).astype(np.float32)

@@ -1,7 +1,6 @@
 """Score collection semantics: means, stds, determinism, memory, the record file."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,17 +87,13 @@ class TestCollect:
         record = collect_scores(tiny_gated_bundle, planted.batches(16), max_batches=3)
         assert record.layers[0].samples == 48
 
-    def test_peak_memory_below_one_forward_of_activations(self, rng):
+    def test_peak_memory_below_one_forward_of_activations(self, rng, traced_peak):
         """Scoring keeps each activation only until its last reader has run."""
         bundle = ModelBundle(build("resnet56", 10, with_gates=True, seed=0))
         x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
         activations = sum(y.nbytes for _, y, _ in Network(bundle.graph).walk(x))
-        tracemalloc.start()
-        try:
-            collect_scores(bundle, [(x, None)], training=True)   # eval saturates untrained
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # training mode: eval-mode scores saturate on an untrained net
+        peak, _ = traced_peak(lambda: collect_scores(bundle, [(x, None)], training=True))
         assert peak < activations
 
 

@@ -1,13 +1,16 @@
 """Loss forms, the momentum update, the LR schedule, and the train loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from prunekit import (DatasetSpec, GradTape, ModelBundle, Network, TrainConfig, build,
                       evaluate, load_dataset, train)
+from prunekit import trainer
 from prunekit.bundle import bundle_fingerprint
+from prunekit.data import Dataset
 from prunekit.errors import TrainingDiverged
 from prunekit.trainer import (OptimizerState, data_loss_and_grad, lr_at, penalized_loss,
                               penalty_value, retrain)
@@ -191,6 +194,49 @@ class TestTrainLoop:
         out = augment_batch(x, np.random.default_rng(1))
         assert out.shape == x.shape
         assert np.abs(out).max() <= np.abs(x).max() + 1e-6
+
+
+class TestActivationBound:
+    """No pass holds more than one training batch of activations."""
+
+    def test_every_evaluation_runs_at_the_training_batch(self, planted_pair, monkeypatch):
+        train_data, eval_data = planted_pair
+        sizes, batches = [], eval_data.batches
+
+        def spy(batch_size, *args, **kwargs):
+            sizes.append(batch_size)
+            return batches(batch_size, *args, **kwargs)
+
+        monkeypatch.setattr(eval_data, "batches", spy)
+        cfg = TrainConfig(epochs=3, batch_size=24, lr=0.05, seed=0)
+        train(ModelBundle(build("tiny-vgg", 4, seed=1)), train_data, eval_data, cfg)
+        assert sizes == [24, 24, 24]
+
+    def test_epoch_evaluation_peaks_no_higher_than_a_training_step(self, traced_peak,
+                                                                   monkeypatch):
+        """Desk tiny-vgg: one 64-sample step, then an evaluation of 512 samples.
+        The evaluation's peak counts all that the epoch still holds."""
+        spec = DatasetSpec(source="synthetic-planted")
+        train_data = load_dataset(spec)
+        eval_data = load_dataset(DatasetSpec.from_dict({**spec.to_dict(), "split": "eval"}))
+        cfg = TrainConfig(epochs=1)
+        one_step = Dataset(train_data.x[:cfg.batch_size], train_data.y[:cfg.batch_size],
+                           train_data.classes)
+        bundle = ModelBundle(build("tiny-vgg", 4, with_gates=True, reduction=4, seed=0))
+        peaks, original = {}, trainer.evaluate
+
+        def measured(*args):
+            peaks["step"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            try:
+                return original(*args)
+            finally:
+                peaks["eval"] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(trainer, "evaluate", measured)
+        traced_peak(lambda: train(bundle, one_step, eval_data, cfg))
+        assert eval_data.size == 8 * cfg.batch_size
+        assert 0 < peaks["eval"] <= peaks["step"]
 
 
 class TestRetrainScratch:
