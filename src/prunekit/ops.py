@@ -32,16 +32,16 @@ patches, the weight and the tile's GEMM output stay in cache from the patch
 build to the GEMM that reads them; a whole-batch patch matrix at batch 256
 is 36 MiB and runs from memory.  Each walk over the tiles allocates one
 grid and one patch buffer and reuses them for every tile.  The conv cache
-keeps a reference to the input and the last tile's patch matrix, not the
-whole batch's: the backward walks the tiles last to first, uses the kept
-patches for the last and rebuilds each earlier tile's (recompute over
-store, Chen et al. 2016).
+keeps a reference to the input and no patch matrix: a tile holds at least
+one sample, so even one kept tile can be the whole batch's patches, about
+k*k times the input.  The backward walks the tiles last to first and
+rebuilds each one's patches (recompute over store, Chen et al. 2016).
 
 A 1x1 kernel with padding 0 skips im2col (as Caffe's ``is_1x1_`` does): its
 patch matrix is the input itself, so the conv is one batched GEMM
 ``W (cout, cin) @ xs (n, cin, ho*wo)`` written straight into the output.
 ``xs`` is a view of ``x`` at stride 1 and one strided copy otherwise; the
-cache keeps it where the general path keeps the last tile's patches.  The
+cache keeps it in the slot where the general path repeats ``x``.  The
 backward sums the per-sample products ``dy_n @ xs_n.T`` for the weight and
 scatters ``W.T @ dy_n`` onto the stride grid for the input.
 
@@ -57,8 +57,6 @@ that one element.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -142,15 +140,15 @@ def _unstage(planes, out, s, pad):
         dst[:, :, ys, xs] = planes[:, :, pa, pb, rows, cols]
 
 
-def _tiles(a, kh, kw, stride, pad, rows, wq, r0=0, stop=None):
+def _tiles(a, kh, kw, stride, pad, rows, wq, r0=0, reverse=False):
     """The patch matrices of a (n, c, h, w) padded by ``pad`` = (ph, pw), tile
     by tile: yields (start, end, cols), cols the (c*kh*kw, m*rows*wq) patches
     of samples start:end, whose row (c, u, v) is the run of rows*wq values
     from (r0 + u//s)*wq + r0 + v//s in phase (u%s, v%s).
 
-    The tiles go first to last or, given ``stop``, last to first over those
-    before ``stop``.  One zeroed grid and one patch buffer serve every tile,
-    so each tile's cols is overwritten by the next one's."""
+    The tiles go first to last or, given ``reverse``, last to first.  One
+    zeroed grid and one patch buffer serve every tile, so each tile's cols is
+    overwritten by the next one's."""
     n, c, h = a.shape[:3]
     run = rows * wq
     size = c * kh * kw * run  # one sample's patch values
@@ -159,7 +157,7 @@ def _tiles(a, kh, kw, stride, pad, rows, wq, r0=0, stop=None):
     hq = max(-(-(h + pad[0]) // stride), -(-reach // wq))
     grid = np.zeros((c, tile, stride, stride, hq, wq), dtype=a.dtype)
     buf = np.empty(size * tile, dtype=a.dtype)
-    for t in range(0, n, tile) if stop is None else reversed(range(0, stop, tile)):
+    for t in reversed(range(0, n, tile)) if reverse else range(0, n, tile):
         planes = _stage(a, t, t + tile, grid, pad)
         m = planes.shape[1]
         cols = buf[:size * m].reshape(c, kh, kw, m, run)
@@ -173,9 +171,9 @@ def _tiles(a, kh, kw, stride, pad, rows, wq, r0=0, stop=None):
 def conv2d_forward(x, weight, bias, stride=1, padding=0):
     """Cross-correlation of x (n,cin,h,w) with weight (cout,cin,kh,kw).
 
-    The cache is ``(x, cols, weight, has_bias, stride, padding)``: ``cols``
-    is the last tile's patch matrix (cin*kh*kw, kept*ho*Wq), or a 1x1 conv's
-    ``xs`` (n, cin, ho*wo), and ``x`` the input itself.
+    The cache is ``(x, xs, weight, has_bias, stride, padding)``: ``x`` is the
+    input itself, and ``xs`` is the GEMM input a 1x1 conv keeps,
+    (n, cin, ho*wo), or ``x`` again on the k x k path, which keeps no patches.
     """
     check_tensor4(x, "conv input")
     n, cin, h, w = x.shape
@@ -195,17 +193,16 @@ def conv2d_forward(x, weight, bias, stride=1, padding=0):
         if bias is not None:
             out += bias[:, None]
         y[s:e] = out.reshape(cout, -1, ho, wq)[..., :wo].transpose(1, 0, 2, 3)
-    return y, (x, cols, weight, bias is not None, stride, padding)
+    return y, (x, x, weight, bias is not None, stride, padding)
 
 
 def conv2d_backward(dy, cache, input_grad=True):
     """Returns (dx, dweight, dbias); dbias is None when the conv has no bias,
     and dx is None when ``input_grad`` is False, which skips its GEMMs.
 
-    The weight gradient walks the forward's tiles last to first: the last
-    uses the kept patch matrix, each earlier tile is rebuilt by ``_tiles``,
-    and the tiles' products with dy, laid on the (ho, Wq) output grid with
-    zero columns, are summed in that fixed order.
+    The weight gradient rebuilds the forward's tiles with ``_tiles`` and sums
+    their products with dy, laid on the (ho, Wq) output grid with zero
+    columns, last to first: a fixed order, which the trained-model hashes pin.
 
     The input gradient is one stride-1 correlation through the same tile
     walker.  Tap (u, v) = (a + s*i, b + s*j) sends dy[oy, ox] to row
@@ -216,20 +213,18 @@ def conv2d_backward(dy, cache, input_grad=True):
     and columns that hold input pixels are computed, and ``_unstage`` writes
     them to dx.
     """
-    x, last, weight, has_bias, stride, padding = cache
+    x, _, weight, has_bias, stride, padding = cache
     if weight.shape[2:] == (1, 1) and not padding:
         return _conv1x1_backward(dy, cache, input_grad)
-    n, cin, h, w = x.shape
+    _, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
     _, _, ho, wo = dy.shape
 
     # weight gradient; cols @ dy.T ran ~1.8x faster than dy @ cols.T on OpenBLAS
     wq = _width(w, stride, padding, wo)
-    start = n - last.shape[1] // (ho * wq)
-    earlier = _tiles(x, kh, kw, stride, (padding, padding), ho, wq, stop=start) if start else ()
     dyg = dwt = None
-    for s, e, cols in chain([(start, n, last)], earlier):
-        if dyg is None or dyg.shape[1] != e - s:  # the kept last tile may be short
+    for s, e, cols in _tiles(x, kh, kw, stride, (padding, padding), ho, wq, reverse=True):
+        if dyg is None or dyg.shape[1] != e - s:  # the last tile may be short
             dyg = np.zeros((cout, e - s, ho, wq), dtype=dy.dtype)
         dyg[..., :wo] = dy[s:e].transpose(1, 0, 2, 3)
         part = cols @ dyg.reshape(cout, -1).T

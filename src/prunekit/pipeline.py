@@ -106,8 +106,9 @@ def stage_train(config: PipelineConfig, state: dict) -> ModelBundle:
 
 
 def stage_score(config: PipelineConfig, state: dict) -> Record:
+    # state["hash"] is the train row's output hash: the trained bundle's fingerprint
     return collect_scores(state["train"], state["train_data"].batches(config.train.batch_size),
-                          max_batches=config.score_batches)
+                          max_batches=config.score_batches, model=state["hash"])
 
 
 def stage_plan(config: PipelineConfig, state: dict) -> Record:

@@ -54,12 +54,14 @@ def scored_conv_for_gate(graph: ArchitectureGraph, gate_id: str) -> str:
 
 
 def collect_scores(bundle: ModelBundle, batches, max_batches: int | None = None,
-                   training: bool = False) -> ScoreRecord:
+                   training: bool = False, model: str | None = None) -> ScoreRecord:
     """Run forward passes, eval mode by default, and average each gate's outputs.
 
     ``batches`` yields (x, y) pairs; only x is used.  Per-layer accumulators
     are merged in batch order, so a fixed data order gives a deterministic
-    record.
+    record.  The metadata names the scored model first: ``model``, the
+    bundle's ``bundle_fingerprint`` when the caller already holds it (a
+    pipeline's train row), else the fingerprint computed here.
     """
     if max_batches is not None and max_batches < 1:
         raise ValueError(f"max_batches must be at least 1, got {max_batches}")
@@ -99,7 +101,7 @@ def collect_scores(bundle: ModelBundle, batches, max_batches: int | None = None,
                                  mean, np.sqrt(var), seen))
 
     return ScoreRecord(layers, metadata={
-        "model": bundle_fingerprint(bundle),
+        "model": bundle_fingerprint(bundle) if model is None else model,
         "samples": seen,
         "mode": "train" if training else "eval",
     })

@@ -168,6 +168,17 @@ def test_training_tape_holds_only_what_a_cache_references(rng):
         assert shapes[tape.order[-1]] == probs.shape + (1, 1)
 
 
+def test_training_tape_keeps_no_conv_patches(rng, traced_peak):
+    """Gated resnet56, batch 2: a training forward with a tape peaks under
+    16 MiB traced.  A conv's patch matrix is about 9x its input; keeping one
+    per conv took this to 37 MiB."""
+    net = Network(build("resnet56", 10, with_gates=True, seed=0))
+    x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
+    tape = GradTape()
+    peak, _ = traced_peak(lambda: net.forward(x, training=True, tape=tape))
+    assert peak < 16 * 2**20
+
+
 def test_a_node_may_read_one_producer_twice(rng):
     nodes = [LayerNode("c", "conv", {"in_channels": 2, "out_channels": 3, "kernel": (3, 3),
                                      "stride": 1, "padding": 1, "bias": False}),

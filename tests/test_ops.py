@@ -128,16 +128,27 @@ class TestConvBackward:
             check_backward_against_oracle(x, wt, b, stride, padding)
 
     def test_repeated_backward_gives_bit_identical_weight_grad(self, rng, monkeypatch):
-        # 5 samples in tiles of 2: the kept last tile holds one, two tiles are rebuilt
+        # 5 samples in tiles of 2: the weight gradient rebuilds all three, last to first
         x = rng.normal(size=(5, 3, 6, 6)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        walks, tiles = [], ops._tiles
+
+        def spy(*args, **kwargs):
+            walks.append([])
+            for s, e, cols in tiles(*args, **kwargs):
+                walks[-1].append((s, e))
+                yield s, e, cols
+
+        monkeypatch.setattr(ops, "_tiles", spy)
         for stride in (1, 2):
             ho, wq = 6 // stride, -(-7 // stride)  # the left-padded input is 7 wide
             monkeypatch.setattr(ops, "TILE_BYTES", 2 * 3 * 9 * ho * wq * 4)
             y, cache = ops.conv2d_forward(x, w, None, stride=stride, padding=1)
-            assert cache[1].shape == (3 * 9, ho * wq)
             dy = rng.normal(size=y.shape).astype(np.float32)
+            del walks[:]
             first, second = ops.conv2d_backward(dy, cache), ops.conv2d_backward(dy, cache)
+            # each backward: the weight gradient's walk, then the input gradient's
+            assert walks[0] == walks[2] == [(4, 5), (2, 4), (0, 2)]
             assert first[1].tobytes() == second[1].tobytes()
             assert first[0].tobytes() == second[0].tobytes()
 
@@ -155,24 +166,18 @@ class TestConvBackward:
         assert dw.tobytes() == full[1].tobytes() and db.tobytes() == full[2].tobytes()
 
     def test_cache_layout(self, rng, monkeypatch):
-        # perfbench's tracer reads the kept patch matrix size and the weight from the cache
+        # perfbench's tracer reads slot 1's size and the weight from the cache;
+        # the k x k path keeps the input there and no patch matrix
         x = rng.normal(size=(5, 3, 7, 8)).astype(np.float32)
         w = rng.normal(size=(4, 3, 2, 3)).astype(np.float32)
-        (_, cin, _, w_in), (_, _, kh, kw) = x.shape, w.shape
-        # left-padded to 9 columns and split into stride-2 phases 5 columns
-        # wide: the patches run over a 4x5 output grid whose last column is cropped
-        ho, wo, wq = 4, 4, 5
-        assert wq == max(wo, -(-(w_in + 1) // 2)) != wo
-        sample = cin * kh * kw * ho * wq * x.itemsize
-        # one tile keeps all 5 samples' patches; tiles of 2 leave 1 in the last
-        for tile_bytes, kept in ((ops.TILE_BYTES, 5), (2 * sample, 1)):
+        # one tile of all 5 samples, or tiles of 2: a sample's patches are
+        # cin*kh*kw = 18 runs of a 4x5 output grid
+        for tile_bytes in (ops.TILE_BYTES, 2 * 18 * 4 * 5 * x.itemsize):
             monkeypatch.setattr(ops, "TILE_BYTES", tile_bytes)
             y, cache = ops.conv2d_forward(x, w, None, stride=2, padding=1)
-            assert y.shape[2:] == (ho, wo)
-            x_in, cols, weight, has_bias, stride, padding = cache
-            assert cols.shape == (cin * kh * kw, kept * ho * wq)
-            assert cols.nbytes == kept * sample
-            assert x_in is x and weight is w
+            assert y.shape[2:] == (4, 4)
+            x_in, kept, weight, has_bias, stride, padding = cache
+            assert x_in is x and kept is x and weight is w
             assert (has_bias, stride, padding) == (False, 2, 1)
 
 
@@ -223,7 +228,7 @@ class TestConv1x1:
         x = rng.normal(size=(2, 3, 4, 5))
         wt, b = rng.normal(size=(2, 3, 1, 1)), rng.normal(size=2)
         y, cache = ops.conv2d_forward(x, wt, b, 1, 1)
-        assert cache[1].shape == (3, 2 * 6 * 7)   # the patch matrix of the padded input
+        assert cache[0] is x and cache[1] is x  # the general path's, not a 1x1 GEMM input
         np.testing.assert_allclose(y, conv2d_loops(x, wt, b, padding=1), rtol=1e-9, atol=1e-9)
         check_backward_against_oracle(x, wt, b, stride=1, padding=1)
 

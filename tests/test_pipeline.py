@@ -175,8 +175,9 @@ class TestSweep:
         assert (variant_cfg.prune.sign, variant_cfg.prune.beta) == ("plus", 8)
 
     def test_a_variant_does_not_hash_its_parent(self, tmp_path, monkeypatch):
-        """Five model hashes: build, train, the score record's model and one per
-        compact save.  Every module alias of ``bundle_fingerprint`` is counted."""
+        """Four model hashes: build, train and one per compact save; the score
+        record reuses the train row's hash.  Every module alias of
+        ``bundle_fingerprint`` is counted."""
         calls = []
 
         def counted(bundle):
@@ -190,7 +191,7 @@ class TestSweep:
                         monkeypatch.setattr(module, alias, counted)
         run_sweep(small_config(str(tmp_path / "sweep"), epochs=1),
                   [("minus", 2), ("plus", 2)])
-        assert len(calls) == 5
+        assert len(calls) == 4
 
 
 class TestStageUniformWithoutTargets:
@@ -249,6 +250,18 @@ class TestCli:
         assert main(["retrain", "--model", model, "--data", data_json,
                      "--report", str(report), "--out", str(tmp_path / "out")]) == 2
         assert "missing required field 'flops_after'" in capsys.readouterr().err
+
+    def test_score_records_the_fingerprint_of_the_model_it_scored(self, tmp_path):
+        model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
+        scores = str(tmp_path / "scores.json")
+        assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--with-gates",
+                     "--reduction", "4", "--out", model]) == 0
+        json.dump(DatasetSpec(source="synthetic-planted", classes=4, samples=32).to_dict(),
+                  open(data_json, "w"))
+        assert main(["score", "--model", model, "--data", data_json, "--out", scores]) == 0
+        metadata = read_json(scores)["metadata"]
+        assert list(metadata) == ["model", "samples", "mode"]
+        assert metadata["model"] == bundle_fingerprint(load_bundle(model))
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--max-batches", "0", "max_batches"), ("--max-batches", "-1", "max_batches"),
