@@ -237,15 +237,24 @@ def initialize_parameters(graph: ArchitectureGraph, seed: int,
 
     A name in ``weights`` gets the fan-in Gaussian of He et al. (2015),
     N(0, 2 / prod(shape[1:])); a name in ``ones`` starts at 1 and every
-    other parameter at 0.
+    other parameter at 0.  Every weight is drawn into one reused float64
+    buffer, scaled there and cast to ``dtype``: the same draws in the same
+    order as ``rng.normal(0.0, std, shape).astype(dtype)``, bit for bit.
     """
     rng = np.random.default_rng(seed)
-    for node in graph.nodes:
-        rules = kind_of(node)
-        for name, shape in rules.param_shapes(node.attrs).items():
+    declared = [(node, rules, rules.param_shapes(node.attrs))
+                for node in graph.nodes for rules in [kind_of(node)]]
+    buf = np.empty(max((math.prod(shape) for _, rules, shapes in declared
+                        for name, shape in shapes.items() if name in rules.weights),
+                       default=0))
+    for node, rules, shapes in declared:
+        for name, shape in shapes.items():
             if name in rules.weights:
-                std = np.sqrt(2.0 / math.prod(shape[1:]))
-                node.params[name] = rng.normal(0.0, std, shape).astype(dtype)
+                draw = buf[:math.prod(shape)]
+                rng.standard_normal(out=draw)
+                draw *= np.sqrt(2.0 / math.prod(shape[1:]))
+                draw += 0.0     # rng.normal adds its loc, which turns -0.0 into 0.0
+                node.params[name] = draw.reshape(shape).astype(dtype)
             else:
                 node.params[name] = np.full(shape, 1.0 if name in rules.ones else 0.0, dtype)
 

@@ -157,11 +157,19 @@ class ArchitectureGraph:
             raise GraphValidationError(["graph contains a cycle"])
         return self.topology.order
 
-    def copy(self) -> "ArchitectureGraph":
+    def skeleton(self) -> "ArchitectureGraph":
+        """A copy that holds no parameters: the same node ids, attrs copied."""
         g = ArchitectureGraph(
-            [n.copy() for n in self.nodes], self.edges, self.input_shape,
-            [b.copy() for b in self.blocks], [s.copy() for s in self.stages], self.arch)
+            [LayerNode(n.id, n.kind, dict(n.attrs)) for n in self.nodes], self.edges,
+            self.input_shape, [b.copy() for b in self.blocks],
+            [s.copy() for s in self.stages], self.arch)
         g.topology = self.topology   # same ids and edges, so the same dataflow
+        return g
+
+    def copy(self) -> "ArchitectureGraph":
+        g = self.skeleton()
+        for node, src in zip(g.nodes, self.nodes):
+            node.params = {k: v.copy() for k, v in src.params.items()}
         return g
 
     # -- shape inference ----------------------------------------------------

@@ -2,16 +2,17 @@
 
 An entry of :data:`LAYERS` says, for one kind, how a node runs forward and
 backward, what shape it outputs, which widths it must agree with, what it
-costs, how pruning narrows it, and which parameters it has.  That last rule,
-``param_shapes``, is the one statement of a kind's parameters: the parameter
-count, the initialization, the shape check of graph validation, the tensor
-layout of a bundle's blob and the names of ``backward``'s parameter gradients
-all derive from it.  ``attrs``, ``{name: type}``, is the one statement of a
-kind's attributes, all required: :func:`checked_attrs` holds built graphs and
-loaded manifests to it and to :data:`ATTR_MINIMUM`, so no rule reads a default
-or divides by a zero stride.  The executor, graph, accounting, rewriter,
-bundle and builders look rules up here rather than branching on the kind
-themselves, so a new kind touches this file only.
+costs, how pruning narrows its widths and slices its parameters, and which
+parameters it has.  That last rule, ``param_shapes``, is the one statement
+of a kind's parameters: the parameter count, the initialization, the shape
+check of graph validation, the tensor layout of a bundle's blob and the
+names of ``backward``'s parameter gradients all derive from it.  ``attrs``,
+``{name: type}``, is the one statement of a kind's attributes, all
+required: :func:`checked_attrs` holds built graphs and loaded manifests to
+it and to :data:`ATTR_MINIMUM`, so no rule reads a default or divides by a
+zero stride.  The executor, graph, accounting, rewriter, bundle and
+builders look rules up here rather than branching on the kind themselves,
+so a new kind touches this file only.
 
 Rules call ``ops`` and ``gate`` through the module attribute at call time,
 so a wrapper installed on those functions (a profiler, say) sees every call.
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import gate, ops
 from .errors import PlanError, StructuralError
-from .records import decode
+from .records import _plain, decode
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,12 @@ class LayerKind:
     ``in_shapes`` and ``in_keeps`` hold one entry per producer, in edge
     order; an entry node receives the graph input and keeps every channel.
     A keep set is an index array of surviving channels, or None for all;
-    ``narrow`` runs only on nodes with at least one keep set.
+    ``narrow`` runs only on nodes with at least one keep set; it sets the
+    node's widths and touches no parameter.  ``param_keeps`` says, for each
+    axis of each parameter, which keep set indexes it when the rewriter
+    gathers a compact tensor: ``"in"`` or ``"out"``, the node's input or
+    output keep set; ``"lead"``, the leading entries, as many as the
+    narrowed shape has (a gate's hidden units); ``"all"``, the whole axis.
     ``backward``'s ``input_grad`` is False for an entry node, whose input
     gradient no one reads; a rule may then skip that work and return None
     in its place, as conv does.
@@ -53,7 +59,8 @@ class LayerKind:
     out_shape: Callable = lambda node, in_shapes: in_shapes[0]
     check: Callable = lambda node, in_shapes: ()           # yields violation messages
     out_keep: Callable = lambda node, in_keeps, planned: in_keeps[0]
-    narrow: Callable = lambda node, in_keep, out_keep: None  # slices in place
+    narrow: Callable = lambda node, in_keep, out_keep: None  # sets widths in place
+    param_keeps: dict = field(default_factory=dict)   # {name: keep role per axis}
     trainable: tuple[str, ...] = ()
     weights: tuple[str, ...] = ()           # operands of the L2 penalty
     ones: tuple[str, ...] = ()
@@ -106,17 +113,10 @@ def _conv_macs(a, in_shape, out_shape):
 
 
 def _conv_narrow(node, in_keep, out_keep):
-    p = node.params
-    w = p["weight"]
     if out_keep is not None:
-        w = w[out_keep]
         node.attrs["out_channels"] = len(out_keep)
-        if "bias" in p:
-            p["bias"] = p["bias"][out_keep].copy()
     if in_keep is not None:
-        w = w[:, in_keep]
         node.attrs["in_channels"] = len(in_keep)
-    p["weight"] = np.ascontiguousarray(w)
 
 
 def _pool_shape(node, in_shapes):
@@ -145,8 +145,6 @@ def _bn_forward(node, inputs, training):
 
 def _bn_narrow(node, in_keep, out_keep):
     node.attrs["channels"] = len(in_keep)
-    for name, p in node.params.items():
-        node.params[name] = p[in_keep].copy()
 
 
 def _gate_check(node, in_shapes):
@@ -158,11 +156,8 @@ def _gate_check(node, in_shapes):
 
 
 def _gate_narrow(node, in_keep, out_keep):
-    hid = gate.hidden_width(len(in_keep), node.attrs["reduction"])
     node.attrs["channels"] = len(in_keep)
-    node.attrs["hidden"] = hid
-    node.params["w1"] = np.ascontiguousarray(node.params["w1"][:hid, in_keep])
-    node.params["w2"] = np.ascontiguousarray(node.params["w2"][in_keep, :hid])
+    node.attrs["hidden"] = gate.hidden_width(len(in_keep), node.attrs["reduction"])
 
 
 def _fc_check(node, in_shapes):
@@ -174,7 +169,6 @@ def _fc_check(node, in_shapes):
 
 def _fc_narrow(node, in_keep, out_keep):
     node.attrs["in_features"] = len(in_keep)
-    node.params["weight"] = np.ascontiguousarray(node.params["weight"][:, in_keep])
 
 
 def _add_forward(node, inputs, training):
@@ -207,6 +201,7 @@ LAYERS: dict[str, LayerKind] = {
         param_shapes=lambda a: _weight_bias(
             (a["out_channels"], a["in_channels"], *a["kernel"]), a["bias"]),
         out_shape=_conv_shape, check=_conv_check, narrow=_conv_narrow,
+        param_keeps={"weight": ("out", "in", "all", "all"), "bias": ("out",)},
         out_keep=lambda node, in_keeps, planned: planned,
         trainable=("weight", "bias"), weights=("weight",),
         attrs={"in_channels": int, "out_channels": int, "kernel": tuple[int, int],
@@ -218,6 +213,7 @@ LAYERS: dict[str, LayerKind] = {
         param_shapes=lambda a: dict.fromkeys(
             ("gamma", "beta", "running_mean", "running_var"), (a["channels"],)),
         check=_bn_check, narrow=_bn_narrow,
+        param_keeps=dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), ("in",)),
         trainable=("gamma", "beta"), ones=("gamma", "running_var"),
         attrs={"channels": int, "eps": float, "momentum": float}),
     "relu": LayerKind(
@@ -246,6 +242,7 @@ LAYERS: dict[str, LayerKind] = {
             (a["out_features"], a["in_features"]), a["bias"]),
         out_shape=lambda node, in_shapes: (node.attrs["out_features"], 1, 1),
         check=_fc_check, narrow=_fc_narrow,
+        param_keeps={"weight": ("all", "in"), "bias": ("all",)},
         out_keep=lambda node, in_keeps, planned: None,
         trainable=("weight", "bias"), weights=("weight",),
         attrs={"in_features": int, "out_features": int, "bias": bool}),
@@ -258,6 +255,7 @@ LAYERS: dict[str, LayerKind] = {
         param_shapes=lambda a: {"w1": (a["hidden"], a["channels"]),
                                 "w2": (a["channels"], a["hidden"])},
         check=_gate_check, narrow=_gate_narrow,
+        param_keeps={"w1": ("lead", "in"), "w2": ("in", "lead")},
         trainable=("w1", "w2"), weights=("w1", "w2"),
         attrs={"channels": int, "reduction": int, "hidden": int}),
     "add": LayerKind(
@@ -283,28 +281,43 @@ ATTR_MINIMUM = {"kernel": 1, "stride": 1, "padding": 0, "reduction": 1, "in_chan
                 "out_channels": 1, "channels": 1, "hidden": 1, "in_features": 1,
                 "out_features": 1}
 
+# per kind, the (name, least value) of each attribute it declares, in ATTR_MINIMUM order
+_MINIMA = {kind: tuple((name, least) for name, least in ATTR_MINIMUM.items()
+                       if name in rules.attrs) for kind, rules in LAYERS.items()}
+
 
 def checked_attrs(node) -> dict:
     """``node.attrs`` decoded against its kind's ``attrs`` by ``records.decode``.
 
     A missing, extra or mistyped attribute, or one below its :data:`ATTR_MINIMUM`,
-    raises StructuralError naming the layer.
+    raises StructuralError naming the layer.  A value that decodes to itself
+    is taken as it is, so the error path is formatted only for the others.
     """
-    declared, where = kind_of(node).attrs, f"layer '{node.id}': {node.kind}"
-    for name in declared:
-        if name not in node.attrs:
-            raise StructuralError(f"{where} lacks attribute '{name}'")
-    for name in node.attrs:
-        if name not in declared:
-            raise StructuralError(f"{where} has no attribute '{name}'")
-    try:
-        attrs = {name: decode(hint, node.attrs[name], f"{where} attribute '{name}'")
-                 for name, hint in declared.items()}
-    except ValueError as exc:
-        raise StructuralError(str(exc)) from None
-    for name, least in ATTR_MINIMUM.items():
-        value = attrs.get(name, least)
+    declared = kind_of(node).attrs
+    if node.attrs.keys() != declared.keys():
+        where = _where(node)
+        for name in declared:
+            if name not in node.attrs:
+                raise StructuralError(f"{where} lacks attribute '{name}'")
+        for name in node.attrs:
+            if name not in declared:
+                raise StructuralError(f"{where} has no attribute '{name}'")
+    attrs = {}
+    for name, hint in declared.items():
+        value = node.attrs[name]
+        if not _plain(hint, value):
+            try:
+                value = decode(hint, value, f"{_where(node)} attribute '{name}'")
+            except ValueError as exc:
+                raise StructuralError(str(exc)) from None
+        attrs[name] = value
+    for name, least in _MINIMA[node.kind]:
+        value = attrs[name]
         if (min(value) if isinstance(value, tuple) else value) < least:
             raise StructuralError(
-                f"{where} attribute '{name}' must be at least {least}, got {attrs[name]}")
+                f"{_where(node)} attribute '{name}' must be at least {least}, got {value}")
     return attrs
+
+
+def _where(node) -> str:
+    return f"layer '{node.id}': {node.kind}"

@@ -120,11 +120,10 @@ class Network:
             for pname, grad in zip(rules.trainable, grads[rules.arity:]):
                 if grad is not None:
                     tape.accumulate(nid, pname, grad)
+            # out of place: an add hands both inputs one dy, and a gradient may
+            # be a read-only broadcast view, so no pending array is written to
             for p, dx in zip(prods, grads[:rules.arity]):
-                if p in pending:
-                    pending[p] += dx
-                else:
-                    pending[p] = dx
+                pending[p] = pending[p] + dx if p in pending else dx
 
     # -- parameters ----------------------------------------------------------------
 

@@ -7,9 +7,15 @@ input side is sliced to match.  Residual adds assert that both branches
 arrive with the same kept set, which stage-uniform plans guarantee by
 construction.
 
-Two modes: ``inherit-weights`` copies the surviving kernel slices bitwise
-(the fine-tuning path); ``architecture-only`` re-initializes every parameter
-from a seed (the retrain-from-scratch path).
+A rewrite is a width walk, then a parameter step.  The walk runs over the
+parent's :meth:`~ArchitectureGraph.skeleton`, which holds no parameters:
+each kind's ``narrow`` sets widths from the kept sets, and gates are
+stripped there, so no parent tensor is copied or sliced.  The parameter
+step depends on the mode.  ``inherit-weights`` gathers each surviving
+tensor bitwise from the parent's arrays, one fresh copy per tensor, its
+axes indexed as the kind's ``param_keeps`` declares (the fine-tuning
+path).  ``architecture-only`` draws every parameter from a seed and reads
+no parent tensor (the retrain-from-scratch path).
 """
 
 from __future__ import annotations
@@ -57,9 +63,32 @@ def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelB
                 f"plan says layer '{lp.layer_id}' has {lp.original} channels, "
                 f"model has {node.attrs['out_channels']}")
 
+    new_graph, out_keep = _width_walk(graph, plan, opts.strip_gates)
+    if opts.mode == "architecture-only":
+        initialize_parameters(new_graph, opts.seed)
+    else:
+        prods = new_graph.topology.producers
+        for node in new_graph.nodes:
+            in_keep = out_keep[prods[node.id][0]] if prods[node.id] else None
+            _inherit(node, graph.node(node.id), in_keep, out_keep[node.id])
+    new_graph.check_valid()
+
+    meta = dict(model.metadata)
+    meta.update({"rewrite_mode": opts.mode, "plan": plan.fingerprint()})
+    if opts.mode == "architecture-only":
+        meta["init"] = {"scheme": "fan-in-gaussian", "seed": opts.seed}
+    return ModelBundle(new_graph, meta)
+
+
+def _width_walk(graph, plan: PruningPlan, strip: bool):
+    """The compact graph without parameters, and the kept set leaving each node.
+
+    The walk runs over the parent's skeleton, so it reads no parent tensor.
+    """
     # a gate only passes kept sets through, so stripping it first gives the same
-    # compact graph, and the parent's parameters are copied once
-    new_graph = strip_gates(graph) if opts.strip_gates else graph.copy()
+    # compact graph
+    view = graph.skeleton()
+    new_graph = strip_gates(view) if strip else view
     # kept channel sets flow in dataflow order; None means every channel survives
     planned, prods = plan.layer_map(), new_graph.topology.producers
     out_keep: dict[str, np.ndarray | None] = {}
@@ -78,14 +107,26 @@ def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelB
                   for bid in st.block_ids}
         if len(widths) == 1:
             st.width = widths.pop()
+    return new_graph, out_keep
 
-    if opts.mode == "architecture-only":
-        initialize_parameters(new_graph, opts.seed)
-    new_graph.check_valid()
 
-    meta = dict(model.metadata)
-    meta.update({"rewrite_mode": opts.mode, "plan": plan.fingerprint()})
-    if opts.mode == "architecture-only":
-        meta["init"] = {"scheme": "fan-in-gaussian", "seed": opts.seed}
-    return ModelBundle(new_graph, meta)
+def _inherit(node, parent, in_keep, out_keep) -> None:
+    """Gather each of ``parent``'s tensors into narrowed ``node``.
 
+    Every tensor is one fresh C-contiguous copy, made by one gather with an
+    index array on each axis up to the last one the keep sets cut; a tensor
+    no keep set cuts is copied whole.
+    """
+    rules = kind_of(node)
+    shapes = rules.param_shapes(node.attrs)
+    keeps = {"in": in_keep, "out": out_keep}
+    for name, a in parent.params.items():
+        index = [np.arange(n) if role == "lead" and n != full else keeps.get(role)
+                 for role, n, full in zip(rules.param_keeps[name], shapes[name], a.shape)]
+        while index and index[-1] is None:
+            index.pop()
+        if index:
+            node.params[name] = a[np.ix_(*[np.arange(full) if keep is None else keep
+                                           for full, keep in zip(a.shape, index)])]
+        else:
+            node.params[name] = a.copy()

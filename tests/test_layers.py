@@ -58,3 +58,16 @@ def test_backward_returns_input_then_trainable_grads(kind, rng):
     for name, grad in zip(rules.trainable, grads[rules.arity:]):
         if grad is not None:
             assert grad.shape == declared[name]
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_every_parameter_axis_has_a_keep_role(kind):
+    """The rewriter gathers a compact tensor axis by axis, so a kind with
+    parameters cannot be rewritten without a role for each axis."""
+    rules, (attrs, _) = LAYERS[kind], TINY[kind]
+    shapes = rules.param_shapes(attrs)
+    assert set(rules.param_keeps) == set(shapes)
+    for name, shape in shapes.items():
+        roles = rules.param_keeps[name]
+        assert len(roles) == len(shape), name
+        assert set(roles) <= {"in", "out", "lead", "all"}, name

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from prunekit import GradTape, ModelBundle, Network, build
+from prunekit import GradTape, ModelBundle, Network, build, data, trainer
 from prunekit.builders import initialize_parameters
 from prunekit.errors import StructuralError
 from prunekit.graph import ArchitectureGraph, LayerNode
@@ -192,3 +192,48 @@ def test_a_node_may_read_one_producer_twice(rng):
     assert g.validate() == []
     outputs = {node.id: y for node, y, _ in Network(g).walk(rng.normal(size=(1, 2, 4, 4)))}
     np.testing.assert_array_equal(outputs["sum"], 2 * outputs["c"])
+
+
+def _conv3(nid, cin, cout):
+    return LayerNode(nid, "conv", {"in_channels": cin, "out_channels": cout, "kernel": (3, 3),
+                                   "stride": 1, "padding": 1, "bias": False})
+
+
+def _head(channels):
+    return [LayerNode("gap", "globalavgpool"),
+            LayerNode("fc", "fullyconnected", {"in_features": channels, "out_features": 2,
+                                                "bias": True}),
+            LayerNode("softmax", "softmax")]
+
+
+def test_a_node_feeding_two_adds_gets_each_gradient_once(rng):
+    """``a`` feeds ``b``, ``add1`` and ``add2``; an add hands both inputs one
+    upstream gradient, which must reach ``a`` as two summands, not be added
+    into in place."""
+    nodes = [_conv3("e", 2, 3), LayerNode("a", "relu"), _conv3("b", 3, 3),
+             LayerNode("add1", "add"), LayerNode("add2", "add"), LayerNode("r", "relu"),
+             *_head(3)]
+    edges = [("e", "a"), ("a", "b"), ("a", "add1"), ("b", "add1"), ("add1", "add2"),
+             ("a", "add2"), ("add2", "r"), ("r", "gap"), ("gap", "fc"), ("fc", "softmax")]
+    g = ArchitectureGraph(nodes, edges, (2, 4, 4))
+    initialize_parameters(g, seed=0)
+    assert g.validate() == []
+    report = grad_check(ModelBundle(g), rng.normal(size=(2, 2, 4, 4)), np.array([0, 1]),
+                        samples_per_tensor=None)
+    assert report.ok, report.failures[:3]
+    assert {"e/weight", "b/weight"} <= set(report.per_param)
+
+
+def test_an_add_may_feed_global_pooling_in_training(rng):
+    """Global pooling's input gradient is a read-only broadcast; an add passes it
+    to both its inputs, and ``c1``, which also feeds ``c2``, sums into it."""
+    nodes = [_conv3("c1", 2, 3), _conv3("c2", 3, 3), LayerNode("sum", "add"), *_head(3)]
+    edges = [("c1", "c2"), ("c1", "sum"), ("c2", "sum"), ("sum", "gap"), ("gap", "fc"),
+             ("fc", "softmax")]
+    g = ArchitectureGraph(nodes, edges, (2, 4, 4))
+    initialize_parameters(g, seed=0)
+    train = data.Dataset(rng.normal(size=(4, 2, 4, 4)).astype(np.float32),
+                         np.array([0, 1, 0, 1]), 2)
+    _, history = trainer.train(ModelBundle(g), train, None,
+                               trainer.TrainConfig(epochs=1, batch_size=2))
+    assert np.isfinite(history[-1]["train_loss"])

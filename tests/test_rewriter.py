@@ -10,6 +10,7 @@ from prunekit.errors import PlanError
 from prunekit.graph import ArchitectureGraph, LayerNode
 from prunekit.builders import initialize_parameters
 from prunekit.planner import LayerPlan, PruningPlan, make_plan
+from prunekit.rewriter import REWRITE_MODES
 from prunekit.scoring import LayerScore, ScoreRecord
 
 VGG19_PRUNED_3 = [40, 64, 128, 128, 256, 256, 256, 256,
@@ -231,15 +232,15 @@ def test_gate_hidden_width_recomputed_when_retained():
     assert out.graph.validate() == []
 
 
-def _vgg_every_third_channel():
-    graph = build("tiny-vgg", 4, with_gates=True, reduction=4, seed=3)
+def _vgg_every_third_channel(init=True):
+    graph = build("tiny-vgg", 4, with_gates=True, reduction=4, seed=3, init=init)
     return graph, PruningPlan(PruneConfig(), [
         LayerPlan(n.id, n.attrs["out_channels"], tuple(range(0, n.attrs["out_channels"], 3)))
         for n in graph.nodes_of_kind("conv")])
 
 
-def _resnet_stage_uniform():
-    graph = build("tiny-resnet", 4, with_gates=True, reduction=4, seed=2)
+def _resnet_stage_uniform(init=True):
+    graph = build("tiny-resnet", 4, with_gates=True, reduction=4, seed=2, init=init)
     rng = np.random.default_rng(5)
     record = ScoreRecord([LayerScore(b.last_conv, b.last_conv, c, rng.random(c), np.zeros(c), 1)
                           for b in graph.blocks
@@ -250,28 +251,74 @@ def _resnet_stage_uniform():
 
 # bundle_fingerprint of each compact net: a gate only passes kept sets through,
 # so stripping gates before or after the keep-set walk must give these digests
-@pytest.mark.parametrize("case, mode, strip, digest", [
-    (_vgg_every_third_channel, "inherit-weights", True,
-     "de0aeeaaa710f34611fd86222297d768c9f822879c06ad7f1c0ce2fc5f54ca05"),
-    (_vgg_every_third_channel, "inherit-weights", False,
-     "cc0d35b67bec88215788f6d5681a45693829187b2fca8cce5364172e25f95afb"),
-    (_vgg_every_third_channel, "architecture-only", True,
-     "89b597a27671797a027326dca0613fb79cd535b0f9923053614e5b3c7dd3d7ed"),
-    (_vgg_every_third_channel, "architecture-only", False,
-     "c9367b60faf051ffb96c83d6272b000c4c8ec9bffed573f398b2c32be98c430b"),
-    (_resnet_stage_uniform, "inherit-weights", True,
-     "9e9b2640caa43dc5b2be2536fa1f1e969df6b29644fd0bdf6a2649bd24283f99"),
-    (_resnet_stage_uniform, "inherit-weights", False,
-     "472abdeae326e4ef6958bb4936645ef02400c34fdaa92434d921e2b15d17f263"),
-    (_resnet_stage_uniform, "architecture-only", True,
-     "83c2bb69984b6c72838697694bbe8257ef886b3cbe83c32661b7121a4cb5a519"),
-    (_resnet_stage_uniform, "architecture-only", False,
-     "d17c5c688730a14f513774c991986e70c77f8e6a59d0c3270e73538660ccd3d3"),
-], ids=["vgg-inherit", "vgg-inherit-keep-gates", "vgg-scratch", "vgg-scratch-keep-gates",
-        "resnet-inherit", "resnet-inherit-keep-gates", "resnet-scratch",
-        "resnet-scratch-keep-gates"])
+PINNED = [
+    pytest.param(_vgg_every_third_channel, "inherit-weights", True,
+                 "de0aeeaaa710f34611fd86222297d768c9f822879c06ad7f1c0ce2fc5f54ca05",
+                 id="vgg-inherit"),
+    pytest.param(_vgg_every_third_channel, "inherit-weights", False,
+                 "cc0d35b67bec88215788f6d5681a45693829187b2fca8cce5364172e25f95afb",
+                 id="vgg-inherit-keep-gates"),
+    pytest.param(_vgg_every_third_channel, "architecture-only", True,
+                 "89b597a27671797a027326dca0613fb79cd535b0f9923053614e5b3c7dd3d7ed",
+                 id="vgg-scratch"),
+    pytest.param(_vgg_every_third_channel, "architecture-only", False,
+                 "c9367b60faf051ffb96c83d6272b000c4c8ec9bffed573f398b2c32be98c430b",
+                 id="vgg-scratch-keep-gates"),
+    pytest.param(_resnet_stage_uniform, "inherit-weights", True,
+                 "9e9b2640caa43dc5b2be2536fa1f1e969df6b29644fd0bdf6a2649bd24283f99",
+                 id="resnet-inherit"),
+    pytest.param(_resnet_stage_uniform, "inherit-weights", False,
+                 "472abdeae326e4ef6958bb4936645ef02400c34fdaa92434d921e2b15d17f263",
+                 id="resnet-inherit-keep-gates"),
+    pytest.param(_resnet_stage_uniform, "architecture-only", True,
+                 "83c2bb69984b6c72838697694bbe8257ef886b3cbe83c32661b7121a4cb5a519",
+                 id="resnet-scratch"),
+    pytest.param(_resnet_stage_uniform, "architecture-only", False,
+                 "d17c5c688730a14f513774c991986e70c77f8e6a59d0c3270e73538660ccd3d3",
+                 id="resnet-scratch-keep-gates"),
+]
+
+
+@pytest.mark.parametrize("case, mode, strip, digest", PINNED)
 def test_compact_net_is_pinned(case, mode, strip, digest):
     graph, plan = case()
     out = apply(ModelBundle(graph), plan, RewriteOptions(mode=mode, strip_gates=strip, seed=9))
     assert out.graph.validate() == []
     assert bundle_fingerprint(out) == digest
+
+
+@pytest.mark.parametrize("case, mode, strip, digest",
+                         [p for p in PINNED if p.values[1] == "architecture-only"])
+def test_architecture_only_reads_no_parent_tensor(case, mode, strip, digest):
+    """The width walk reads widths only, so a parent built without parameters
+    gives the compact net of the initialised one."""
+    graph, plan = case(init=False)
+    assert not any(n.params for n in graph.nodes)
+    out = apply(ModelBundle(graph), plan, RewriteOptions(mode=mode, strip_gates=strip, seed=9))
+    assert bundle_fingerprint(out) == digest
+
+
+@pytest.mark.parametrize("mode", REWRITE_MODES)
+@pytest.mark.parametrize("strip", [True, False], ids=["strip", "keep-gates"])
+def test_apply_copies_no_parent_tensor(mode, strip, traced_peak):
+    """On gated resnet56 at quarter widths, apply holds the compact net's tensors,
+    never a copy of the parent's 3.4 MB, and each compact tensor is an array of
+    its own, a tensor no keep set touches included."""
+    graph = build("resnet56", 10, with_gates=True, seed=0)
+    record = ScoreRecord([LayerScore(b.last_conv, b.last_conv, c, np.linspace(1, 0, c),
+                                     np.zeros(c), 1)
+                          for b in graph.blocks
+                          for c in [graph.node(b.last_conv).attrs["out_channels"]]])
+    cfg = PruneConfig(policy="resnet-stage-uniform", stage_targets=((1, 4), (2, 8), (3, 16)))
+    plan = make_plan(record, graph, cfg)
+    parent_bytes = sum(a.nbytes for n in graph.nodes for a in n.params.values())
+    peak, out = traced_peak(lambda: apply(ModelBundle(graph), plan,
+                                          RewriteOptions(mode=mode, strip_gates=strip, seed=1)))
+    assert peak < parent_bytes / 2
+    untouched = 0
+    for node in out.graph.nodes:
+        for name, a in node.params.items():
+            parent = graph.node(node.id).params[name]
+            assert a.flags.c_contiguous and not np.shares_memory(a, parent), (node.id, name)
+            untouched += a.shape == parent.shape
+    assert untouched
