@@ -32,7 +32,6 @@ bottleneck convs are bias-free throughout, matching the usual design.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -260,11 +259,15 @@ def initialize_parameters(graph: ArchitectureGraph, seed: int,
 
 
 def strip_gates(graph: ArchitectureGraph) -> ArchitectureGraph:
-    """Remove every gate node, splicing its producer to its consumers."""
-    producers = graph.topology.producers
-    redirect = {n.id: producers[n.id] for n in graph.nodes if n.kind == "gate"}
+    """The graph's skeleton, each gate's producer spliced to its consumers; no tensors.
+
+    ``rewriter.apply`` with an identity plan strips a model and keeps its weights.
+    """
+    g = graph.skeleton()
+    producers = g.topology.producers
+    redirect = {n.id: producers[n.id] for n in g.nodes if n.kind == "gate"}
     if not redirect:
-        return graph.copy()
+        return g
     for gid, prods in redirect.items():
         if len(prods) != 1:
             raise GraphValidationError([f"gate '{gid}' must have exactly one producer"])
@@ -274,9 +277,9 @@ def strip_gates(graph: ArchitectureGraph) -> ArchitectureGraph:
             nid = redirect[nid][0]
         return nid
 
-    nodes = [n.copy() for n in graph.nodes if n.id not in redirect]
-    edges = [(resolve(s), d) for s, d in graph.edges if d not in redirect]
-    blocks = [replace(b, node_ids=[nid for nid in b.node_ids if nid not in redirect],
-                      gate_id=None) for b in graph.blocks]
-    return ArchitectureGraph(nodes, edges, graph.input_shape, blocks,
-                             [s.copy() for s in graph.stages], graph.arch)
+    for b in g.blocks:   # the skeleton's own copies
+        b.node_ids = [nid for nid in b.node_ids if nid not in redirect]
+        b.gate_id = None
+    return ArchitectureGraph([n for n in g.nodes if n.id not in redirect],
+                             [(resolve(s), d) for s, d in g.edges if d not in redirect],
+                             g.input_shape, g.blocks, g.stages, g.arch)

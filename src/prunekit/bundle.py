@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BundleIntegrityError, GraphValidationError, StructuralError
 from .graph import ArchitectureGraph
-from .layers import kind_of
+from .layers import kind_of, tensor_mismatch
 from .records import decode, read_json, write_bytes
 
 MANIFEST_NAME = "manifest.json"
@@ -74,19 +74,6 @@ def _param_buffers(graph: ArchitectureGraph):
             yield f"{node.id}/{pname}", np.ascontiguousarray(node.params[pname], dtype="<f4")
 
 
-def _check_declared(node) -> None:
-    """Raise unless ``node``'s tensors are exactly the names and shapes its kind declares."""
-    declared = kind_of(node).param_shapes(node.attrs)
-    for pname in sorted(declared.keys() | node.params.keys()):
-        want = declared.get(pname)
-        have = node.params[pname].shape if pname in node.params else None
-        if have != want:
-            raise BundleIntegrityError(f"tensor '{node.id}/{pname}': " + (
-                f"missing, {node.kind} declares shape {want}" if have is None else
-                f"not a parameter of {node.kind}" if want is None else
-                f"shape {have} != declared {want}"))
-
-
 def _checksum(blob, canonical: bytes) -> str:
     """sha256 of the blob's buffers, back to back, followed by the canonical
     manifest with its checksum field blank."""
@@ -100,7 +87,8 @@ def _checksum(blob, canonical: bytes) -> str:
 def save_bundle(bundle: ModelBundle, path: str) -> str:
     """Write manifest + blob into directory ``path``; returns the checksum."""
     for node in bundle.graph.nodes:
-        _check_declared(node)
+        if problem := tensor_mismatch(node):
+            raise BundleIntegrityError(problem)
     blob = [buf for _, buf in _param_buffers(bundle.graph)]
     manifest = {
         "format_version": FORMAT_VERSION,

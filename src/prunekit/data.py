@@ -50,8 +50,12 @@ class DatasetSpec(Record):
         at_least(self, DataError, samples=1, channels=1, image_size=1, noise_std=0, seed=0)
         if self.split not in ("train", "eval"):
             raise DataError(f"split must be train or eval, got '{self.split}'")
-        if self.source == "synthetic-planted" and self.signal_channels < 1:
-            raise DataError("synthetic-planted needs at least one signal channel")
+        if self.source == "synthetic-planted":   # class_amplitudes raises if no code fits
+            at_least(self, DataError, signal_channels=1)
+            if self.signal_channels > self.channels:
+                raise DataError(f"signal_channels ({self.signal_channels}) must be at most "
+                                f"channels ({self.channels})")
+            class_amplitudes(self.classes, self.signal_channels, self.amplitude)
 
 
 @dataclass
@@ -151,8 +155,8 @@ def class_amplitudes(classes: int, signal_channels: int, amplitude: float) -> np
             amps[k, k] = amplitude
         return amps
     if 2 ** signal_channels < classes:
-        raise DataError(f"{signal_channels} signal channels cannot encode "
-                        f"{classes} classes")
+        raise DataError(f"signal_channels ({signal_channels}) cannot encode {classes} "
+                        f"classes; needs 2**signal_channels >= classes")
     for k in range(classes):
         for c in range(signal_channels):
             amps[k, c] = amplitude * (1 + ((k >> c) & 1))
@@ -171,8 +175,6 @@ def spatial_template(image_size: int, seed: int) -> np.ndarray:
 
 
 def _make_planted(spec: DatasetSpec) -> Dataset:
-    if spec.signal_channels > spec.channels:
-        raise DataError("more signal channels than channels")
     split_salt = 0 if spec.split == "train" else 1
     rng = np.random.default_rng((spec.seed, split_salt))
     n = spec.samples

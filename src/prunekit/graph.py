@@ -28,10 +28,6 @@ class LayerNode:
     attrs: dict[str, Any] = field(default_factory=dict)
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def copy(self) -> "LayerNode":
-        return LayerNode(self.id, self.kind, dict(self.attrs),
-                         {k: v.copy() for k, v in self.params.items()})
-
 
 @dataclass
 class BlockInfo(Record):
@@ -46,9 +42,6 @@ class BlockInfo(Record):
     shortcut_conv: Optional[str]  # None for identity shortcuts
     gate_id: Optional[str] = None
 
-    def copy(self) -> "BlockInfo":
-        return replace(self, node_ids=list(self.node_ids))
-
 
 @dataclass
 class StageInfo(Record):
@@ -56,9 +49,6 @@ class StageInfo(Record):
     index: int
     width: int
     block_ids: list[str]
-
-    def copy(self) -> "StageInfo":
-        return replace(self, block_ids=list(self.block_ids))
 
 
 @dataclass
@@ -161,12 +151,13 @@ class ArchitectureGraph:
         """A copy that holds no parameters: the same node ids, attrs copied."""
         g = ArchitectureGraph(
             [LayerNode(n.id, n.kind, dict(n.attrs)) for n in self.nodes], self.edges,
-            self.input_shape, [b.copy() for b in self.blocks],
-            [s.copy() for s in self.stages], self.arch)
+            self.input_shape, [replace(b, node_ids=list(b.node_ids)) for b in self.blocks],
+            [replace(s, block_ids=list(s.block_ids)) for s in self.stages], self.arch)
         g.topology = self.topology   # same ids and edges, so the same dataflow
         return g
 
     def copy(self) -> "ArchitectureGraph":
+        """The skeleton plus a copy of every tensor; a graph is copied these two ways only."""
         g = self.skeleton()
         for node, src in zip(g.nodes, self.nodes):
             node.params = {k: v.copy() for k, v in src.params.items()}

@@ -5,9 +5,10 @@ backward, what shape it outputs, which widths it must agree with, what it
 costs, how pruning narrows its widths and slices its parameters, and which
 parameters it has.  That last rule, ``param_shapes``, is the one statement
 of a kind's parameters: the parameter count, the initialization, the shape
-check of graph validation, the tensor layout of a bundle's blob and the
-names of ``backward``'s parameter gradients all derive from it.  ``attrs``,
-``{name: type}``, is the one statement of a kind's attributes, all
+check of graph validation, the tensor check of a bundle save and of a
+network (:func:`tensor_mismatch`), the tensor layout of a bundle's blob and
+the names of ``backward``'s parameter gradients all derive from it.
+``attrs``, ``{name: type}``, is the one statement of a kind's attributes, all
 required: :func:`checked_attrs` holds built graphs and loaded manifests to
 it and to :data:`ATTR_MINIMUM`, so no rule reads a default or divides by a
 zero stride.  The executor, graph, accounting, rewriter, bundle and
@@ -274,6 +275,20 @@ def kind_of(node) -> LayerKind:
         return LAYERS[node.kind]
     except KeyError:
         raise StructuralError(f"layer '{node.id}': unknown kind '{node.kind}'") from None
+
+
+def tensor_mismatch(node) -> str | None:
+    """Why ``node``'s tensors are not exactly the names and shapes its kind declares, or None."""
+    declared = kind_of(node).param_shapes(node.attrs)
+    for pname in sorted(declared.keys() | node.params.keys()):
+        want = declared.get(pname)
+        have = node.params[pname].shape if pname in node.params else None
+        if have != want:
+            return f"tensor '{node.id}/{pname}': " + (
+                f"missing, {node.kind} declares shape {want}" if have is None else
+                f"not a parameter of {node.kind}" if want is None else
+                f"shape {have} != declared {want}")
+    return None
 
 
 # the least value of an attribute, whichever kind declares it; per axis for a kernel

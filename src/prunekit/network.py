@@ -3,11 +3,12 @@
 :meth:`Network.walk` runs an :class:`ArchitectureGraph` in topological order
 and drops each output once its last consumer has run.  A :class:`GradTape`
 keeps each node's cache and output shape, all that ``backward`` reads;
-``backward`` replays it in exact reverse order, accumulating parameter
-gradients into buffers shaped like the parameters themselves.  It stops at
-the graph input, so an entry conv skips its input-gradient GEMMs.  Fan-out
-points (residual branches) sum their incoming gradients in a fixed edge
-order, so identical seeds give bit-identical results.
+``backward`` replays its caches, keyed in execution order, in reverse,
+accumulating parameter gradients into buffers shaped like the parameters
+themselves.  It stops at the graph input, so an entry conv skips its
+input-gradient GEMMs.  Fan-out points (residual branches) sum their
+incoming gradients in a fixed edge order, so identical seeds give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -17,17 +18,19 @@ import numpy as np
 from . import ops
 from .errors import StructuralError
 from .graph import ArchitectureGraph
-from .layers import kind_of
+from .layers import kind_of, tensor_mismatch
 
 
 class GradTape:
     """Execution record of one forward pass plus gradient accumulators."""
 
     def __init__(self):
-        self.order: list[str] = []            # node ids in execution order
-        self.caches: dict[str, object] = {}
+        self.caches: dict[str, object] = {}   # in execution order
         self.outputs: dict[str, tuple] = {}   # output shapes, for backward's checks
         self.grads: dict[tuple[str, str], np.ndarray] = {}
+
+    # node ids in execution order, the caches' keys; the benchmark's tests read it
+    order = property(lambda self: list(self.caches))
 
     def accumulate(self, node_id: str, param: str, grad: np.ndarray) -> None:
         key = (node_id, param)
@@ -41,6 +44,9 @@ class Network:
     """Executable wrapper around a graph and its parameters."""
 
     def __init__(self, graph: ArchitectureGraph):
+        for node in graph.nodes:
+            if problem := tensor_mismatch(node):
+                raise StructuralError(problem)
         self.graph = graph
         self._sink = graph.nodes_of_kind("softmax")[0].id
         prods = graph.topology.producers
@@ -83,7 +89,6 @@ class Network:
         """Run :meth:`walk` to the end; returns class probabilities of shape (n, classes)."""
         for node, y, cache in self.walk(x, training):
             if tape is not None:
-                tape.order.append(node.id)
                 tape.caches[node.id] = cache
                 tape.outputs[node.id] = y.shape
             if node.id == self._sink:
@@ -106,7 +111,7 @@ class Network:
                 f"upstream gradient shape {dprobs.shape} != output {sink_shape[:2]}")
         pending: dict[str, np.ndarray] = {self._sink: dprobs[:, :, None, None]}
         producers = self.graph.topology.producers
-        for nid in reversed(tape.order):
+        for nid in reversed(tape.caches):
             dy = pending.pop(nid, None)
             if dy is None:
                 continue

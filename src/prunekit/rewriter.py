@@ -8,9 +8,9 @@ arrive with the same kept set, which stage-uniform plans guarantee by
 construction.
 
 A rewrite is a width walk, then a parameter step.  The walk runs over the
-parent's :meth:`~ArchitectureGraph.skeleton`, which holds no parameters:
-each kind's ``narrow`` sets widths from the kept sets, and gates are
-stripped there, so no parent tensor is copied or sliced.  The parameter
+parent's :meth:`~ArchitectureGraph.skeleton`, which holds no parameters,
+or over ``strip_gates``' splice of it: each kind's ``narrow`` sets widths
+from the kept sets, so no parent tensor is copied or sliced.  The parameter
 step depends on the mode.  ``inherit-weights`` gathers each surviving
 tensor bitwise from the parent's arrays, one fresh copy per tensor, its
 axes indexed as the kind's ``param_keeps`` declares (the fine-tuning
@@ -49,7 +49,10 @@ class RewriteOptions:
 
 
 def apply(model: ModelBundle, plan: PruningPlan, opts: RewriteOptions) -> ModelBundle:
-    """Rewrite a model per the plan; the result passes graph validation."""
+    """Rewrite a model per the plan; the result passes graph validation.
+
+    An identity plan in inherit-weights mode is the one way to strip a
+    model's gates and keep its weights, every tensor bit for bit."""
     plan.validate()
     graph = model.graph
     for lp in plan.layers:
@@ -87,8 +90,7 @@ def _width_walk(graph, plan: PruningPlan, strip: bool):
     """
     # a gate only passes kept sets through, so stripping it first gives the same
     # compact graph
-    view = graph.skeleton()
-    new_graph = strip_gates(view) if strip else view
+    new_graph = strip_gates(graph) if strip else graph.skeleton()
     # kept channel sets flow in dataflow order; None means every channel survives
     planned, prods = plan.layer_map(), new_graph.topology.producers
     out_keep: dict[str, np.ndarray | None] = {}

@@ -203,13 +203,15 @@ def evaluate(bundle: ModelBundle, dataset, batch_size: int = TrainConfig.batch_s
 
 
 def train(bundle: ModelBundle, train_data, eval_data, config: TrainConfig):
-    """Run the epoch loop; returns (best checkpoint bundle, history rows)."""
+    """Run the epoch loop; returns (best checkpoint bundle, history rows).
+
+    The best epoch is kept as a ``graph.copy()``; without eval data, the last."""
     work = bundle.copy()
     net = Network(work.graph)
     opt = OptimizerState()
     rng = np.random.default_rng(config.seed)
     history = []
-    best_acc, best_params, best_epoch = -1.0, None, -1
+    best_acc, best, best_epoch = -1.0, work.graph, config.epochs - 1
 
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)
@@ -236,24 +238,13 @@ def train(bundle: ModelBundle, train_data, eval_data, config: TrainConfig):
             # ties go to the later epoch: of equally accurate checkpoints,
             # keep the most converged one
             if row["eval_acc"] >= best_acc:
-                best_acc = row["eval_acc"]
-                best_epoch = epoch
-                best_params = {(n.id, p): a.copy()
-                               for n in work.graph.nodes for p, a in n.params.items()}
+                best_acc, best_epoch = row["eval_acc"], epoch
+                best = work.graph.copy()
         history.append(row)
 
-    if best_params is not None:
-        for node in work.graph.nodes:
-            for pname in node.params:
-                node.params[pname] = best_params[(node.id, pname)]
-    work.metadata = dict(work.metadata)
-    work.metadata.update({
-        "epochs_seen": config.epochs,
-        "best_epoch": best_epoch if best_params is not None else config.epochs - 1,
-        "seed": config.seed,
-        "train_config": config.to_dict(),
-    })
-    return work, history
+    return ModelBundle(best, {**work.metadata, "epochs_seen": config.epochs,
+                              "best_epoch": best_epoch, "seed": config.seed,
+                              "train_config": config.to_dict()}), history
 
 
 def retrain(compact: ModelBundle, train_data, eval_data, base_config: TrainConfig,

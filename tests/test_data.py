@@ -188,6 +188,14 @@ def test_spec_validation():
         DatasetSpec(source="synthetic-random", split="dev")
     with pytest.raises(DataError, match="signal"):
         DatasetSpec(source="synthetic-planted", signal_channels=0)
+    with pytest.raises(DataError, match=r"signal_channels \(4\) must be at most channels \(3\)"):
+        DatasetSpec(source="synthetic-planted", channels=3)
+    with pytest.raises(DataError, match=r"signal_channels \(2\) cannot encode 5 classes"):
+        DatasetSpec(source="synthetic-planted", classes=5, signal_channels=2)
+    # a binary code over amplitudes {a, 2a} fits 2**signal_channels classes
+    DatasetSpec(source="synthetic-planted", classes=4, signal_channels=2)
+    # only the planted task reads signal_channels
+    DatasetSpec(source="synthetic-random", channels=3)
 
 
 def test_random_source_shapes():

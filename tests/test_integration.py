@@ -163,3 +163,18 @@ def test_benchmark_reads_only_names_that_exist():
     quick_start = _literals(PERFBENCH / "workloads.py")["QUICK_START"]
     cfg = PipelineConfig.from_dict(quick_start)
     assert cfg.to_dict() == quick_start
+
+
+def test_benchmark_workloads_read_only_attributes_that_exist():
+    """Every ``module.name`` the benchmark's workloads read of a module they
+    import from prunekit resolves."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name: f"prunekit.{alias.name}" for stmt in tree.body
+               if isinstance(stmt, ast.ImportFrom) and stmt.module == "prunekit"
+               for alias in stmt.names}
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {"builders", "rewriter", "trainer"} <= modules.keys() and read
+    assert sorted(f"{m}.{name}" for m, name in read
+                  if not hasattr(importlib.import_module(modules[m]), name)) == []

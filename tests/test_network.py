@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from prunekit import GradTape, ModelBundle, Network, build, data, trainer
+from prunekit import GradTape, ModelBundle, Network, build, data, strip_gates, trainer
 from prunekit.builders import initialize_parameters
 from prunekit.errors import StructuralError
 from prunekit.graph import ArchitectureGraph, LayerNode
@@ -150,7 +150,7 @@ def test_training_tape_holds_only_what_a_cache_references(rng):
         tape = GradTape()
         probs = net.forward(rng.normal(size=(2, 8, 16, 16)).astype(np.float32),
                             training=True, tape=tape)
-        assert list(refs) == tape.order
+        assert list(refs) == list(tape.caches)   # keyed in execution order
         held = {id(a) for a in _arrays(list(tape.caches.values()))}
         alive = {nid: ref() for nid, ref in refs.items() if ref() is not None}
         assert [nid for nid, y in alive.items() if id(y) not in held] == []
@@ -165,7 +165,7 @@ def test_training_tape_holds_only_what_a_cache_references(rng):
         assert masked == {n.id for n in g.nodes_of_kind("maxpool")}
         # the tape's outputs are shapes, enough for backward's checks
         assert tape.outputs == shapes
-        assert shapes[tape.order[-1]] == probs.shape + (1, 1)
+        assert shapes[next(reversed(tape.caches))] == probs.shape + (1, 1)
 
 
 def test_training_tape_keeps_no_conv_patches(rng, traced_peak):
@@ -177,6 +177,21 @@ def test_training_tape_keeps_no_conv_patches(rng, traced_peak):
     tape = GradTape()
     peak, _ = traced_peak(lambda: net.forward(x, training=True, tape=tape))
     assert peak < 16 * 2**20
+
+
+def test_a_graph_that_lacks_a_declared_tensor_is_refused(rng):
+    """Structure without tensors (a stripped or uninitialised graph) or a lost
+    bias fails naming the layer and the tensor, not with a bare KeyError."""
+    x = rng.normal(size=(1, 8, 16, 16)).astype(np.float32)
+    no_bias = build("tiny-vgg", 4, seed=0)
+    del no_bias.node("fc").params["bias"]
+    weightless = "tensor 'conv1/weight': missing, conv declares shape (16, 8, 3, 3)"
+    for g, message in [(build("tiny-vgg", 4, init=False), weightless),
+                       (strip_gates(build("tiny-vgg", 4, with_gates=True, seed=0)), weightless),
+                       (no_bias, "tensor 'fc/bias': missing, fullyconnected declares shape (4,)")]:
+        with pytest.raises(StructuralError) as err:
+            Network(g).forward(x)
+        assert str(err.value) == message
 
 
 def test_a_node_may_read_one_producer_twice(rng):

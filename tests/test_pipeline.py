@@ -493,6 +493,10 @@ class TestCli:
          "min_channels must be at least 1, got 0"),
         ("pipeline", "--config", {"train": {"weight_decay": -1}},
          "weight_decay must be at least 0, got -1"),
+        ("pipeline", "--config", {"data": {**SPEC, "channels": 3}},
+         "signal_channels (4) must be at most channels (3)"),
+        ("pipeline", "--config", {"data": {**SPEC, "signal_channels": 1}},
+         "signal_channels (1) cannot encode 4 classes"),
     ], ids=["pipeline-unknown", "data-unknown", "data-list", "config-lr", "scores-gate_id",
             "scores-short-mean", "plan-original", "report-unknown", "pipeline-epochs-0",
             "pipeline-batch-0", "pipeline-samples-0", "pipeline-classes-mismatch",
@@ -501,7 +505,8 @@ class TestCli:
             "report-convention", "pipeline-lr-gamma-negative", "pipeline-seed-negative",
             "pipeline-channels-0", "pipeline-image-size-0", "pipeline-noise-std-negative",
             "pipeline-score-batches-0", "pipeline-reduction-0", "pipeline-classes-1",
-            "pipeline-beta-0", "pipeline-min-channels-0", "pipeline-weight-decay-negative"])
+            "pipeline-beta-0", "pipeline-min-channels-0", "pipeline-weight-decay-negative",
+            "pipeline-signal-over-channels", "pipeline-signal-cannot-encode"])
     def test_malformed_json_input_exits_2(self, tmp_path, capsys, command, flag, content, named):
         model, data_json = str(tmp_path / "m"), str(tmp_path / "data.json")
         assert main(["build", "--arch", "tiny-vgg", "--classes", "4", "--out", model]) == 0
@@ -514,6 +519,7 @@ class TestCli:
         # the bad file comes last, so it wins over a valid file given for the same flag
         assert main([command, *valid, "--out", str(tmp_path / "out"), flag, str(bad)]) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()   # no stage ran, no manifest written
 
     def test_missing_config_exits_2_naming_it(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

@@ -31,18 +31,22 @@ index_sets = st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True).ma
     lambda kept: tuple(sorted(kept)))
 
 counts = st.integers(1, 64)     # epochs, batch size, samples and widths start at 1
-dataset_specs = st.builds(
-    DatasetSpec, source=st.sampled_from(SOURCES), root=st.none() | names,
-    split=st.sampled_from(("train", "eval")), subset=st.floats(0.01, 1.0),
-    classes=small, samples=counts, channels=counts, signal_channels=st.integers(1, 8),
-    image_size=counts, amplitude=unit, noise_std=unit, seed=small)
 
 
-def with_classes(spec, num_classes):
-    """Synthetic data draws the pipeline's class count; CIFAR data keeps its own."""
-    if spec is None or not spec.source.startswith("synthetic"):
-        return spec
-    return dataclasses.replace(spec, classes=num_classes)
+@st.composite
+def dataset_specs(draw, num_classes):
+    """Synthetic data draws the pipeline's class count, CIFAR data its own; a
+    planted task's signal channels fit in its channels and encode its classes."""
+    source = draw(st.sampled_from(SOURCES))
+    classes = num_classes if source.startswith("synthetic") else draw(small)
+    planted = source == "synthetic-planted"
+    signal = draw(st.integers(max(1, (classes - 1).bit_length()) if planted else 1, 8))
+    return DatasetSpec(
+        source=source, root=draw(st.none() | names),
+        split=draw(st.sampled_from(("train", "eval"))), subset=draw(st.floats(0.01, 1.0)),
+        classes=classes, samples=draw(counts),
+        channels=draw(st.integers(signal, 64) if planted else counts), signal_channels=signal,
+        image_size=draw(counts), amplitude=draw(unit), noise_std=draw(unit), seed=draw(small))
 
 
 # stage targets only pass with the policy that reads them
@@ -56,7 +60,8 @@ prune_configs = st.sampled_from(POLICIES).flatmap(lambda policy: st.builds(
 pipeline_configs = st.integers(2, 64).flatmap(lambda num_classes: st.builds(
     PipelineConfig,
     arch=names, num_classes=st.just(num_classes),
-    data=(st.none() | dataset_specs).map(lambda spec: with_classes(spec, num_classes)),
+    # data=None is a planted task over 4 signal channels, which encode at most 16 classes
+    data=(st.none() if num_classes <= 2 ** 4 else st.nothing()) | dataset_specs(num_classes),
     train=st.builds(
         TrainConfig, epochs=counts, batch_size=counts, lr=st.floats(1e-4, 1.0),
         momentum=st.floats(0.0, 0.99), weight_decay=unit, seed=small,

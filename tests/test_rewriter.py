@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prunekit import (ModelBundle, Network, PruneConfig, RewriteOptions, apply,
-                      build, count_params, identity_plan, report)
+                      build, count_params, identity_plan, report, strip_gates)
 from prunekit.bundle import bundle_fingerprint
 from prunekit.errors import PlanError
 from prunekit.graph import ArchitectureGraph, LayerNode
@@ -62,6 +62,39 @@ class TestIdentityRewrite:
         rows = report(tiny_gated_bundle.graph, out.graph).per_layer
         assert rows and all(r["params_after"] == r["params_before"] and
                             r["width_after"] == r["width_before"] for r in rows)
+
+
+GATED_FAMILIES = ("tiny-vgg", "tiny-resnet", "resnet56", "preresnet164")
+
+
+@pytest.mark.parametrize("arch", GATED_FAMILIES)
+def test_identity_apply_is_the_weight_keeping_strip(arch):
+    """Applying the identity plan gives strip_gates' structure and keeps every
+    other tensor of the parent, bit for bit."""
+    graph = build(arch, 10, with_gates=True, seed=0)
+    out = apply(ModelBundle(graph), identity_plan(graph), RewriteOptions())
+    assert out.graph.to_manifest() == strip_gates(graph).to_manifest()
+    for node in out.graph.nodes:
+        parent = graph.node(node.id).params
+        assert node.params.keys() == parent.keys()
+        for name, a in node.params.items():
+            assert a.dtype == parent[name].dtype and a.tobytes() == parent[name].tobytes()
+
+
+@pytest.mark.parametrize("mode", REWRITE_MODES)
+def test_apply_makes_at_most_one_node_per_parent_node(mode, monkeypatch):
+    """The width walk strips gates by splicing the skeleton's own nodes, so
+    each parent node is copied once."""
+    graph = build("tiny-resnet", 4, with_gates=True, seed=0)
+    made, init = [], LayerNode.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LayerNode, "__init__", counted)
+    apply(ModelBundle(graph), identity_plan(graph), RewriteOptions(mode=mode, seed=1))
+    assert len(made) == len(set(made)) and set(made) <= {n.id for n in graph.nodes}
 
 
 class TestPublishedWidths:
