@@ -47,6 +47,11 @@ class LayerKind:
     ``backward``'s ``input_grad`` is False for an entry node, whose input
     gradient no one reads; a rule may then skip that work and return None
     in its place, as conv does.
+    ``keeps_input`` says that the kind's training cache references its input
+    array, so that array lives on the tape anyway.  ``lean_forward``, if
+    set, is the training forward the executor runs for a node whose output
+    no consumer keeps: its cache stands in for the output in fewer bytes,
+    as a ReLU's 1-byte mask does.
     ``param_shapes`` lists every parameter in draw order.  ``trainable``
     names those counted and updated (the rest are running statistics);
     ``weights`` are drawn from the fan-in Gaussian and ``ones`` start at 1,
@@ -66,6 +71,8 @@ class LayerKind:
     weights: tuple[str, ...] = ()           # operands of the L2 penalty
     ones: tuple[str, ...] = ()
     arity: int = 1
+    keeps_input: bool = False
+    lean_forward: Callable | None = None   # as ``forward``; see above
     attrs: dict = field(default_factory=dict)   # {name: type}, every one required
 
 
@@ -204,7 +211,7 @@ LAYERS: dict[str, LayerKind] = {
         out_shape=_conv_shape, check=_conv_check, narrow=_conv_narrow,
         param_keeps={"weight": ("out", "in", "all", "all"), "bias": ("out",)},
         out_keep=lambda node, in_keeps, planned: planned,
-        trainable=("weight", "bias"), weights=("weight",),
+        trainable=("weight", "bias"), weights=("weight",), keeps_input=True,
         attrs={"in_channels": int, "out_channels": int, "kernel": tuple[int, int],
                "stride": int, "padding": int, "bias": bool}),
     "batchnorm": LayerKind(
@@ -219,6 +226,7 @@ LAYERS: dict[str, LayerKind] = {
         attrs={"channels": int, "eps": float, "momentum": float}),
     "relu": LayerKind(
         forward=lambda node, xs, training: ops.relu_forward(xs[0]),
+        lean_forward=lambda node, xs, training: ops.relu_forward(xs[0], mask=True),
         backward=lambda dy, cache, _: (ops.relu_backward(dy, cache),),
         opcount=lambda a, i, o: _elems(o)),
     "maxpool": LayerKind(
@@ -245,7 +253,7 @@ LAYERS: dict[str, LayerKind] = {
         check=_fc_check, narrow=_fc_narrow,
         param_keeps={"weight": ("all", "in"), "bias": ("all",)},
         out_keep=lambda node, in_keeps, planned: None,
-        trainable=("weight", "bias"), weights=("weight",),
+        trainable=("weight", "bias"), weights=("weight",), keeps_input=True,
         attrs={"in_features": int, "out_features": int, "bias": bool}),
     "gate": LayerKind(
         forward=lambda node, xs, training: gate.gate_forward(
@@ -257,7 +265,7 @@ LAYERS: dict[str, LayerKind] = {
                                 "w2": (a["channels"], a["hidden"])},
         check=_gate_check, narrow=_gate_narrow,
         param_keeps={"w1": ("lead", "in"), "w2": ("in", "lead")},
-        trainable=("w1", "w2"), weights=("w1", "w2"),
+        trainable=("w1", "w2"), weights=("w1", "w2"), keeps_input=True,
         attrs={"channels": int, "reduction": int, "hidden": int}),
     "add": LayerKind(
         forward=_add_forward, backward=lambda dy, cache, _: (dy, dy),

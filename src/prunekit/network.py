@@ -5,10 +5,17 @@ and drops each output once its last consumer has run.  A :class:`GradTape`
 keeps each node's cache and output shape, all that ``backward`` reads;
 ``backward`` replays its caches, keyed in execution order, in reverse,
 accumulating parameter gradients into buffers shaped like the parameters
-themselves.  It stops at the graph input, so an entry conv skips its
+themselves.  It consumes the tape: each cache is freed once its node's rule
+has run, so a tape serves one backward and a step's peak is its forward
+tape.  The walk stops at the graph input, so an entry conv skips its
 input-gradient GEMMs.  Fan-out points (residual branches) sum their
 incoming gradients in a fixed edge order, so identical seeds give
 bit-identical results.
+
+A training walk runs a kind's ``lean_forward``, where it has one, for a
+node that no consumer's cache keeps (``LayerKind.keeps_input``): a ReLU
+that feeds a max-pool caches a 1-byte mask rather than its output, while
+one that feeds a conv caches the output the conv keeps anyway.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from .layers import kind_of, tensor_mismatch
 
 
 class GradTape:
-    """Execution record of one forward pass plus gradient accumulators."""
+    """Execution record of one forward pass plus gradient accumulators;
+    ``Network.backward`` empties ``caches`` and ``outputs`` as it goes."""
 
     def __init__(self):
         self.caches: dict[str, object] = {}   # in execution order
@@ -49,8 +57,13 @@ class Network:
                 raise StructuralError(problem)
         self.graph = graph
         self._sink = graph.nodes_of_kind("softmax")[0].id
-        prods = graph.topology.producers
+        prods, cons = graph.topology.producers, graph.topology.consumers
         self._last_consumer = {p: nid for nid in graph.topo_order() for p in prods[nid]}
+        # the training forward of each node whose output no consumer's cache keeps
+        self._lean = {node.id: lean for node in graph.nodes
+                      if (lean := kind_of(node).lean_forward) is not None
+                      and not any(kind_of(graph.node(c)).keeps_input
+                                  for c in cons.get(node.id, ()))}
 
     # -- forward --------------------------------------------------------------
 
@@ -60,7 +73,8 @@ class Network:
         Each output is dropped once its last consumer has run, so a caller
         that keeps nothing holds only the activations still to be read.
         Train mode lets batchnorm use batch statistics and update its running
-        statistics in place; eval mode reads running statistics only.
+        statistics in place, and runs a node's lean forward where
+        ``__init__`` found one; eval mode reads running statistics only.
         """
         ops.check_tensor4(x, "network input")
         if x.shape[1] != self.graph.input_shape[0]:
@@ -73,7 +87,8 @@ class Network:
             node = self.graph.node(nid)
             prods = topology.producers[nid]
             src = [live[p] for p in prods] if prods else [x]
-            forward = kind_of(node).forward
+            rules = kind_of(node)
+            forward = self._lean.get(nid, rules.forward) if training else rules.forward
             try:
                 y, cache = forward(node, src, training)
             except StructuralError as exc:
@@ -101,34 +116,42 @@ class Network:
         """Backpropagate d(loss)/d(probabilities) into the parameters.
 
         Parameter gradients accumulate into ``tape.grads`` keyed by
-        ``(node_id, param_name)``.  The walk stops at the graph input: no
-        caller reads d(loss)/d(input), so an entry node is asked for its
-        parameter gradients only.
+        ``(node_id, param_name)``.  Each node's cache and output shape leave
+        the tape once its rule has run, so the tape serves one backward.
+        The walk stops at the graph input: no caller reads d(loss)/d(input),
+        so an entry node is asked for its parameter gradients only.
         """
+        if self._sink not in tape.outputs:
+            raise StructuralError(
+                "backward needs the tape of a forward pass: this one holds none, "
+                "or a backward has already consumed it")
         sink_shape = tape.outputs[self._sink]
         if dprobs.shape != sink_shape[:2]:
             raise StructuralError(
                 f"upstream gradient shape {dprobs.shape} != output {sink_shape[:2]}")
         pending: dict[str, np.ndarray] = {self._sink: dprobs[:, :, None, None]}
-        producers = self.graph.topology.producers
-        for nid in reversed(tape.caches):
-            dy = pending.pop(nid, None)
-            if dy is None:
-                continue
-            node = self.graph.node(nid)
-            if dy.shape != tape.outputs[nid]:
-                raise StructuralError(
-                    f"layer '{nid}': upstream gradient shape {dy.shape} != "
-                    f"forward output {tape.outputs[nid]}")
-            rules, prods = kind_of(node), producers[nid]
-            grads = rules.backward(dy, tape.caches[nid], bool(prods))
-            for pname, grad in zip(rules.trainable, grads[rules.arity:]):
-                if grad is not None:
-                    tape.accumulate(nid, pname, grad)
-            # out of place: an add hands both inputs one dy, and a gradient may
-            # be a read-only broadcast view, so no pending array is written to
-            for p, dx in zip(prods, grads[:rules.arity]):
-                pending[p] = pending[p] + dx if p in pending else dx
+        while tape.caches:
+            nid, cache = tape.caches.popitem()   # the last node run
+            shape = tape.outputs.pop(nid)
+            if nid in pending:
+                self._backprop(nid, pending.pop(nid), shape, cache, tape, pending)
+
+    def _backprop(self, nid, dy, shape, cache, tape, pending) -> None:
+        """One node's rule: its parameter gradients into ``tape.grads``, its
+        input gradients into ``pending``.  Its temporaries die on return."""
+        if dy.shape != shape:
+            raise StructuralError(
+                f"layer '{nid}': upstream gradient shape {dy.shape} != "
+                f"forward output {shape}")
+        rules, prods = kind_of(self.graph.node(nid)), self.graph.topology.producers[nid]
+        grads = rules.backward(dy, cache, bool(prods))
+        for pname, grad in zip(rules.trainable, grads[rules.arity:]):
+            if grad is not None:
+                tape.accumulate(nid, pname, grad)
+        # out of place: an add hands both inputs one dy, and a gradient may
+        # be a read-only broadcast view, so no pending array is written to
+        for p, dx in zip(prods, grads[:rules.arity]):
+            pending[p] = pending[p] + dx if p in pending else dx
 
     # -- parameters ----------------------------------------------------------------
 

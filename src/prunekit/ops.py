@@ -4,8 +4,9 @@ All activations are (batch, channels, height, width) arrays.  Kernels are
 dtype-generic: training runs in float32, gradient checking feeds float64
 through the same code paths.  Each forward returns ``(output, cache)`` and
 the matching backward consumes ``cache`` and the upstream gradient, so a
-network executor can replay layers in exact reverse order.  A backward
-leaves its cache unchanged, so it can run more than once.
+network executor can replay layers in exact reverse order.  A kernel's
+backward leaves its cache unchanged, so it can run more than once; the
+executor frees each cache once its backward has run.
 
 Convolution is im2col + GEMM in both directions, tiled over the batch.  A
 k x k conv stages each tile's input once into a zeroed phase-split grid: at
@@ -35,7 +36,9 @@ grid and one patch buffer and reuses them for every tile.  The conv cache
 keeps a reference to the input and no patch matrix: a tile holds at least
 one sample, so even one kept tile can be the whole batch's patches, about
 k*k times the input.  The backward walks the tiles last to first and
-rebuilds each one's patches (recompute over store, Chen et al. 2016).
+rebuilds each one's patches (recompute over store, Chen et al. 2016).  Its
+two walks run one after the other in functions of their own, so the weight
+gradient's patch buffer is freed before the input gradient's is made.
 
 A 1x1 kernel with padding 0 skips im2col (as Caffe's ``is_1x1_`` does): its
 patch matrix is the input itself, so the conv is one batched GEMM
@@ -46,7 +49,8 @@ backward sums the per-sample products ``dy_n @ xs_n.T`` for the weight and
 scatters ``W.T @ dy_n`` onto the stride grid for the input.
 
 Batchnorm caches ``(x - mean, gamma, inv_std, None)`` in train mode and
-``(x, gamma, inv_std, running_mean)`` in eval mode.  ReLU caches its output.
+``(x, gamma, inv_std, running_mean)`` in eval mode.  ReLU caches its output,
+or its 1-byte mask ``y > 0`` where no other cache keeps the output.
 
 Max pooling takes non-overlapping windows only (kernel == stride), cropping
 the rows and columns that do not fill a window.  It takes pairwise maxima of
@@ -198,30 +202,25 @@ def conv2d_forward(x, weight, bias, stride=1, padding=0):
 
 def conv2d_backward(dy, cache, input_grad=True):
     """Returns (dx, dweight, dbias); dbias is None when the conv has no bias,
-    and dx is None when ``input_grad`` is False, which skips its GEMMs.
-
-    The weight gradient rebuilds the forward's tiles with ``_tiles`` and sums
-    their products with dy, laid on the (ho, Wq) output grid with zero
-    columns, last to first: a fixed order, which the trained-model hashes pin.
-
-    The input gradient is one stride-1 correlation through the same tile
-    walker.  Tap (u, v) = (a + s*i, b + s*j) sends dy[oy, ox] to row
-    oy + i, column ox + j of phase (a, b), so phase (a, b) of the input's
-    gradient correlates dy, padded by ceil(k/s) - 1, with the flipped
-    sub-kernel weight[:, :, a::s, b::s]; the phases stack as s*s*cin rows of
-    one kernel, with zeros for the taps a phase lacks.  Only the plane rows
-    and columns that hold input pixels are computed, and ``_unstage`` writes
-    them to dx.
-    """
+    and dx is None when ``input_grad`` is False, which skips its GEMMs."""
     x, _, weight, has_bias, stride, padding = cache
     if weight.shape[2:] == (1, 1) and not padding:
         return _conv1x1_backward(dy, cache, input_grad)
-    _, cin, h, w = x.shape
-    cout, _, kh, kw = weight.shape
-    _, _, ho, wo = dy.shape
+    dw = _conv_weight_grad(dy, x, weight.shape, stride, padding)
+    db = dy.sum(axis=(0, 2, 3)) if has_bias else None
+    if not input_grad:
+        return None, dw, db
+    return _conv_input_grad(dy, x.shape, weight, stride, padding), dw, db
 
-    # weight gradient; cols @ dy.T ran ~1.8x faster than dy @ cols.T on OpenBLAS
-    wq = _width(w, stride, padding, wo)
+
+def _conv_weight_grad(dy, x, shape, stride, padding):
+    """The weight gradient: the forward's tiles, rebuilt with ``_tiles``, times
+    dy laid on the (ho, Wq) output grid with zero columns, summed last to
+    first: a fixed order, which the trained-model hashes pin."""
+    cout, _, kh, kw = shape
+    _, _, ho, wo = dy.shape
+    # cols @ dy.T ran ~1.8x faster than dy @ cols.T on OpenBLAS
+    wq = _width(x.shape[3], stride, padding, wo)
     dyg = dwt = None
     for s, e, cols in _tiles(x, kh, kw, stride, (padding, padding), ho, wq, reverse=True):
         if dyg is None or dyg.shape[1] != e - s:  # the last tile may be short
@@ -232,13 +231,25 @@ def conv2d_backward(dy, cache, input_grad=True):
             dwt = part
         else:
             dwt += part
-    dw = np.ascontiguousarray(dwt.T).reshape(weight.shape)
-    db = dy.sum(axis=(0, 2, 3)) if has_bias else None
-    if not input_grad:
-        return None, dw, db
+    return np.ascontiguousarray(dwt.T).reshape(shape)
 
-    # input gradient: rows r0 = padding//s to r0 + hr of each phase plane hold
-    # input pixels, and likewise columns, so the runs start at (r0, r0)
+
+def _conv_input_grad(dy, x_shape, weight, stride, padding):
+    """The input gradient, one stride-1 correlation through the tile walker.
+
+    Tap (u, v) = (a + s*i, b + s*j) sends dy[oy, ox] to row oy + i, column
+    ox + j of phase (a, b), so phase (a, b) of the input's gradient
+    correlates dy, padded by ceil(k/s) - 1, with the flipped sub-kernel
+    weight[:, :, a::s, b::s]; the phases stack as s*s*cin rows of one
+    kernel, with zeros for the taps a phase lacks.  Only the plane rows and
+    columns that hold input pixels are computed, and ``_unstage`` writes
+    them to dx.
+    """
+    _, cin, h, w = x_shape
+    cout, _, kh, kw = weight.shape
+    wo = dy.shape[3]
+    # rows r0 = padding//s to r0 + hr of each phase plane hold input pixels,
+    # and likewise columns, so the runs start at (r0, r0)
     s, ka, kb = stride, -(-kh // stride), -(-kw // stride)
     r0, hr, wr = padding // s, -(-(padding % s + h) // s), -(-(padding % s + w) // s)
     wq = _width(wo, 1, kb - 1, r0 + wr)
@@ -246,11 +257,11 @@ def conv2d_backward(dy, cache, input_grad=True):
     wt[:, :, :kh, :kw] = weight
     wt = wt.reshape(cout, cin, ka, s, kb, s)[:, :, ::-1, :, ::-1].transpose(1, 3, 5, 0, 2, 4)
     wt = wt.reshape(cin * s * s, cout * ka * kb)
-    dx = np.empty(x.shape, dtype=np.result_type(dy, weight))
+    dx = np.empty(x_shape, dtype=np.result_type(dy, weight))
     for t, _, cols in _tiles(dy, ka, kb, 1, (ka - 1, kb - 1), hr, wq, r0):
         out = (wt @ cols).reshape(cin, s, s, -1, hr, wq)
         _unstage(out[..., :wr].transpose(0, 3, 1, 2, 4, 5), dx, t, (padding % s, padding % s))
-    return dx, dw, db
+    return dx
 
 
 def _conv1x1_forward(x, weight, bias, stride, ho, wo):
@@ -336,13 +347,17 @@ def batchnorm_backward(dy, cache):
 # ---------------------------------------------------------------------------
 # activations and pooling
 
-def relu_forward(x):
+def relu_forward(x, mask=False):
+    """max(x, 0); the cache is the output or, given ``mask``, the bool
+    ``y > 0``, a quarter of a float32 output's bytes."""
     y = np.maximum(x, 0)
-    return y, y
+    return y, (y > 0 if mask else y)
 
 
-def relu_backward(dy, y):
-    return dy * (y > 0)
+def relu_backward(dy, cache):
+    """dy where the output is positive; ``cache`` is the output or its mask,
+    and ``cache > 0`` is the same mask for both, so both give the same dx."""
+    return dy * (cache > 0)
 
 
 def _first_max(vals):

@@ -46,9 +46,10 @@ class PipelineConfig(Record):
 
     def __post_init__(self):
         at_least(self, num_classes=2, reduction=1, score_batches=1, seed=0)
-        if self.data is None:
-            self.data = DatasetSpec(source="synthetic-planted", classes=self.num_classes,
-                                    seed=self.seed)
+        if self.data is None:   # enough signal channels to give each class its own code
+            self.data = DatasetSpec(
+                source="synthetic-planted", classes=self.num_classes, seed=self.seed,
+                signal_channels=max(4, (self.num_classes - 1).bit_length()))
         if self.data.source.startswith("synthetic") and self.data.classes != self.num_classes:
             raise ValueError(f"data.classes ({self.data.classes}) must equal num_classes "
                              f"({self.num_classes}) for synthetic data")

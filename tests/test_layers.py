@@ -71,3 +71,30 @@ def test_every_parameter_axis_has_a_keep_role(kind):
         roles = rules.param_keeps[name]
         assert len(roles) == len(shape), name
         assert set(roles) <= {"in", "out", "lead", "all"}, name
+
+
+def _reaches(cache, x) -> bool:
+    """Whether ``x`` is an array of ``cache``, at any depth, or the base of one."""
+    if isinstance(cache, (tuple, list)):
+        return any(_reaches(item, x) for item in cache)
+    while isinstance(cache, np.ndarray):
+        if cache is x:
+            return True
+        cache = cache.base
+    return False
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_keeps_input_says_whether_the_training_cache_holds_the_input(kind, rng):
+    """The executor lets a ReLU cache a mask only where no consumer keeps its
+    output, so ``keeps_input`` must say what each kind's cache holds; a lean
+    forward, too, must not keep its input."""
+    rules, (attrs, in_shape) = LAYERS[kind], TINY[kind]
+    node = LayerNode("n", kind, dict(attrs))
+    initialize_parameters(ArchitectureGraph([node], [], in_shape), 0, np.float64)
+    x = rng.normal(size=(2, *in_shape))
+    _, cache = rules.forward(node, [x] * rules.arity, True)
+    assert _reaches(cache, x) == rules.keeps_input
+    if rules.lean_forward is not None:
+        _, lean = rules.lean_forward(node, [x] * rules.arity, True)
+        assert not _reaches(lean, x)

@@ -165,6 +165,18 @@ class TestConvBackward:
         assert dx is None and full[0].shape == x.shape
         assert dw.tobytes() == full[1].tobytes() and db.tobytes() == full[2].tobytes()
 
+    def test_backward_holds_one_patch_buffer_at_a_time(self, rng, traced_peak):
+        """The weight gradient's patch buffer, grid and GEMM parts are freed
+        before the input gradient's walk makes its own.  A sample's patches
+        here are 594 KiB, one tile; holding both walks' buffers at once
+        peaked at 1.5 MiB traced."""
+        x = rng.normal(size=(2, 16, 32, 32)).astype(np.float32)
+        w = rng.normal(size=(16, 16, 3, 3)).astype(np.float32)
+        y, cache = ops.conv2d_forward(x, w, None, stride=1, padding=1)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        peak, _ = traced_peak(lambda: ops.conv2d_backward(dy, cache))
+        assert peak < 1.2 * 2**20
+
     def test_cache_layout(self, rng, monkeypatch):
         # perfbench's tracer reads slot 1's size and the weight from the cache;
         # the k x k path keeps the input there and no patch matrix
@@ -312,6 +324,17 @@ class TestBatchNorm:
 
 
 class TestPooling:
+    def test_relu_mask_gives_the_outputs_gradient_bitwise(self, rng):
+        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        x[0, 0, 0, :2] = [0.0, np.nan]
+        dy = rng.normal(size=x.shape).astype(np.float32)
+        dy[1, 1, 1, 1] = np.nan
+        y, kept = ops.relu_forward(x)
+        y2, mask = ops.relu_forward(x, mask=True)
+        assert kept is y and mask.dtype == bool and y2.tobytes() == y.tobytes()
+        assert (ops.relu_backward(dy, mask).tobytes()
+                == ops.relu_backward(dy, kept).tobytes())
+
     def test_maxpool_first_max_wins_on_ties(self):
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
         x[0, 0] = [[7, 7], [7, 7]]

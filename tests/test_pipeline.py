@@ -12,7 +12,7 @@ from prunekit import (DatasetSpec, ModelBundle, PruneConfig, TrainConfig, build,
                       count_params, identity_plan, load_bundle, report, save_bundle)
 from prunekit.bundle import BLOB_NAME, bundle_fingerprint
 from prunekit.cli import main
-from prunekit.data import load_dataset
+from prunekit.data import class_amplitudes, load_dataset
 from prunekit.errors import StageFailure
 from prunekit.pipeline import (STAGES, ExperimentManifest, PipelineConfig, run_pipeline,
                                run_sweep)
@@ -30,6 +30,17 @@ def small_config(out, seed=0, epochs=3):
         train=TrainConfig(epochs=epochs, batch_size=32, lr=0.05, seed=seed),
         prune=PruneConfig(beta=1, sign="minus"),
         seed=seed, out=out)
+
+
+@pytest.mark.parametrize("classes, signal_channels", [(4, 4), (16, 4), (20, 5), (100, 7)])
+def test_a_defaulted_planted_task_has_a_code_for_every_class(classes, signal_channels):
+    """Without a data spec, the planted task takes as many signal channels as
+    its class codes need, at least 4, so 16 or fewer classes keep their data."""
+    config = PipelineConfig(arch="tiny-vgg", num_classes=classes)
+    assert config.data.signal_channels == signal_channels
+    spec = config.data
+    codes = class_amplitudes(classes, spec.signal_channels, spec.amplitude)
+    assert len(np.unique(codes, axis=0)) == classes
 
 
 @pytest.fixture(scope="module")
